@@ -30,7 +30,7 @@ from .formal import LogSeries
 from .linalg import padic_nullspace
 from .tower import (INF, FrobeniusIndex, QElement, Tower, TowerElement,
                     frobenius_apply, frobenius_word_apply, n_of_pi_from,
-                    valuation)
+                    raise_if_bad_word, valuation)
 
 
 def gm_character_eval(tower: Tower, idx: FrobeniusIndex, x: TowerElement
@@ -43,35 +43,10 @@ def gm_character_eval(tower: Tower, idx: FrobeniusIndex, x: TowerElement
     """
     if valuation(x) != 0:
         raise NotAUnit("the multiplicative character is defined on units")
-    p, e = tower.p, tower.e
+    p = tower.p
     num = frobenius_apply(tower, idx, x) - x ** p
-    z = num * (x ** p).inverse()
-    vz = valuation(z)
-    if vz != INF and not vz > 0:
-        raise LogDivergence("log argument 1 + z needs v(z) > 0")
-    prec = z.prec
-    # sum until n/e - v_p(n) comfortably exceeds the certified precision
-    nmax = e * (prec + 2) + 1
-    dmax = 0
-    nn = 1
-    while nn <= nmax:
-        dmax = max(dmax, pu.vp(nn, p) if nn % p == 0 else 0)
-        nn += 1
-    pk = p ** prec
-    acc = tower.zero(prec)
-    zn = tower.one(prec)
-    for n in range(1, nmax + 1):
-        zn = zn * z
-        if zn.is_zero():
-            break
-        v = pu.vp(n, p) if n % p == 0 else 0
-        unit = n // p ** v
-        c = (pu.modinv(unit, pk) * p ** (dmax - v)) % pk
-        if n % 2 == 0:
-            c = -c
-        acc = acc + zn * c
-    out = QElement(acc, dmax)
-    N = n_of_pi_from(p, e)
+    out = _log1p(num * (x ** p).inverse())
+    N = n_of_pi_from(p, tower.e)
     if N >= 0:
         return QElement(out.num * p ** N, out.den)
     return QElement(out.num, out.den - N)
@@ -79,13 +54,21 @@ def gm_character_eval(tower: Tower, idx: FrobeniusIndex, x: TowerElement
 
 def unit_log(tower: Tower, x: TowerElement) -> QElement:
     """log of a 1-unit: sum (-1)^(n+1) (x-1)^n / n, v(x-1) > 0 required."""
-    z = x - tower.one()
+    return _log1p(x - tower.one())
+
+
+def _log1p(z: TowerElement) -> QElement:
+    """log(1 + z) = sum (-1)^(n+1) z^n / n as num / p^dmax, v(z) > 0.
+
+    The sum runs until n/e - v_p(n) comfortably exceeds the certified
+    precision of z.
+    """
     vz = valuation(z)
     if vz != INF and not vz > 0:
-        raise LogDivergence("unit_log needs v(x - 1) > 0")
-    p, e = tower.p, tower.e
-    prec = x.prec
-    nmax = e * (prec + 2) + 1
+        raise LogDivergence("log(1 + z) needs v(z) > 0")
+    tower, prec = z.tower, z.prec
+    p = tower.p
+    nmax = tower.e * (prec + 2) + 1
     dmax = max((pu.vp(n, p) for n in range(p, nmax + 1, p)), default=0)
     pk = p ** prec
     acc = tower.zero(prec)
@@ -124,23 +107,21 @@ def asd_check(log: LogSeries, fvals: dict, mu, nu, Nmax: int,
     if log.degree < p ** r * Nmax:
         raise SeriesTooShort(
             f"need logarithm degree >= {p ** r * Nmax}, have {log.degree}")
+    raise_if_bad_word(gammas, mu + nu)
     ft_mu, ft_nu, f_mu_nu = fvals["ft_mu"], fvals["ft_nu"], fvals["f_mu_nu"]
     out = []
     for N in range(1, Nmax + 1):
         pieces = []
-        for coeff, b_index, extra_p, twist in (
-                (ft_nu, N, 0, mu),
-                (-ft_mu, p ** (r - s) * N, r - s, nu),
-                (f_mu_nu, p ** r * N, r, ())):
+        for coeff, b_index, extra_p in (
+                (ft_nu, N, 0),
+                (-ft_mu, p ** (r - s) * N, r - s),
+                (f_mu_nu, p ** r * N, r)):
+            # b-coefficients live in Z_p, so every family member fixes them
             b = log.b[b_index]
-            # b-coefficients live in Z_p and are fixed by every family
-            # member; the twist is applied for form
-            btw = frobenius_word_apply(tower, gammas, twist,
-                                       tower.from_int(b))
             vN = pu.vp(N, p) if N % p == 0 else 0
             unit = N // p ** vN
             den = extra_p + vN
-            num = coeff * btw * pu.modinv(unit, p ** tower.K)
+            num = coeff * tower.from_int(b) * pu.modinv(unit, p ** tower.K)
             pieces.append(QElement(num, den))
         total = pieces[0] + pieces[1] + pieces[2]
         v = total.valuation()

@@ -401,7 +401,6 @@ def _common_flags(p):
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument("--seed", type=int, default=20290)
     p.add_argument("--precision", type=int, default=None)
-    p.add_argument("--degree", type=int, default=None)
 
 
 _SUITE_FUNCS = {

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polyutils as pu
-from .errors import (BadReduction, PrecisionBudgetExceeded,
-                     SupersingularInput)
+from .errors import (BadReduction, CertificateFailure,
+                     PrecisionBudgetExceeded, SupersingularInput)
 from .formal import WeierstrassCurve
 
 
@@ -45,7 +45,8 @@ def count_points_ap(curve: WeierstrassCurve) -> int:
             continue
         chi = 1 if pow(v, (p - 1) // 2, p) == 1 else -1
         ap -= chi
-    assert ap * ap <= 4 * p, "Hasse bound violated -- counting bug"
+    if ap * ap > 4 * p:
+        raise CertificateFailure("Hasse bound violated -- counting bug")
     return ap
 
 
@@ -76,7 +77,8 @@ class DeRhamData:
         u = self.ap % pk
         for _ in range(self.prec + 2):
             u = (self.ap - self.p * pu.modinv(u, pk)) % pk
-        assert (u * u - self.ap * u + self.p) % pk == 0
+        if (u * u - self.ap * u + self.p) % pk:
+            raise CertificateFailure("unit root fails X^2 - a_p X + p = 0")
         return u
 
     def frobenius_power_on_omega(self, s: int):
@@ -161,8 +163,9 @@ def kedlaya_frobenius(curve: WeierstrassCurve, K: int,
     if ap % p == 0:
         raise SupersingularInput(
             f"{curve.label or (curve.a4, curve.a6)} is supersingular at {p}")
+    # 2 + ceil(log_p(6p(K + 6))); 6p(K + 6) is even, so never a power of p
     pad = series_pad if series_pad is not None else (
-        2 + math.ceil(math.log(6 * p * (K + 6)) / math.log(p)))
+        3 + pu.floor_log(p, 6 * p * (K + 6)))
     k_max = K + pad
     f = [Fraction(c) for c in curve.fpoly()]
     fprime = _fderiv(f)
@@ -175,7 +178,8 @@ def kedlaya_frobenius(curve: WeierstrassCurve, K: int,
     for _ in range(p):
         fp = _fmul(fp, f)
     N = _fadd(fxp, _fscale(fp, -1))
-    assert all(c.denominator == 1 and c.numerator % p == 0 for c in N)
+    if any(c.denominator != 1 or c.numerator % p for c in N):
+        raise CertificateFailure("f(x^p) - f(x)^p is not divisible by p")
 
     cols = []
     for i in (0, 1):
@@ -240,7 +244,8 @@ def _bezout_exact(f, g):
         r0, r1 = r1, r
         u0, u1 = u1, _fadd(u0, _fscale(_fmul(q, u1), -1))
         v0, v1 = v1, _fadd(v0, _fscale(_fmul(q, v1), -1))
-    assert len(r0) == 1
+    if len(r0) != 1:
+        raise CertificateFailure("f and f' are not coprime")
     c = r0[0]
     return _fscale(u0, 1 / c), _fscale(v0, 1 / c)
 
@@ -271,7 +276,8 @@ class CrystallineClasses:
         if not 1 <= s <= self.r:
             raise ValueError("word length outside table range")
         val = self._pair(s, 0)
-        assert val % self.p == 0, "phi(omega) not divisible by p"
+        if val % self.p:
+            raise CertificateFailure("phi(omega) not divisible by p")
         return (val // self.p) % (self._pk // self.p)
 
     def f_pair(self, mu, nu) -> int:
@@ -280,7 +286,8 @@ class CrystallineClasses:
         if not (1 <= s1 <= self.r and 1 <= s2 <= self.r):
             raise ValueError("word length outside table range")
         val = self._pair(s1, s2)
-        assert val % self.p == 0
+        if val % self.p:
+            raise CertificateFailure("class pairing not divisible by p")
         return (val // self.p) % (self._pk // self.p)
 
 

@@ -92,3 +92,7 @@ class ZeroSeries(FrobjetError, ValueError):
 
 class DivisionByZero(FrobjetError, ZeroDivisionError):
     """A denominator vanishes at the working precision."""
+
+
+class CertificateFailure(FrobjetError, ArithmeticError):
+    """An internal consistency check failed: a bug, never bad input."""

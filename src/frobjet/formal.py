@@ -23,14 +23,14 @@ global p-power denominator so integrality claims stay checkable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polyutils as pu
-from .errors import (BadReduction, DistinctWordsRequired,
-                     IntegralityViolation, NotTopologicallyNilpotent,
-                     OrderOverflow, PrecisionExhausted)
+from .errors import (BadReduction, CertificateFailure, DistinctWordsRequired,
+                     FamilyMismatch, IntegralityViolation,
+                     NotTopologicallyNilpotent, OrderOverflow,
+                     PrecisionExhausted)
 from .jets import JetElement, JetRing, phi_word
 from .tower import TowerElement, n_of_pi_from, valuation
 
@@ -118,7 +118,9 @@ def curve_w_series(curve: WeierstrassCurve, n: int, mod: int) -> list:
         m = length + 1 if 2 * (m - 1) >= length else 2 * (m - 1)
     w = (w + [0] * n)[:n]
     val, _ = residual(w, n)
-    assert not any(val), "Newton iteration for w(t) failed to converge"
+    if any(val):
+        raise CertificateFailure(
+            "Newton iteration for w(t) failed to converge")
     return w
 
 
@@ -129,9 +131,10 @@ def formal_log(curve: WeierstrassCurve, D: int, prec: int) -> LogSeries:
     floor(log_p D) must be below ``prec``.
     """
     p = curve.p
-    if prec <= _dmax(p, D):
+    dmax = pu.floor_log(p, D)
+    if prec <= dmax:
         raise PrecisionExhausted(
-            f"denominators up to p^{_dmax(p, D)} do not fit in prec {prec}")
+            f"denominators up to p^{dmax} do not fit in prec {prec}")
     mod = p ** prec
     n = D + 4
     w = curve_w_series(curve, n, mod)
@@ -145,7 +148,8 @@ def formal_log(curve: WeierstrassCurve, D: int, prec: int) -> LogSeries:
     b = [0] * (D + 1)
     for m in range(1, D + 1):
         b[m] = omega[m - 1]
-    assert b[1] == 1
+    if b[1] != 1:
+        raise CertificateFailure("logarithm does not start with T")
     return LogSeries(p, prec, b)
 
 
@@ -154,10 +158,6 @@ def gm_log(p: int, D: int, prec: int) -> LogSeries:
     mod = p ** prec
     return LogSeries(p, prec,
                      [0] + [(1 if m % 2 else mod - 1) for m in range(1, D + 1)])
-
-
-def _dmax(p: int, D: int) -> int:
-    return max(0, math.floor(math.log(D) / math.log(p))) if D >= 1 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +244,8 @@ def formal_group_law(curve: WeierstrassCurve | None, D: int, prec: int,
     """Group law via the chord construction; ``curve=None`` gives the
     built-in multiplicative law T1 + T2 + T1*T2."""
     if curve is None:
-        assert p is not None
+        if p is None:
+            raise FamilyMismatch("the multiplicative group law needs p")
         return FormalGroupLaw(p, prec, D,
                               {(1, 0): 1, (0, 1): 1, (1, 1): 1})
     p = curve.p
@@ -325,7 +326,7 @@ def compose_log_with_law(log: LogSeries, law: FormalGroupLaw, D: int):
     """
     p = log.p
     mod = p ** log.prec
-    dmax = _dmax(p, D)
+    dmax = pu.floor_log(p, D)
     scale = p ** dmax
     F = {k: v for k, v in law.coeffs.items() if sum(k) <= D}
     acc = {}
@@ -361,7 +362,7 @@ def log_jet(log: LogSeries, ring: JetRing) -> JetElement:
     if log.degree < D:
         raise PrecisionExhausted(
             f"log series degree {log.degree} < jet truncation {D}")
-    dmax = _dmax(p, D)
+    dmax = pu.floor_log(p, D)
     prec = min(log.prec, tower.K)
     mod = p ** prec
     terms = {}

@@ -48,31 +48,51 @@ class JetRingConfig:
             raise FamilyMismatch("need one Frobenius index per direction")
         object.__setattr__(self, "gammas", tuple(self.gammas))
 
-    @property
-    def words(self):
-        return words_up_to(self.n, self.r)
-
     def variable_names(self):
         return ["T"] + ["d" + word_to_string(w)
                         for w in words_up_to(self.n, self.r)[1:]]
 
 
-class JetRing:
-    """Context caching the variable table of a JetRingConfig."""
+class SeriesRing:
+    """Variable table and coefficient ring of the series kernel below.
+
+    Variable v stands for delta_w T with w = ``var_words[v]``; index 0 is
+    T itself, the empty word.  Subclasses supply ``from_int``, ``is_zero``
+    and ``frobenius(i, c)``; pi^j comes from a table built here for
+    j <= D, so a ring is read-only once constructed.
+    """
+
+    def __init__(self, p: int, n: int, r: int, D: int, one, pi):
+        self.p, self.n, self.r, self.D = p, n, r, D
+        self.var_words = words_up_to(n, r)
+        self.word_to_var = {w: v for v, w in enumerate(self.var_words) if w}
+        pows = [one, pi]
+        while len(pows) <= D:
+            pows.append(pows[-1] * pi)
+        self._pi_pows = tuple(pows)
+
+    def pi_pow(self, j: int):
+        """pi^j for 0 <= j <= max(D, 1)."""
+        return self._pi_pows[j]
+
+
+class JetRing(SeriesRing):
+    """Jet ring of a JetRingConfig: coefficients are tower elements."""
+
+    is_zero = staticmethod(TowerElement.is_zero)
 
     def __init__(self, cfg: JetRingConfig):
         self.cfg = cfg
         self.tower = cfg.tower
-        nonempty = words_up_to(cfg.n, cfg.r)[1:]
-        self.var_words = [None] + nonempty          # index 0 is T
-        self.word_to_var = {w: i + 1 for i, w in enumerate(nonempty)}
-        self.nvars = 1 + len(nonempty)
-        self._pi_pows = [self.tower.one(), self.tower.pi()]
+        super().__init__(cfg.tower.p, cfg.n, cfg.r, cfg.D, cfg.tower.one(),
+                         cfg.tower.pi())
+        self.nvars = len(self.var_words)
+        self.from_int = cfg.tower.from_int
+        self._frob = [FrobeniusIndex(g) for g in cfg.gammas]
 
-    def pi_pow(self, j: int) -> TowerElement:
-        while len(self._pi_pows) <= j:
-            self._pi_pows.append(self._pi_pows[-1] * self._pi_pows[1])
-        return self._pi_pows[j]
+    def frobenius(self, i: int, c: TowerElement) -> TowerElement:
+        """phi^(gamma_i) on a coefficient."""
+        return frobenius_apply(self.tower, self._frob[i - 1], c)
 
     def zero(self) -> "JetElement":
         return JetElement(self, {}, 0)
@@ -104,14 +124,8 @@ class JetElement:
     def __init__(self, ring: JetRing, terms, den: int = 0):
         self.ring = ring
         self.den = den
-        D = ring.cfg.D
-        clean = {}
-        for mono, coeff in terms.items():
-            if sum(e for _, e in mono) > D:
-                continue
-            if not coeff.is_zero():
-                clean[mono] = coeff
-        self.terms = clean
+        self.terms = {m: c for m, c in terms.items()
+                      if _degree(m) <= ring.D and not c.is_zero()}
 
     # -- ring structure ----------------------------------------------------
 
@@ -155,31 +169,14 @@ class JetElement:
             return self.scale(other)
         if self.ring is not other.ring:
             raise FamilyMismatch("jet elements from different rings")
-        D = self.ring.cfg.D
-        out = {}
-        small, big = ((self, other) if len(self.terms) <= len(other.terms)
-                      else (other, self))
-        for m1, c1 in small.terms.items():
-            d1 = sum(e for _, e in m1)
-            for m2, c2 in big.terms.items():
-                if d1 + sum(e for _, e in m2) > D:
-                    continue
-                m = _mono_mul(m1, m2)
-                c = c1 * c2
-                out[m] = out[m] + c if m in out else c
-        return JetElement(self.ring, out, self.den + other.den)
+        return JetElement(self.ring,
+                          series_mul(self.terms, other.terms, self.ring.D),
+                          self.den + other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return series_pow(self, n)
 
     def truncate(self, D: int) -> "JetElement":
         """Restriction to monomials of total degree <= D (<= configured D)."""
@@ -191,10 +188,6 @@ class JetElement:
 
     def coefficient(self, mono) -> TowerElement:
         return self.terms.get(tuple(sorted(mono)), self.ring.tower.zero())
-
-    def min_precision(self) -> int:
-        return min((c.prec for c in self.terms.values()),
-                   default=self.ring.tower.K)
 
     def integrality_report(self):
         """Per-monomial check that the true coefficient num/p^den is integral."""
@@ -219,11 +212,110 @@ class JetElement:
         return f"JetElement(den={self.den}, monomials={parts[:8]}...)"
 
 
+# ---------------------------------------------------------------------------
+# the sparse-series kernel, shared with frobjet.sertate: term maps send
+# monomials (sorted tuples of (variable, exponent)) to coefficients of a
+# SeriesRing
+# ---------------------------------------------------------------------------
+
 def _mono_mul(m1, m2):
     d = dict(m1)
     for v, e in m2:
         d[v] = d.get(v, 0) + e
     return tuple(sorted(d.items()))
+
+
+def _degree(mono) -> int:
+    return sum(e for _, e in mono)
+
+
+def series_mul(t1: dict, t2: dict, D: int) -> dict:
+    """Product of two term maps, dropping monomials of degree above D."""
+    if len(t1) > len(t2):
+        t1, t2 = t2, t1
+    right = [(_degree(m), m, c) for m, c in t2.items()]
+    out = {}
+    for m1, c1 in t1.items():
+        room = D - _degree(m1)
+        for d2, m2, c2 in right:
+            if d2 > room:
+                continue
+            m = _mono_mul(m1, m2)
+            c = c1 * c2
+            out[m] = out[m] + c if m in out else c
+    return out
+
+
+def series_pow(x, n: int):
+    """x^n by square-and-multiply through the class's own product."""
+    result = x.ring.one()
+    base = x
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
+
+
+def prolong(ring, i: int, terms: dict) -> dict:
+    """Image of a term map under the prolongation for direction i (1-based).
+
+    Coefficients go through ``ring.frobenius(i, .)``, T to T^p + pi delta_i T
+    and delta_mu T to (delta_mu T)^p + pi delta_(i mu) T.  Raises
+    OrderOverflow when a variable's successor word would exceed order r.
+    """
+    if not 1 <= i <= ring.n:
+        raise FamilyMismatch(f"direction {i} outside the family")
+    p, D = ring.p, ring.D
+    images = {}
+
+    def image_terms(v: int, e: int):
+        # [(degree, scalar, mono)] for (image of variable v)^e
+        if (v, e) in images:
+            return images[(v, e)]
+        iw = (i,) + ring.var_words[v]
+        succ = ring.word_to_var.get(iw)
+        if succ is None:
+            raise OrderOverflow(
+                f"word {iw} exceeds the configured order r = {ring.r}")
+        out = []
+        for j in range(e + 1):
+            scalar = ring.from_int(math.comb(e, j)) * ring.pi_pow(j)
+            if ring.is_zero(scalar):
+                continue
+            mono = []
+            if e - j:
+                mono.append((v, p * (e - j)))
+            if j:
+                mono.append((succ, j))
+            mono = tuple(sorted(mono))
+            out.append((_degree(mono), scalar, mono))
+        images[(v, e)] = out
+        return out
+
+    total = {}
+    for mono, coeff in terms.items():
+        acc = {(): ring.frobenius(i, coeff)}
+        for v, e in mono:
+            imgs = image_terms(v, e)
+            nxt = {}
+            for m0, c0 in acc.items():
+                room = D - _degree(m0)
+                for d1, scalar, m1 in imgs:
+                    if d1 > room:
+                        continue
+                    c = c0 * scalar
+                    if ring.is_zero(c):
+                        continue
+                    m = _mono_mul(m0, m1)
+                    nxt[m] = nxt[m] + c if m in nxt else c
+            acc = nxt
+            if not acc:
+                break
+        for m, c in acc.items():
+            total[m] = total[m] + c if m in total else c
+    return total
 
 
 def _mono_str(ring, m):
@@ -239,67 +331,7 @@ def phi_endomorphism(ring: JetRing, i: int, F: JetElement) -> JetElement:
     Raises OrderOverflow when F involves a word of length r already, since
     the image would need length r + 1.
     """
-    cfg = ring.cfg
-    if not 1 <= i <= cfg.n:
-        raise FamilyMismatch(f"direction {i} outside the family")
-    tower = ring.tower
-    p = tower.p
-    idx = FrobeniusIndex(cfg.gammas[i - 1])
-    out = ring.zero()
-    var_images = {}
-
-    def image_terms(v: int, e: int):
-        # [(tower scalar, mono)] for (image of variable v)^e
-        if (v, e) in var_images:
-            return var_images[(v, e)]
-        if v == 0:
-            succ = ring.word_to_var.get((i,))
-            if succ is None:
-                raise OrderOverflow("order-0 ring cannot hold delta variables")
-        else:
-            w = ring.var_words[v]
-            iw = (i,) + w
-            succ = ring.word_to_var.get(iw)
-            if succ is None:
-                raise OrderOverflow(
-                    f"word {iw} exceeds the configured order r = {cfg.r}")
-        terms = []
-        for j in range(e + 1):
-            scalar = tower.from_int(math.comb(e, j)) * ring.pi_pow(j)
-            if scalar.is_zero():
-                continue
-            mono = []
-            if e - j:
-                mono.append((v, p * (e - j)))
-            if j:
-                mono.append((succ, j))
-            terms.append((scalar, tuple(sorted(mono))))
-        var_images[(v, e)] = terms
-        return terms
-
-    acc_total = {}
-    D = cfg.D
-    for mono, coeff in F.terms.items():
-        acc = {(): frobenius_apply(tower, idx, coeff)}
-        for v, e in mono:
-            imgs = image_terms(v, e)
-            nxt = {}
-            for m0, c0 in acc.items():
-                deg0 = sum(x for _, x in m0)
-                for scalar, m1 in imgs:
-                    if deg0 + sum(x for _, x in m1) > D:
-                        continue
-                    c = c0 * scalar
-                    if c.is_zero():
-                        continue
-                    m = _mono_mul(m0, m1)
-                    nxt[m] = nxt[m] + c if m in nxt else c
-            acc = nxt
-            if not acc:
-                break
-        for m, c in acc.items():
-            acc_total[m] = acc_total[m] + c if m in acc_total else c
-    return JetElement(ring, acc_total, F.den)
+    return JetElement(ring, prolong(ring, i, F.terms), F.den)
 
 
 def phi_word(ring: JetRing, word, F: JetElement) -> JetElement:
@@ -328,7 +360,7 @@ def eval_jet(ring: JetRing, F: JetElement, a: TowerElement) -> QElement:
 
     Requires v(a) > 0 so the discarded T-adic tail sits below precision;
     the value is certified modulo p^ceil((D+1) * v(a)) at most, on top of the
-    coefficient precision.  See also :func:`eval_certificate`.
+    coefficient precision.
     """
     v = valuation(a)
     if not v > 0:
@@ -351,17 +383,10 @@ def eval_jet(ring: JetRing, F: JetElement, a: TowerElement) -> QElement:
     for mono, coeff in F.terms.items():
         term = coeff
         for var, e in mono:
-            base = a if var == 0 else delta_value(ring.var_words[var])
+            base = delta_value(ring.var_words[var])
             term = term * base ** e
         total = total + term
     q = QElement(total, F.den)
     if q.certified_precision() < 1:
         raise PrecisionExhausted("evaluation consumed the precision budget")
     return q
-
-
-def eval_certificate(ring: JetRing, a: TowerElement) -> int:
-    """Absolute precision to which eval_jet values are certified for ``a``,
-    accounting only for the T-adic truncation tail."""
-    v = valuation(a)
-    return math.floor((ring.cfg.D + 1) * v)

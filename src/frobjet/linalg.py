@@ -81,9 +81,6 @@ def padic_nullspace(M, p: int, K: int, vmax: int | None = None):
             # p^v_i * x_{c_i} + A[i][free] = 0
             v = pivots[i]
             entry = A[i][free] % pk
-            if entry % p ** v:
-                # certified only below the pivot valuation
-                entry = entry % pk
             coeff = (-(entry // p ** v)) % pc
             vec[colperm[i]] = coeff
         kernel.append([x % pc for x in vec])

@@ -14,6 +14,9 @@ layer pure Python while staying far below the acceptance-suite time budgets.
 from __future__ import annotations
 
 import random
+from math import gcd
+
+from .errors import CertificateFailure
 
 
 def trim(a: list) -> list:
@@ -53,7 +56,8 @@ def pdivmod_monic(a, b, mod):
     """Divide by a monic polynomial ``b``; returns (quotient, remainder)."""
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
-    assert b[-1] % mod == 1, "divisor must be monic"
+    if b[-1] % mod != 1:
+        raise CertificateFailure("divisor must be monic")
     a = [c % mod for c in a]
     db = len(b) - 1
     q = [0] * max(len(a) - db, 0)
@@ -65,13 +69,6 @@ def pdivmod_monic(a, b, mod):
             for j, d in enumerate(b):
                 r[i + j] = (r[i + j] - c * d) % mod
     return trim(q), trim(r)
-
-
-def peval(a, x, mod):
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % mod
-    return acc
 
 
 def fp_monic(a, p):
@@ -134,19 +131,13 @@ def multiplicative_order(a: int, n: int) -> int:
     """Order of ``a`` in (Z/n)^*; n = 1 gives order 1."""
     if n == 1:
         return 1
-    if pow(a % n, 1, n) == 0 or gcd(a, n) != 1:
+    if gcd(a, n) != 1:
         raise ValueError(f"{a} is not invertible mod {n}")
     k, x = 1, a % n
     while x != 1:
         x = (x * a) % n
         k += 1
     return k
-
-
-def gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def cyclotomic_prime_power(l: int, m: int) -> list:
@@ -157,8 +148,6 @@ def cyclotomic_prime_power(l: int, m: int) -> list:
     step = l ** (m - 1)
     out = [0] * (step * (l - 1) + 1)
     for j in range(l):
-        out[j * step] = 1 if j < l else 0
-    for j in range(l - 1, -1, -1):
         out[j * step] = 1
     return trim(out)
 
@@ -202,7 +191,8 @@ def hensel_lift_factor(f, g0, p: int, K: int) -> list:
     """
     g0 = fp_monic(g0, p)
     h0, rem = pdivmod_monic([c % p for c in f], g0, p)
-    assert not trim(rem), "g0 does not divide f mod p"
+    if trim(rem):
+        raise CertificateFailure("g0 does not divide f mod p")
     s, t = fp_ext_bezout(g0, h0, p)
     g = list(g0)
     h = list(h0)
@@ -210,13 +200,15 @@ def hensel_lift_factor(f, g0, p: int, K: int) -> list:
     for _ in range(K - 1):
         mod_next = pk * p
         err = psub([c % mod_next for c in f], pmul(g, h, mod_next), mod_next)
-        assert all(c % pk == 0 for c in err)
+        if any(c % pk for c in err):
+            raise CertificateFailure("Hensel lift lost its congruence")
         e = [(c // pk) % p for c in err]
         # solve u*h + v*g = e mod p with deg u < deg g
         u = pdivmod_monic(pmul(t, e, p), g, p)[1]
         num = psub(e, pmul(u, h, p), p)
         v, r = pdivmod_monic(num, g, p)
-        assert not trim(r)
+        if trim(r):
+            raise CertificateFailure("Hensel correction left a remainder")
         g = padd(g, [(c * pk) % mod_next for c in u], mod_next)
         h = padd(h, [(c * pk) % mod_next for c in v], mod_next)
         pk = mod_next
@@ -278,18 +270,20 @@ def ser_inv(a: list, mod: int, n: int) -> list:
 
 
 def modinv(a: int, mod: int) -> int:
-    a %= mod
-    g, x, _ = _ext_gcd(a, mod)
-    if g != 1:
-        raise ZeroDivisionError(f"{a} not invertible mod {mod}")
-    return x % mod
+    try:
+        return pow(a, -1, mod)
+    except ValueError:
+        raise ZeroDivisionError(
+            f"{a % mod} not invertible mod {mod}") from None
 
 
-def _ext_gcd(a, b):
-    if b == 0:
-        return a, 1, 0
-    g, x, y = _ext_gcd(b, a % b)
-    return g, y, x - (a // b) * y
+def floor_log(p: int, n: int) -> int:
+    """Largest k with p^k <= n, in integers (0 when n < p)."""
+    k, q = 0, p
+    while q <= n:
+        k += 1
+        q *= p
+    return k
 
 
 def vp(n: int, p: int) -> int:

@@ -34,29 +34,40 @@ c = 1 they feed the coefficient-matrix checks and the congruence tests.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from fractions import Fraction
 from importlib import resources
 
-from .errors import (BetaTooLarge, DivisionByZero, FamilyMismatch,
-                     OrderOverflow, UnknownForm, UnknownRelation)
+from .errors import (BetaTooLarge, DivisionByZero, OrderOverflow,
+                     UnknownForm, UnknownRelation)
+from .jets import SeriesRing, _mono_mul, prolong, series_mul, series_pow
+from .symbols import subset_det
 from .tower import (Tower, TowerElement, frobenius_word_apply, n_of_pi_from,
                     valuation)
-from .words import words_up_to, word_from_string
+from .words import word_from_string
 
 
 # ---------------------------------------------------------------------------
 # exact truncated series in T, delta_mu T over Q (pi = p)
 # ---------------------------------------------------------------------------
 
-class STRing:
-    """Shape of the exact expansion ring: directions n, order r, degree D."""
+class STRing(SeriesRing):
+    """Shape of the exact expansion ring: directions n, order r, degree D.
+
+    Coefficients are exact rationals, pi = p, and every Frobenius fixes
+    them.
+    """
+
+    from_int = staticmethod(Fraction)
+    is_zero = staticmethod(operator.not_)
 
     def __init__(self, p: int, n: int, r: int, D: int):
-        self.p, self.n, self.r, self.D = p, n, r, D
-        nonempty = words_up_to(n, r)[1:]
-        self.var_words = [None] + nonempty
-        self.word_to_var = {w: i + 1 for i, w in enumerate(nonempty)}
+        super().__init__(p, n, r, D, Fraction(1), Fraction(p))
+
+    @staticmethod
+    def frobenius(i: int, c: Fraction) -> Fraction:
+        return c
 
     def zero(self):
         return STSeries(self, {})
@@ -112,28 +123,13 @@ class STSeries:
         if isinstance(other, (int, Fraction)):
             return STSeries(self.ring,
                             {m: c * other for m, c in self.terms.items()})
-        D = self.ring.D
-        out = {}
-        for m1, c1 in self.terms.items():
-            d1 = sum(e for _, e in m1)
-            for m2, c2 in other.terms.items():
-                if d1 + sum(e for _, e in m2) > D:
-                    continue
-                m = _mono_mul(m1, m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return STSeries(self.ring, out)
+        return STSeries(self.ring,
+                        series_mul(self.terms, other.terms, self.ring.D))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        out = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        return series_pow(self, k)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -165,11 +161,6 @@ class STSeries:
         return STSeries(self.ring, {m: c for m, c in self.terms.items()
                                     if sum(e for _, e in m) <= D2})
 
-    def substitute_zero(self, var: int) -> "STSeries":
-        return STSeries(self.ring,
-                        {m: c for m, c in self.terms.items()
-                         if all(v != var for v, _ in m)})
-
     def substitute(self, var: int, value: "STSeries") -> "STSeries":
         """Replace one variable by a series (truncation applies)."""
         out = self.ring.zero()
@@ -186,50 +177,10 @@ class STSeries:
         return f"STSeries({len(self.terms)} terms)"
 
 
-def _mono_mul(m1, m2):
-    d = dict(m1)
-    for v, e in m2:
-        d[v] = d.get(v, 0) + e
-    return tuple(sorted(d.items()))
-
-
 def st_phi(ring: STRing, i: int, F: STSeries) -> STSeries:
     """Prolongation for direction i: T -> T^p + p delta_i T, coefficients
     (rationals) fixed."""
-    import math as _math
-    if not 1 <= i <= ring.n:
-        raise FamilyMismatch(f"direction {i} outside the family")
-    p, D = ring.p, ring.D
-    out = ring.zero()
-    for mono, coeff in F.terms.items():
-        acc = {(): coeff}
-        for v, e in mono:
-            if v == 0:
-                succ = ring.word_to_var.get((i,))
-            else:
-                w = (i,) + ring.var_words[v]
-                succ = ring.word_to_var.get(w)
-            if succ is None:
-                raise OrderOverflow("prolongation exceeds configured order")
-            nxt = {}
-            for m0, c0 in acc.items():
-                deg0 = sum(x for _, x in m0)
-                for j in range(e + 1):
-                    deg1 = p * (e - j) + j
-                    if deg0 + deg1 > D:
-                        continue
-                    mono1 = []
-                    if e - j:
-                        mono1.append((v, p * (e - j)))
-                    if j:
-                        mono1.append((succ, j))
-                    m = _mono_mul(m0, tuple(mono1))
-                    c = c0 * _math.comb(e, j) * Fraction(p) ** j
-                    nxt[m] = nxt.get(m, Fraction(0)) + c
-            acc = nxt
-        for m, c in acc.items():
-            out.terms[m] = out.terms.get(m, Fraction(0)) + c
-    return STSeries(ring, out.terms)
+    return STSeries(ring, prolong(ring, i, F.terms))
 
 
 def st_phi_word(ring: STRing, word, F: STSeries) -> STSeries:
@@ -334,10 +285,7 @@ class PsiPoly:
         out = {}
         for (c1, p1, v1), a1 in self.terms.items():
             for (c2, p2, v2), a2 in other.terms.items():
-                vars_ = dict(v1)
-                for s, e in v2:
-                    vars_[s] = vars_.get(s, 0) + e
-                m = (c1 + c2, p1 + p2, tuple(sorted(vars_.items())))
+                m = (c1 + c2, p1 + p2, _mono_mul(v1, v2))
                 out[m] = out.get(m, Fraction(0)) + a1 * a2
         return PsiPoly(out)
 
@@ -578,25 +526,7 @@ def _shift_row(row, j):
 
 def psipoly_det(rows) -> PsiPoly:
     """Determinant of a square PsiPoly matrix via subset DP."""
-    n = len(rows)
-    prev = {0: PsiPoly.const(1)}
-    for i in range(n):
-        cur = {}
-        for mask, val in prev.items():
-            for col in range(n):
-                if mask & (1 << col):
-                    continue
-                entry = rows[i][col]
-                if entry.is_zero():
-                    continue
-                sign = -1 if bin(mask >> (col + 1)).count("1") % 2 else 1
-                term = val * entry
-                if sign < 0:
-                    term = -term
-                newmask = mask | (1 << col)
-                cur[newmask] = cur[newmask] + term if newmask in cur else term
-        prev = cur
-    return prev.get((1 << n) - 1, PsiPoly())
+    return subset_det(rows, PsiPoly.const(1))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import FamilyMismatch, MissingClass, PrecisionExhausted
+from .errors import (CertificateFailure, FamilyMismatch, MissingClass,
+                     PrecisionExhausted)
 from .tower import (INF, QElement, Tower, TowerElement,
                     frobenius_word_apply)
 from .words import word_from_string, word_to_string
@@ -130,30 +131,38 @@ class PMatrix:
                        self.precision)
 
     def det(self) -> QElement:
-        """Exact determinant via subset dynamic programming (Laplace).
+        """Exact determinant, see :func:`subset_det`."""
+        return subset_det(self.entries,
+                          QElement(self.entries[0][0].tower.one(), 0))
 
-        ``prev[mask]`` accumulates the signed sum over assignments of the
-        first rows to the column set ``mask``; adding column ``col`` for the
-        next row flips the sign once per already-used column above ``col``.
-        """
-        n = self.rows
-        assert n == self.cols
-        tower = self.entries[0][0].tower
-        prev = {0: QElement(tower.one(), 0)}
-        for i in range(n):
-            cur = {}
-            for mask, val in prev.items():
-                for col in range(n):
-                    if mask & (1 << col):
-                        continue
-                    sign = -1 if bin(mask >> (col + 1)).count("1") % 2 else 1
-                    term = val * self.entries[i][col]
-                    if sign < 0:
-                        term = -term
-                    newmask = mask | (1 << col)
-                    cur[newmask] = cur[newmask] + term if newmask in cur else term
-            prev = cur
-        return prev[(1 << n) - 1]
+
+def subset_det(rows, one):
+    """Determinant of a square matrix via subset dynamic programming (Laplace).
+
+    ``prev[mask]`` accumulates the signed sum over assignments of the first
+    rows to the column set ``mask``; adding column ``col`` for the next row
+    flips the sign once per already-used column above ``col``.  Zero entries
+    are multiplied like any other: a QElement zero still caps the certified
+    precision of the products through it.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise CertificateFailure("determinant of a non-square matrix")
+    prev = {0: one}
+    for i in range(n):
+        cur = {}
+        for mask, val in prev.items():
+            for col in range(n):
+                if mask & (1 << col):
+                    continue
+                sign = -1 if bin(mask >> (col + 1)).count("1") % 2 else 1
+                term = val * rows[i][col]
+                if sign < 0:
+                    term = -term
+                newmask = mask | (1 << col)
+                cur[newmask] = cur[newmask] + term if newmask in cur else term
+        prev = cur
+    return prev[(1 << n) - 1]
 
 
 _GAMMA_BASIS = ("11", "22", "12", "21", "1", "2", "")

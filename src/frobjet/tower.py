@@ -37,14 +37,14 @@ shared freely between threads.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polyutils as pu
-from .errors import (FamilyMismatch, NotAUnit, NotEisensteinCompatible,
-                     PrecisionExhausted, PrecisionTooLow)
+from .errors import (CertificateFailure, FamilyMismatch, NotAUnit,
+                     NotEisensteinCompatible, PrecisionExhausted,
+                     PrecisionTooLow)
 
 INF = math.inf
 
@@ -109,7 +109,8 @@ class Tower:
         xe1 = [0] * (e + 1)
         xe1[0], xe1[e] = -1, 1
         self.g = pu.hensel_lift_factor(xe1, g0, p, K)
-        assert len(self.g) - 1 == f
+        if len(self.g) - 1 != f:
+            raise CertificateFailure("lifted zeta polynomial has wrong degree")
         # zpow[t] = column vector of zeta^t mod g, t in [0, e)
         one = [1] + [0] * (f - 1)
         zpow = [one]
@@ -119,7 +120,8 @@ class Tower:
             zpow.append(cur)
         self.zpow = zpow
         nxt = self._mul_by_x(zpow[e - 1])
-        assert nxt == one, "zeta^e != 1 after Hensel lifting"
+        if nxt != one:
+            raise CertificateFailure("zeta^e != 1 after Hensel lifting")
         # reduction table for products: zred2[k] = zeta^k mod g, k <= 2f-2
         self.zred2 = [self._vec(k) for k in range(2 * f - 1)]
 
@@ -425,9 +427,6 @@ class TowerElement:
     def to_dict(self):
         return {"coeffs": [list(r) for r in self.coeffs], "prec": self.prec}
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     def __repr__(self):
         return f"TowerElement({self.to_dict()['coeffs']} @ prec {self.prec})"
 
@@ -634,10 +633,6 @@ class QElement:
             except PrecisionExhausted:
                 break
         return q
-
-    def is_integral(self) -> bool:
-        v = self.valuation()
-        return v == INF or v >= 0
 
     def equals(self, other, precision: int | None = None) -> bool:
         """Agreement at the stated (or best shared) absolute precision."""

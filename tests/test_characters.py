@@ -8,8 +8,9 @@ from frobjet.characters import (PairingContext, RestrictedSeries, asd_check,
                                 kernel_dimension, pairing, reciprocity_check,
                                 strassman_count, unit_log)
 from frobjet.crystal import crystalline_classes, kedlaya_frobenius
-from frobjet.errors import (BetaTooLarge, DistinctWordsRequired, NotAUnit,
-                            SeriesTooShort, ZeroSeries)
+from frobjet.errors import (BetaTooLarge, DistinctWordsRequired,
+                            FamilyMismatch, NotAUnit, SeriesTooShort,
+                            ZeroSeries)
 from frobjet.formal import WeierstrassCurve, formal_log
 from frobjet.tower import (INF, FrobeniusIndex, QElement, TowerConfig,
                            build_tower, valuation)
@@ -101,6 +102,12 @@ class TestAsd:
         short = formal_log(WeierstrassCurve(5, 1, 1), 30, 14)
         with pytest.raises(SeriesTooShort):
             asd_check(short, fvals, (1, 1), (1,), 10, t5, (0,))
+
+    def test_letter_outside_family_rejected(self, t5, pipeline):
+        log, fvals = pipeline
+        for mu, nu in (((1, 2), (1,)), ((1, 1), (2,))):
+            with pytest.raises(FamilyMismatch):
+                asd_check(log, fvals, mu, nu, 10, t5, (0,))
 
 
 class TestPairing:

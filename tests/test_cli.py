@@ -105,3 +105,8 @@ class TestVerify:
                 {"name": "x", "pass": False, "detail": {}}], "pass": False}
         monkeypatch.setitem(cli._SUITE_FUNCS, "gm", broken)
         assert main(["verify", "gm"]) == 1
+
+    def test_unknown_flag_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "gm", "--degree", "99999"])
+        assert exc.value.code == 2

@@ -1,4 +1,10 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import frobjet
 
 from frobjet.crystal import (DeRhamData, count_points_ap,
                              crystalline_classes, kedlaya_frobenius)
@@ -142,3 +148,24 @@ class TestCrystallineClasses:
         assert cc.f((1,)) == cc.f((2,))
         assert cc.f_pair((1,), (2,)) == 0
         assert cc.f_pair((1, 1), (2, 2)) == 0
+
+
+class TestCertificatesUnderOptimize:
+    def test_typed_error_survives_python_O(self):
+        # det = p and trace = a_p hold, but <F omega, omega> = 1 is not
+        # divisible by p
+        code = (
+            "import sys\n"
+            "from frobjet.crystal import DeRhamData, crystalline_classes\n"
+            "from frobjet.errors import CertificateFailure\n"
+            "assert sys.flags.optimize\n"
+            "drd = DeRhamData(5, 4, [[1, -5], [1, 0]], 1)\n"
+            "try:\n"
+            "    print(crystalline_classes(drd, 2).f('1'))\n"
+            "except CertificateFailure:\n"
+            "    print('CertificateFailure')\n")
+        src = str(Path(frobjet.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, check=True,
+                             env={"PYTHONPATH": src})
+        assert out.stdout.strip() == "CertificateFailure"

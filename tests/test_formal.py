@@ -184,6 +184,18 @@ class TestFormalLog:
         with pytest.raises(PrecisionExhausted):
             formal_log(CM5, 30, 2)
 
+    def test_precision_budget_at_exact_power(self):
+        # 1/17^3 sits at degree 17^3: three digits cannot hold it
+        with pytest.raises(PrecisionExhausted):
+            formal_log(WeierstrassCurve(17, 1, 1), 17 ** 3, 3)
+
+    @pytest.mark.parametrize("p,k", [(3, 5), (11, 7), (17, 3), (17, 6),
+                                     (17, 11)])
+    def test_floor_log_at_exact_powers(self, p, k):
+        assert pu.floor_log(p, p ** k) == k
+        assert pu.floor_log(p, p ** k - 1) == k - 1
+        assert pu.floor_log(p, p ** k + 1) == k
+
     def test_serialization(self):
         log = formal_log(CM5, 8, 10)
         back = LogSeries.from_json_obj(log.to_json_obj())

@@ -1,11 +1,13 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from frobjet.errors import (NotTopologicallyNilpotent, OrderOverflow)
 from frobjet.jets import (JetElement, JetRing, JetRingConfig, delta_operator,
                           eval_jet, phi_endomorphism, phi_word)
+from frobjet.sertate import STRing, STSeries, st_phi
 from frobjet.tower import (FrobeniusIndex, TowerConfig, build_tower,
                            frobenius_word_apply, pi_derivation)
 from frobjet.words import cocycle_weight, lambda_pow
@@ -192,3 +194,33 @@ class TestRemainderIdentity:
                     changed[idx] = t.random_element(rng)
             assert eval_with_assignment(G, base) == eval_with_assignment(
                 G, changed)
+
+
+class TestAgreesWithExactSeries:
+    def test_phi_matches_st_phi_mod_pK(self):
+        """Over the base prime with gamma = 0 the tower Frobenius is trivial
+        and pi = p, so the jet prolongation is st_phi reduced mod p^K."""
+        p, K, D = 5, 6, 10
+        tower = build_tower(TowerConfig(p, 2, 0, 1, K))
+        jring = JetRing(JetRingConfig(tower, 2, 2, D, (0, 0)))
+        sring = STRing(p, 2, 2, D)
+        low = [0, jring.word_to_var[(1,)], jring.word_to_var[(2,)]]
+        rng = random.Random(31)
+        for _ in range(6):
+            terms = {}
+            for _ in range(6):
+                chosen = rng.sample(low, rng.randint(0, 2))
+                mono = tuple(sorted((v, rng.randint(1, 3)) for v in chosen))
+                terms[mono] = rng.randrange(-p ** K, p ** K)
+            F = JetElement(jring, {m: tower.from_int(c)
+                                   for m, c in terms.items()})
+            S = STSeries(sring, {m: Fraction(c) for m, c in terms.items()})
+            for i in (1, 2):
+                got = phi_endomorphism(jring, i, F).terms
+                want = st_phi(sring, i, S).terms
+                assert want
+                for m in set(got) | set(want):
+                    c = want.get(m, Fraction(0))
+                    assert c.denominator == 1
+                    g = got[m].coeffs[0][0] if m in got else 0
+                    assert (g - c.numerator) % p ** K == 0
