@@ -44,8 +44,8 @@ def gm_character_eval(tower: Tower, idx: FrobeniusIndex, x: TowerElement
     if valuation(x) != 0:
         raise NotAUnit("the multiplicative character is defined on units")
     p = tower.p
-    num = frobenius_apply(tower, idx, x) - x ** p
-    out = _log1p(num * (x ** p).inverse())
+    xp = x ** p
+    out = _log1p((frobenius_apply(tower, idx, x) - xp) * xp.inverse())
     N = n_of_pi_from(p, tower.e)
     if N >= 0:
         return QElement(out.num * p ** N, out.den)

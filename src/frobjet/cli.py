@@ -22,15 +22,15 @@ from .characters import (PairingContext, RestrictedSeries, asd_check,
                          count_roots_zp, gm_character_eval, kernel_dimension,
                          pairing, reciprocity_check, strassman_count,
                          unit_log)
-from .config import (find_curve, load_curve_catalog, tower_config_from_file)
+from .config import (find_curve, load_curve_catalog, parse_int,
+                     tower_config_from_file)
 from .crystal import count_points_ap, crystalline_classes, kedlaya_frobenius
-from .errors import FrobjetError, SupersingularInput
+from .errors import ConfigError, FrobjetError, SupersingularInput
 from .formal import formal_log
 from .sertate import st_f_table, verify_all_identities
 from .symbols import Symbol, gamma_matrix, pmatrix_rank_minors, sym_eval
 from .tower import (INF, FrobeniusIndex, Tower, TowerConfig, build_tower,
                     check_monomial_independence, frobenius_apply, n_of_pi)
-from .words import word_from_string
 
 SUITES = ("st-identities", "asd", "gamma", "pairing", "gm", "strassman",
           "crystalline")
@@ -50,7 +50,7 @@ def _tower_from_args(args) -> Tower:
 def cmd_tower_info(args) -> dict:
     tower = _tower_from_args(args)
     cfg = tower.config
-    gammas = tuple(int(g) for g in args.gammas.split(","))
+    gammas = tuple(parse_int(g, "--gammas") for g in args.gammas.split(","))
     pi, zeta = tower.pi(), tower.zeta()
     table = {}
     for g in gammas:
@@ -103,8 +103,8 @@ def suite_asd(args) -> dict:
     labels = ([args.curve] if args.curve else
               ["5a-generic", "7a-generic", "11a-generic"])
     K = args.precision or 12
-    mu = word_from_string(args.mu)
-    nu = word_from_string(args.nu)
+    mu = _word(args.mu, "--mu")
+    nu = _word(args.nu, "--nu")
     nmax = args.nmax
     checks = []
     for label in labels:
@@ -356,8 +356,14 @@ def _parse_beta(tower, text: str):
     if text == "p":
         return tower.from_int(tower.p)
     if text.startswith("pi^"):
-        return tower.pi() ** int(text[3:])
-    return tower.from_int(int(text))
+        return tower.pi() ** parse_int(text[3:], "--beta")
+    return tower.from_int(parse_int(text, "--beta"))
+
+
+def _word(text: str, flag: str) -> tuple:
+    if not text:
+        raise ConfigError(f"{flag} must be a nonempty word")
+    return tuple(parse_int(ch, flag) for ch in text)
 
 
 def _finish(suite: str, checks: list, **extra) -> dict:
@@ -421,7 +427,7 @@ def main(argv=None) -> int:
             report = cmd_tower_info(args)
         else:
             report = _SUITE_FUNCS[args.suite](args)
-    except (FrobjetError, ValueError, KeyError, OSError) as exc:
+    except (FrobjetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = json.dumps(report, indent=2, sort_keys=True, default=str)

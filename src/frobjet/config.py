@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
+from .errors import ConfigError, UnknownCurve
 from .formal import WeierstrassCurve
 from .tower import TowerConfig
 
@@ -29,19 +30,27 @@ def parse_keyvalue(text: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key = value")
+            raise ConfigError(f"line {lineno}: expected key = value")
         key, val = line.split("=", 1)
         out[key.strip()] = val.strip()
     return out
 
 
+def parse_int(text: str, what: str) -> int:
+    """``int(text)``, with a malformed value reported as a ConfigError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{what} must be an integer, not {text!r}") from None
+
+
 def tower_config_from_text(text: str) -> TowerConfig:
     kv = parse_keyvalue(text)
     try:
-        return TowerConfig(p=int(kv["p"]), l=int(kv["l"]), m=int(kv["m"]),
-                           f=int(kv["f"]), K=int(kv["K"]))
+        return TowerConfig(**{k: parse_int(kv[k], k)
+                              for k in ("p", "l", "m", "f", "K")})
     except KeyError as missing:
-        raise ValueError(f"config is missing {missing}") from None
+        raise ConfigError(f"config is missing {missing}") from None
 
 
 def tower_config_from_file(path: str) -> TowerConfig:
@@ -51,7 +60,7 @@ def tower_config_from_file(path: str) -> TowerConfig:
 
 def jet_params_from_text(text: str) -> dict:
     kv = parse_keyvalue(text)
-    return {k: int(kv[k]) for k in ("n", "r", "D") if k in kv}
+    return {k: parse_int(kv[k], k) for k in ("n", "r", "D") if k in kv}
 
 
 def load_curve_catalog(path: str | None = None) -> list:
@@ -61,13 +70,17 @@ def load_curve_catalog(path: str | None = None) -> list:
     else:
         with open(path) as fh:
             raw = fh.read()
-    return [WeierstrassCurve(p=e["p"], a4=e["a4"], a6=e["a6"],
-                             label=e.get("label", ""))
-            for e in json.loads(raw)]
+    try:
+        entries = [(e["p"], e["a4"], e["a6"], e.get("label", ""))
+                   for e in json.loads(raw)]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"malformed curve catalog: {exc!r}") from None
+    return [WeierstrassCurve(p=p, a4=a4, a6=a6, label=label)
+            for p, a4, a6, label in entries]
 
 
 def find_curve(catalog: list, label: str) -> WeierstrassCurve:
     for c in catalog:
         if c.label == label:
             return c
-    raise KeyError(f"no curve labeled {label!r} in the catalog")
+    raise UnknownCurve(f"no curve labeled {label!r} in the catalog")

@@ -2,34 +2,40 @@
 
 The matrix is computed by Monsky-Washnitzer reduction on the odd part of the
 cohomology of y^2 = f(x), f = x^3 + a4 x + a6, with basis omega = dx/y and
-eta = x dx/y.  The Frobenius lift sends x to x^p and y to
-y^p (1 + E)^(1/2) with E = (f(x^p) - f(x)^p) / f(x)^p, so
+eta = x dx/y (Kedlaya, arXiv:math/0105031).  The Frobenius lift sends x to
+x^p and y to y^p (1 + E)^(1/2) with E = (f(x^p) - f(x)^p) / f(x)^p, so
 
     phi(x^i dx/y) = p x^(pi + p - 1) y^(-p) (1+E)^(-1/2) dx,
 
 a sum of forms A(x) dx / y^(2m+1) after expanding the binomial series.  Each
-pole level reduces through the exact relations
+pole level reduces through the relations
 
     A = a f + b f'            (Bezout, disc(f) a unit)
     b f' dx/y^(2m+1) ~ (2/(2m-1)) b' dx/y^(2m-1)
 
-and at level zero exact forms d(x^s y) kill all numerator degrees >= 2.  The
-whole reduction runs in exact rational arithmetic (denominators stay away
-from p up to the certified precision); the binomial series is truncated at a
-depth that leaves the requested precision intact, and the result is
-certified against det = p and trace = a_p (from an exhaustive point count)
-before being reduced mod p^K.
+and at level zero the exact forms d(x^s y) kill all numerator degrees >= 2.
+
+Every polynomial is a list of integers mod p^M.  The only denominators that
+p divides are the 2m - 1 and the level-zero leading factors 2s + 3; the
+numerator is held as p^E times the exact one, E counting the p-powers
+divided out so far, and M = K + L where L bounds E in advance: the sum of
+v_p(2m - 1) over every pole level and of v_p(2s + 3) over every level-zero
+step the degree bound allows (cf. Harvey, arXiv:math/0610973).  The result
+therefore equals the exact rational reduction of the truncated series mod
+p^K, digit for digit.  The binomial series is truncated at a depth that
+leaves the requested precision intact, and the matrix is certified against
+det = p and trace = a_p (from an exhaustive point count).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import polyutils as pu
 from .errors import (BadReduction, CertificateFailure,
-                     PrecisionBudgetExceeded, SupersingularInput)
+                     PrecisionBudgetExceeded, PrecisionTooLow,
+                     SupersingularInput)
 from .formal import WeierstrassCurve
 
 
@@ -98,57 +104,8 @@ class DeRhamData:
 
 
 # ---------------------------------------------------------------------------
-# exact-rational polynomial helpers (dense Fraction lists)
+# Monsky-Washnitzer reduction over Z/p^M
 # ---------------------------------------------------------------------------
-
-def _ftrim(a):
-    n = len(a)
-    while n and a[n - 1] == 0:
-        n -= 1
-    return a[:n]
-
-
-def _fadd(a, b):
-    out = list(a) + [Fraction(0)] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] += c
-    return _ftrim(out)
-
-
-def _fmul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                if d:
-                    out[i + j] += c * d
-    return _ftrim(out)
-
-
-def _fscale(a, c):
-    return _ftrim([x * c for x in a])
-
-
-def _fdivmod(a, b):
-    """Exact division with remainder by ``b`` (leading coeff invertible in Q)."""
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 0)
-    for i in range(len(a) - db - 1, -1, -1):
-        c = a[i + db] / lead
-        if c:
-            q[i] = c
-            for j, d in enumerate(b):
-                a[i + j] -= c * d
-    return _ftrim(q), _ftrim(a)
-
-
-def _fderiv(a):
-    return _ftrim([i * c for i, c in enumerate(a)][1:])
-
 
 def kedlaya_frobenius(curve: WeierstrassCurve, K: int,
                       series_pad: int | None = None) -> DeRhamData:
@@ -158,6 +115,8 @@ def kedlaya_frobenius(curve: WeierstrassCurve, K: int,
     K + log_p-sized padding; the certification step (det = p, trace = a_p)
     raises PrecisionBudgetExceeded when the default is ever insufficient.
     """
+    if K < 1:
+        raise PrecisionTooLow(f"precision K = {K} must be >= 1")
     p = curve.p
     ap = count_points_ap(curve)
     if ap % p == 0:
@@ -167,87 +126,98 @@ def kedlaya_frobenius(curve: WeierstrassCurve, K: int,
     pad = series_pad if series_pad is not None else (
         3 + pu.floor_log(p, 6 * p * (K + 6)))
     k_max = K + pad
-    f = [Fraction(c) for c in curve.fpoly()]
-    fprime = _fderiv(f)
-    u_bez, v_bez = _bezout_exact(f, fprime)
-    # N(x) = f(x^p) - f(x)^p, every coefficient divisible by p
-    fxp = [Fraction(0)] * (3 * p + 1)
-    for i, c in enumerate(curve.fpoly()):
-        fxp[i * p] = Fraction(c)
-    fp = [Fraction(1)]
+    half = (p - 1) // 2
+    m_top = p * k_max + half
+    # Level m = pk + (p-1)/2 receives x^(pi + p - 1) N^k with deg N <= 3p,
+    # of degree at most 3m + pi - (p-1)/2 <= 3m + (p+1)/2; each reduction
+    # step lowers the degree by 3 (down to 1), so level zero has degree
+    # at most top.
+    top = (p + 1) // 2
+    loss = (sum(pu.vp(2 * m - 1, p) for m in range(1, m_top + 1))
+            + sum(pu.vp(2 * s + 3, p) for s in range(top - 1)))
+    P = p ** (K + loss)
+
+    a4, a6 = curve.a4, curve.a6
+    f = [c % P for c in curve.fpoly()]
+    fprime = [a4 % P, 0, 3]
+    # u f + v f' = 1 over Z_p: D = 4 a4^3 + 27 a6^2 is a unit at good
+    # reduction (count_points_ap has checked it)
+    dinv = pu.modinv(4 * a4 ** 3 + 27 * a6 ** 2, P)
+    u = [27 * a6 * dinv % P, -18 * a4 * dinv % P]
+    v = [4 * a4 * a4 * dinv % P, -9 * a6 * dinv % P, 6 * a4 * dinv % P]
+    # N(x) = f(x^p) - f(x)^p, every coefficient divisible by p; kept at its
+    # structural length 3p + 1 so that the degree bound above holds
+    N = [0] * (3 * p + 1)
+    for i, c in enumerate(f):
+        N[i * p] = c
+    fpow = [1]
     for _ in range(p):
-        fp = _fmul(fp, f)
-    N = _fadd(fxp, _fscale(fp, -1))
-    if any(c.denominator != 1 or c.numerator % p for c in N):
+        fpow = pu.ser_mul(fpow, f, P, len(fpow) + 3)
+    N = [(c - d) % P for c, d in zip(N, fpow)]
+    if any(c % p for c in N):
         raise CertificateFailure("f(x^p) - f(x)^p is not divisible by p")
+    # p c_k N^k with c_k = (-1)^k C(2k, k) / 4^k, shared by both columns
+    inv4 = pu.modinv(4, P)
+    terms = []
+    Nk = [1]
+    for k in range(k_max + 1):
+        ck = (-1) ** k * math.comb(2 * k, k) * pow(inv4, k, P)
+        terms.append([p * ck * c % P for c in Nk])
+        if k < k_max:
+            Nk = pu.ser_mul(Nk, N, P, len(Nk) + 3 * p)
 
     cols = []
     for i in (0, 1):
-        levels = {}
-        Nk = [Fraction(1)]
-        for k in range(k_max + 1):
-            ck = Fraction((-1) ** k * math.comb(2 * k, k), 4 ** k)
-            m = p * k + (p - 1) // 2
-            xpow = [Fraction(0)] * (p * i + p - 1) + [Fraction(1)]
-            contrib = _fscale(_fmul(xpow, Nk), Fraction(p) * ck)
-            if m in levels:
-                levels[m] = _fadd(levels[m], contrib)
-            else:
-                levels[m] = contrib
-            if k < k_max:
-                Nk = _fmul(Nk, N)
-        # reduce pole order down to zero
-        m_top = max(levels)
-        R = []
+        shift = [0] * (p * i + p - 1)
+        # S = p^E R mod P, R the exact numerator at the current pole level
+        S, E = [], 0
         for m in range(m_top, 0, -1):
-            R = _fadd(R, levels.get(m, []))
-            if not R:
-                continue
-            bq, b = _fdivmod(_fmul(R, v_bez), f)
-            a = _fadd(_fmul(R, u_bez), _fmul(bq, fprime))
-            R = _fadd(a, _fscale(_fderiv(b), Fraction(2, 2 * m - 1)))
-        R = _fadd(R, levels.get(0, []))
-        # level zero: d(x^s y) = (s x^(s-1) f + x^s f'/2) dx/y kills the
-        # top coefficient, whose degree is s + 2 with leading factor s + 3/2
-        while len(R) > 2:
-            s = len(R) - 3
-            rel = _fscale(_xshift(fprime, s), Fraction(1, 2))
-            if s > 0:
-                rel = _fadd(rel, _fscale(_xshift(f, s - 1), Fraction(s)))
-            R = _fadd(R, _fscale(rel, -R[-1] / rel[-1]))
-        R = R + [Fraction(0)] * (2 - len(R))
-        cols.append(R)
+            k, rest = divmod(m - half, p)
+            if not rest:
+                pe = p ** E
+                S = pu.padd(S, shift + [pe * c for c in terms[k]], P)
+            # S = q f + r and r v = bq f + b give S = a f + b f' with
+            # a = q + r u + bq f'; 2m - 1 = p^e w, so the next level's
+            # numerator a + (2/(2m-1)) b' is held as p^e a + (2/w) b'
+            q, r = pu.pdivmod_monic(S, f, P)
+            bq, b = pu.pdivmod_monic(pu.ser_mul(r, v, P, 5), f, P)
+            a = pu.padd(q, pu.padd(pu.ser_mul(r, u, P, 4),
+                                   pu.ser_mul(bq, fprime, P, 4), P), P)
+            e = pu.vp(2 * m - 1, p)
+            scale = p ** e
+            two_w = 2 * pu.modinv((2 * m - 1) // scale, P)
+            S = pu.padd([c * scale for c in a],
+                        [c * j * two_w for j, c in enumerate(b)][1:], P)
+            E += e
+        # level zero: 2 d(x^s y) = (2s x^(s-1) f + x^s f') dx/y has
+        # (2s + 3) x^(s+2) + (2s + 1) a4 x^s + 2s a6 x^(s-1) as numerator;
+        # it kills degree s + 2, for every degree the bound allows
+        if len(S) > top + 1:
+            raise CertificateFailure("level-zero numerator exceeds its bound")
+        S = S + [0] * (top + 1 - len(S))
+        for s in range(top - 2, -1, -1):
+            e = pu.vp(2 * s + 3, p)
+            scale = p ** e
+            c = S[s + 2] * pu.modinv((2 * s + 3) // scale, P)
+            S = [x * scale % P for x in S]
+            S[s + 2] = 0
+            S[s] = (S[s] - c * (2 * s + 1) * a4) % P
+            if s:
+                S[s - 1] = (S[s - 1] - c * 2 * s * a6) % P
+            E += e
+        cols.append((S, E))
 
     pk = p ** K
     matrix = [[0, 0], [0, 0]]
-    for j, col in enumerate(cols):
+    for j, (S, E) in enumerate(cols):
+        pe = p ** E
         for i in (0, 1):
-            val = col[i]
-            if val.denominator % p == 0:
+            val = S[i]
+            if val % pe:
                 raise PrecisionBudgetExceeded(
                     "reduction left a p-denominator: increase series_pad")
-            matrix[i][j] = (val.numerator * pu.modinv(val.denominator, pk)) % pk
+            matrix[i][j] = (val // pe) % pk
     return DeRhamData(p=p, prec=K, matrix=matrix, ap=ap)
-
-
-def _xshift(a, s):
-    return [Fraction(0)] * s + list(a)
-
-
-def _bezout_exact(f, g):
-    """(u, v) with u f + v g = 1 over Q, exact extended Euclid."""
-    r0, r1 = list(f), list(g)
-    u0, u1 = [Fraction(1)], []
-    v0, v1 = [], [Fraction(1)]
-    while r1:
-        q, r = _fdivmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _fadd(u0, _fscale(_fmul(q, u1), -1))
-        v0, v1 = v1, _fadd(v0, _fscale(_fmul(q, v1), -1))
-    if len(r0) != 1:
-        raise CertificateFailure("f and f' are not coprime")
-    c = r0[0]
-    return _fscale(u0, 1 / c), _fscale(v0, 1 / c)
 
 
 class CrystallineClasses:

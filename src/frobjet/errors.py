@@ -74,6 +74,14 @@ class UnknownRelation(FrobjetError, KeyError):
     """Relation identifier not present in the catalog."""
 
 
+class UnknownCurve(FrobjetError, KeyError):
+    """Curve label not present in the catalog."""
+
+
+class ConfigError(FrobjetError, ValueError):
+    """A configuration file is malformed or incomplete."""
+
+
 class BetaTooLarge(FrobjetError, ValueError):
     """Deformation parameter outside the convergence region."""
 

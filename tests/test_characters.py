@@ -13,7 +13,7 @@ from frobjet.errors import (BetaTooLarge, DistinctWordsRequired,
                             ZeroSeries)
 from frobjet.formal import WeierstrassCurve, formal_log
 from frobjet.tower import (INF, FrobeniusIndex, QElement, TowerConfig,
-                           build_tower, valuation)
+                           TowerElement, build_tower, valuation)
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +52,18 @@ class TestGmCharacter:
             expect = QElement(lx.num * (1 - 5), lx.den + 1)
             v = (psi - expect).normalized().valuation()
             assert v == INF or v >= 10
+
+    def test_one_power_per_evaluation(self, t7, monkeypatch):
+        calls = []
+        power = TowerElement.__pow__
+
+        def counted(self, n):
+            calls.append(n)
+            return power(self, n)
+        monkeypatch.setattr(TowerElement, "__pow__", counted)
+        x = t7.random_unit(random.Random(6))
+        gm_character_eval(t7, FrobeniusIndex(1), x)
+        assert calls == [t7.p]
 
     def test_additive_on_units(self, t7):
         rng = random.Random(3)

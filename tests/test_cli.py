@@ -64,6 +64,20 @@ class TestTowerInfo:
         cfg.write_text("p=5\nl=3\nm=1\nf=1\nK=10\n")  # f must be 2
         assert main(["tower-info", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("text", ["p=5\nl=3\nm=1\nf=2\nK\n",
+                                      "p=5\nl=3\nm=1\nf=two\nK=10\n",
+                                      "p=5\nl=3\n"])
+    def test_malformed_config_exit_code(self, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert main(["tower-info", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("flags", [["--gammas", "0,x"],
+                                       ["--p", "7", "--gammas", ""]])
+    def test_malformed_flag_exit_code(self, flags):
+        assert main(["tower-info"] + flags) == 2
+
 
 class TestVerify:
     def test_st_identities(self, tmp_path):
@@ -105,6 +119,30 @@ class TestVerify:
                 {"name": "x", "pass": False, "detail": {}}], "pass": False}
         monkeypatch.setitem(cli._SUITE_FUNCS, "gm", broken)
         assert main(["verify", "gm"]) == 1
+
+    def test_unknown_curve_exit_code(self, capsys):
+        assert main(["verify", "asd", "--curve", "no-such-curve"]) == 2
+        assert "no-such-curve" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["verify", "asd", "--mu", "1x"],
+                                       ["verify", "asd", "--nu", ""],
+                                       ["verify", "gamma", "--beta", "pi^x"]])
+    def test_malformed_value_exit_code(self, flags):
+        assert main(flags) == 2
+
+    def test_malformed_catalog_exit_code(self, tmp_path):
+        cat = tmp_path / "curves.json"
+        cat.write_text('[{"p": 5, "a4": 1}]')
+        assert main(["verify", "crystalline", "--catalog", str(cat)]) == 2
+
+    def test_internal_value_error_propagates(self, monkeypatch):
+        import frobjet.cli as cli
+
+        def broken(args):
+            raise ValueError("internal bug")
+        monkeypatch.setitem(cli._SUITE_FUNCS, "gm", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["verify", "gm"])
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:

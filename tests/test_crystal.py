@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,10 @@ import frobjet
 from frobjet.crystal import (DeRhamData, count_points_ap,
                              crystalline_classes, kedlaya_frobenius)
 from frobjet.errors import (BadReduction, PrecisionBudgetExceeded,
-                            SupersingularInput)
+                            PrecisionTooLow, SupersingularInput)
 from frobjet.formal import WeierstrassCurve
+
+import kedlaya_oracle
 
 CURVES = [WeierstrassCurve(5, 1, 1, "5a"), WeierstrassCurve(7, 1, 3, "7a"),
           WeierstrassCurve(7, 2, 1, "7b"), WeierstrassCurve(11, 2, 5, "11a"),
@@ -78,6 +81,11 @@ class TestKedlaya:
         assert (a + d - drd.ap) % p ** K == 0
         assert (a * d - b * c - p) % p ** K == 0
 
+    @pytest.mark.parametrize("K", [0, -3])
+    def test_precision_below_one_rejected(self, K):
+        with pytest.raises(PrecisionTooLow):
+            kedlaya_frobenius(WeierstrassCurve(5, 1, 1), K)
+
     def test_supersingular_rejected(self):
         with pytest.raises(SupersingularInput):
             kedlaya_frobenius(WeierstrassCurve(5, 0, 1), 8)
@@ -116,6 +124,34 @@ class TestKedlaya:
     def test_data_validation(self):
         with pytest.raises(PrecisionBudgetExceeded):
             DeRhamData(p=5, prec=4, matrix=[[1, 0], [0, 1]], ap=2)
+
+
+def random_ordinary_curve(p, seed):
+    rng = random.Random(seed)
+    while True:
+        a4, a6 = rng.randrange(p), rng.randrange(1, p)
+        if (4 * a4 ** 3 + 27 * a6 ** 2) % p and count_points_ap(
+                WeierstrassCurve(p, a4, a6)) % p:
+            return WeierstrassCurve(p, a4, a6, f"random-{p}-{seed}")
+
+
+ORACLE_CASES = (
+    [(c, 4, None) for c in CURVES + [WeierstrassCurve(5, 1, 0, "5-cm")]]
+    + [(random_ordinary_curve(p, seed), K, None)
+       for p, K, seed in [(5, 3, 1), (5, 6, 2), (7, 4, 3), (7, 3, 4),
+                          (11, 3, 5)]]
+    + [(WeierstrassCurve(5, 2, 1, "5-pad8"), 4, 8)])
+
+
+@pytest.mark.parametrize("curve, K, pad", ORACLE_CASES,
+                         ids=lambda c: getattr(c, "label", None))
+def test_matches_fraction_oracle(curve, K, pad):
+    """The Z/p^M reduction against the exact-Fraction one, entry by entry:
+    det = p and trace = a_p do not pin an off-diagonal entry whose opposite
+    entry is divisible by p."""
+    assert (kedlaya_frobenius(curve, K, series_pad=pad).matrix
+            == kedlaya_oracle.kedlaya_frobenius(
+                curve, K, series_pad=pad).matrix)
 
 
 class TestCrystallineClasses:

@@ -1,8 +1,10 @@
 """Byte-level pins of reports and series against recorded sha256 digests.
 
 The digests were recorded before the jet and Serre-Tate series started to
-share one multiply and one prolongation; any change in what those produce,
-down to term order after sorting or a certified precision, shows up here.
+share one multiply and one prolongation, and (for the crystalline and asd
+reports) before Kedlaya's reduction moved from Fractions to Z/p^M; any change
+in what those produce, down to term order after sorting or a certified
+precision, shows up here.
 """
 
 import hashlib
@@ -28,6 +30,10 @@ REPORTS = {
         "65b37fede33c9754493f281f96057582d622b91f9dcf0b54f3d16f5b5bf991ad",
     ("verify", "strassman"):
         "dd96e76d9928591c6b84a3b22f69396ee15fe3199a8992983c4038cb26dc6b66",
+    ("verify", "crystalline"):
+        "a808565673c5d9dbb84fb620800515c710b151c211643d3e78ca39dfc20cfc2c",
+    ("verify", "asd"):
+        "68cd6a3c6629bb22d073c076551a06b9a65aaa543a7d612ae0d40acc41342a42",
     ("tower-info", "--m", "3", "--f", "2", "--precision", "20"):
         "32887126149dc0c1e0f5beb80729db39b0a32c9c25d722a830035fc550e6567d",
 }

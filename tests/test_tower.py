@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from frobjet.errors import (NotAUnit, NotEisensteinCompatible,
                             PrecisionExhausted, PrecisionTooLow)
-from frobjet.tower import (INF, FrobeniusIndex, TowerConfig,
+from frobjet.tower import (INF, FrobeniusIndex, TowerConfig, TowerElement,
                            apply_automorphism, build_tower,
                            check_monomial_independence, frobenius_apply,
                            frobenius_word_apply, n_of_pi, n_of_pi_from,
@@ -301,3 +301,30 @@ class TestRingAxioms:
     def test_serialization_roundtrip(self, t5):
         a = t5.random_element(random.Random(9))
         assert t5.element_from_dict(a.to_dict()) == a
+
+
+class TestPower:
+    def _count_muls(self, monkeypatch):
+        calls = []
+        mul = TowerElement.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+        monkeypatch.setattr(TowerElement, "__mul__", counted)
+        return calls
+
+    @pytest.mark.parametrize("n, muls", [(1, 0), (2, 1), (7, 4), (8, 3),
+                                         (13, 5)])
+    def test_multiply_count(self, t5, monkeypatch, n, muls):
+        x = t5.random_element(random.Random(n))
+        calls = self._count_muls(monkeypatch)
+        x ** n
+        assert len(calls) == muls
+
+    def test_matches_repeated_product(self, t5):
+        x = t5.random_element(random.Random(11))
+        acc = t5.one()
+        for n in range(12):
+            assert x ** n == acc
+            acc = acc * x
