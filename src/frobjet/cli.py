@@ -106,6 +106,8 @@ def suite_asd(args) -> dict:
     mu = _word(args.mu, "--mu")
     nu = _word(args.nu, "--nu")
     nmax = args.nmax
+    if nmax < 1:
+        raise ConfigError(f"--nmax must be at least 1, not {nmax}")
     checks = []
     for label in labels:
         curve = find_curve(catalog, label)

@@ -12,9 +12,10 @@ lambda = (w(t2) - w(t1))/(t2 - t1) is a polynomial identity (no division),
 the third intersection of the chord with the cubic is read off from the
 degree-3 coefficient ratio, and negation in this chart is t -> -t.
 
-Large-degree univariate series (the logarithm needs degree p^2 * Nmax for
-the congruence checks) live on the Kronecker fast path in
-:mod:`frobjet.polyutils`; bivariate series here are small sparse dicts.
+Every series here runs on the one Kronecker product kernel of
+:mod:`frobjet.polyutils` (the logarithm needs degree p^2 * Nmax for the
+congruence checks).  A bivariate series of total degree <= D is packed by
+T1 -> X^(D+2), T2 -> X^(D+1) into a univariate list of length (D+1)^2.
 
 The jet-side constructions evaluate phi_mu on the logarithm inside a
 truncated jet ring and read off character series; coefficients carry one
@@ -30,7 +31,7 @@ from . import polyutils as pu
 from .errors import (BadReduction, CertificateFailure, DistinctWordsRequired,
                      FamilyMismatch, IntegralityViolation,
                      NotTopologicallyNilpotent, OrderOverflow,
-                     PrecisionExhausted)
+                     PrecisionExhausted, SeriesTooShort)
 from .jets import JetElement, JetRing, phi_word
 from .tower import TowerElement, n_of_pi_from, valuation
 
@@ -198,51 +199,30 @@ class FormalGroupLaw:
                            for (i, j), c in sorted(self.coeffs.items())}}
 
 
-def _biv_mul(a: dict, b: dict, mod: int, D: int) -> dict:
-    out = {}
-    for (i1, j1), c1 in a.items():
-        if c1 == 0:
-            continue
-        for (i2, j2), c2 in b.items():
-            i, j = i1 + i2, j1 + j2
-            if i + j > D:
-                continue
-            key = (i, j)
-            out[key] = (out.get(key, 0) + c1 * c2) % mod
-    return {k: v for k, v in out.items() if v}
+def _pack(a: dict, D: int) -> list:
+    """Kronecker image of a bivariate series of total degree <= D.
 
-
-def _biv_add(a: dict, b: dict, mod: int) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = (out.get(k, 0) + v) % mod
-    return {k: v for k, v in out.items() if v}
-
-
-def _biv_scal(a: dict, c: int, mod: int) -> dict:
-    return {k: (v * c) % mod for k, v in a.items() if (v * c) % mod}
-
-
-def _biv_inv_unit(a: dict, mod: int, D: int) -> dict:
-    """Inverse of a series with constant term 1 (geometric expansion)."""
-    u = dict(a)
-    u.pop((0, 0), None)
-    u = _biv_scal(u, -1, mod)
-    out = {(0, 0): 1}
-    term = {(0, 0): 1}
-    order = min((i + j for i, j in u), default=D + 1)
-    for _ in range(D // max(order, 1) + 1):
-        term = _biv_mul(term, u, mod, D)
-        if not term:
-            break
-        out = _biv_add(out, term, mod)
+    T1 -> X^(D+2), T2 -> X^(D+1) sends T1^i T2^j to index (i+j)(D+1) + i:
+    injective on total degree <= D, while every higher degree lands at index
+    >= (D+1)^2, so truncated bivariate products are ``ser_mul`` at that n.
+    """
+    out = [0] * (D + 1) ** 2
+    for (i, j), c in a.items():
+        out[(i + j) * (D + 1) + i] = c
     return out
+
+
+def _unpack(a: list, D: int) -> dict:
+    return {(i, s - i): a[s * (D + 1) + i] for s in range(D + 1)
+            for i in range(s + 1) if a[s * (D + 1) + i]}
 
 
 def formal_group_law(curve: WeierstrassCurve | None, D: int, prec: int,
                      p: int | None = None) -> FormalGroupLaw:
     """Group law via the chord construction; ``curve=None`` gives the
     built-in multiplicative law T1 + T2 + T1*T2."""
+    if D < 1:
+        raise SeriesTooShort(f"group law needs degree D >= 1, got {D}")
     if curve is None:
         if p is None:
             raise FamilyMismatch("the multiplicative group law needs p")
@@ -250,31 +230,25 @@ def formal_group_law(curve: WeierstrassCurve | None, D: int, prec: int,
                               {(1, 0): 1, (0, 1): 1, (1, 1): 1})
     p = curve.p
     mod = p ** prec
+    n = (D + 1) ** 2
     w = curve_w_series(curve, D + 2, mod)
     # lambda = sum_k w_k * (t1^(k-1) + t1^(k-2) t2 + ... + t2^(k-1))
-    lam = {}
-    for k in range(1, min(len(w), D + 2)):
-        c = w[k]
-        if c == 0:
-            continue
-        for a_ in range(k):
-            b_ = k - 1 - a_
-            if a_ + b_ <= D:
-                lam[(a_, b_)] = (lam.get((a_, b_), 0) + c) % mod
-    w1 = {(i, 0): c for i, c in enumerate(w) if c}
-    nu = _biv_add(w1, _biv_scal(_biv_mul(lam, {(1, 0): 1}, mod, D), -1, mod),
-                  mod)
-    lam2 = _biv_mul(lam, lam, mod, D)
-    lam3 = _biv_mul(lam2, lam, mod, D)
-    A = _biv_add({(0, 0): 1},
-                 _biv_add(_biv_scal(lam2, curve.a4, mod),
-                          _biv_scal(lam3, curve.a6, mod), mod), mod)
-    B = _biv_add(_biv_scal(_biv_mul(lam, nu, mod, D), 2 * curve.a4, mod),
-                 _biv_scal(_biv_mul(lam2, nu, mod, D), 3 * curve.a6, mod),
-                 mod)
-    F = _biv_add({(1, 0): 1, (0, 1): 1},
-                 _biv_mul(B, _biv_inv_unit(A, mod, D), mod, D), mod)
-    return FormalGroupLaw(p, prec, D, F)
+    lam = _pack({(a_, k - 1 - a_): w[k] for k in range(1, D + 2)
+                 for a_ in range(k)}, D)
+    # nu = w(t1) - lambda * t1; multiplying by t1 shifts by D + 2
+    w1 = _pack({(i, 0): w[i] for i in range(D + 1)}, D)
+    nu = [(x - y) % mod for x, y in zip(w1, [0] * (D + 2) + lam)]
+    lam2 = pu.ser_mul(lam, lam, mod, n)
+    lam3 = pu.ser_mul(lam2, lam, mod, n)
+    A = [(curve.a4 * x + curve.a6 * y) % mod for x, y in zip(lam2, lam3)]
+    A[0] = (A[0] + 1) % mod
+    B = pu.ser_mul([(2 * curve.a4 * x + 3 * curve.a6 * y) % mod
+                    for x, y in zip(lam, lam2)], nu, mod, n)
+    F = pu.ser_mul(B, pu.ser_inv(A, mod, n), mod, n)
+    # F = t1 + t2 + B/A, with t1 at index D + 2 and t2 at D + 1
+    F[D + 2] = (F[D + 2] + 1) % mod
+    F[D + 1] = (F[D + 1] + 1) % mod
+    return FormalGroupLaw(p, prec, D, _unpack(F, D))
 
 
 # ---------------------------------------------------------------------------
@@ -318,36 +292,46 @@ def _ser_mul_frac(a, b, n):
     return out
 
 
+def scaled_log_coefficients(log: LogSeries, D: int, dmax: int,
+                            mod: int) -> list:
+    """p^dmax * b_m/m mod ``mod`` at index m = 1..D (index 0 is 0).
+
+    Needs dmax >= floor(log_p D), so that every 1/m clears.
+    """
+    if log.degree < D:
+        raise PrecisionExhausted(f"log series degree {log.degree} < {D}")
+    p = log.p
+    out = [0] * (D + 1)
+    for m in range(1, D + 1):
+        v = pu.vp(m, p)
+        out[m] = (log.b[m] * p ** (dmax - v)
+                  * pu.modinv(m // p ** v, mod)) % mod
+    return out
+
+
 def compose_log_with_law(log: LogSeries, law: FormalGroupLaw, D: int):
     """l(F(T1,T2)) - l(T1) - l(T2) as a bivariate dict scaled by p^dmax.
 
     Returns (dict, dmax); the homomorphism law holds iff every entry is
     divisible by p^dmax at the working precision.
     """
+    if D < 1:
+        raise SeriesTooShort(f"log composition needs degree D >= 1, got {D}")
     p = log.p
     mod = p ** log.prec
     dmax = pu.floor_log(p, D)
-    scale = p ** dmax
-    F = {k: v for k, v in law.coeffs.items() if sum(k) <= D}
-    acc = {}
-    power = {(0, 0): 1}
+    c = scaled_log_coefficients(log, D, dmax, mod)
+    n = (D + 1) ** 2
+    F = _pack({k: v % mod for k, v in law.coeffs.items() if sum(k) <= D}, D)
+    # Horner: (...((c_D F + c_{D-1}) F + c_{D-2}) F ... + c_1) F
+    acc = [(c[D] * x) % mod for x in F]
+    for m in range(D - 1, 0, -1):
+        acc[0] = (acc[0] + c[m]) % mod
+        acc = pu.ser_mul(acc, F, mod, n)
     for m in range(1, D + 1):
-        power = _biv_mul(power, F, mod, D)
-        bm = log.b[m] % mod
-        if bm == 0:
-            continue
-        c = (bm * (scale // p ** pu.vp(m, p)) *
-             pu.modinv(m // p ** pu.vp(m, p), mod)) % mod
-        acc = _biv_add(acc, _biv_scal(power, c, mod), mod)
-    for m in range(1, D + 1):
-        bm = log.b[m] % mod
-        if bm == 0:
-            continue
-        c = (bm * (scale // p ** pu.vp(m, p)) *
-             pu.modinv(m // p ** pu.vp(m, p), mod)) % mod
-        for key in ((m, 0), (0, m)):
-            acc[key] = (acc.get(key, 0) - c) % mod
-    return {k: v for k, v in acc.items() if v}, dmax
+        for k in (m * (D + 2), m * (D + 1)):
+            acc[k] = (acc[k] - c[m]) % mod
+    return _unpack(acc, D), dmax
 
 
 # ---------------------------------------------------------------------------
@@ -359,19 +343,11 @@ def log_jet(log: LogSeries, ring: JetRing) -> JetElement:
     tower = ring.tower
     p = tower.p
     D = ring.cfg.D
-    if log.degree < D:
-        raise PrecisionExhausted(
-            f"log series degree {log.degree} < jet truncation {D}")
     dmax = pu.floor_log(p, D)
     prec = min(log.prec, tower.K)
-    mod = p ** prec
-    terms = {}
-    for m in range(1, D + 1):
-        v = pu.vp(m, p)
-        unit = m // p ** v
-        num = (log.b[m] * p ** (dmax - v) * pu.modinv(unit, mod)) % mod
-        if num:
-            terms[((0, m),)] = tower.from_int(num, prec)
+    c = scaled_log_coefficients(log, D, dmax, p ** prec)
+    terms = {((0, m),): tower.from_int(c[m], prec)
+             for m in range(1, D + 1) if c[m]}
     return JetElement(ring, terms, dmax)
 
 

@@ -40,18 +40,6 @@ def psub(a, b, mod):
     return padd(a, [(-c) % mod for c in b], mod)
 
 
-def pmul(a, b, mod):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c == 0:
-            continue
-        for j, d in enumerate(b):
-            out[i + j] = (out[i + j] + c * d) % mod
-    return trim(out)
-
-
 def pdivmod_monic(a, b, mod):
     """Divide by a monic polynomial ``b``; returns (quotient, remainder)."""
     if not b:
@@ -97,8 +85,8 @@ def fp_ext_bezout(a, b, p):
         q, r = pdivmod_monic(r0, [(c * lead) % p for c in r1], p)
         q = [(c * lead) % p for c in q]
         r0, r1 = r1, trim(r)
-        s0, s1 = s1, psub(s0, pmul(q, s1, p), p)
-        t0, t1 = t1, psub(t0, pmul(q, t1, p), p)
+        s0, s1 = s1, psub(s0, ser_mul(q, s1, p, len(q) + len(s1)), p)
+        t0, t1 = t1, psub(t0, ser_mul(q, t1, p, len(q) + len(t1)), p)
     if len(r0) != 1:
         raise ValueError("polynomials are not coprime mod p")
     inv = pow(r0[0], p - 2, p)
@@ -110,8 +98,10 @@ def fp_powmod(base, e, modpoly, p):
     base = pdivmod_monic(base, modpoly, p)[1]
     while e:
         if e & 1:
-            result = pdivmod_monic(pmul(result, base, p), modpoly, p)[1]
-        base = pdivmod_monic(pmul(base, base, p), modpoly, p)[1]
+            prod = ser_mul(result, base, p, len(result) + len(base))
+            result = pdivmod_monic(prod, modpoly, p)[1]
+        square = ser_mul(base, base, p, 2 * len(base))
+        base = pdivmod_monic(square, modpoly, p)[1]
         e >>= 1
     return result
 
@@ -199,13 +189,14 @@ def hensel_lift_factor(f, g0, p: int, K: int) -> list:
     pk = p
     for _ in range(K - 1):
         mod_next = pk * p
-        err = psub([c % mod_next for c in f], pmul(g, h, mod_next), mod_next)
+        gh = ser_mul(g, h, mod_next, len(g) + len(h))
+        err = psub([c % mod_next for c in f], gh, mod_next)
         if any(c % pk for c in err):
             raise CertificateFailure("Hensel lift lost its congruence")
         e = [(c // pk) % p for c in err]
         # solve u*h + v*g = e mod p with deg u < deg g
-        u = pdivmod_monic(pmul(t, e, p), g, p)[1]
-        num = psub(e, pmul(u, h, p), p)
+        u = pdivmod_monic(ser_mul(t, e, p, len(t) + len(e)), g, p)[1]
+        num = psub(e, ser_mul(u, h, p, len(u) + len(h)), p)
         v, r = pdivmod_monic(num, g, p)
         if trim(r):
             raise CertificateFailure("Hensel correction left a remainder")

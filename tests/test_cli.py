@@ -130,6 +130,13 @@ class TestVerify:
     def test_malformed_value_exit_code(self, flags):
         assert main(flags) == 2
 
+    @pytest.mark.parametrize("nmax", ["-1", "0"])
+    def test_nmax_below_one_exit_code(self, nmax, capsys):
+        # -1 would reach ser_inv with an empty series, 0 would check nothing
+        assert main(["verify", "asd", "--curve", "5a-generic",
+                     "--nmax", nmax]) == 2
+        assert "--nmax" in capsys.readouterr().err
+
     def test_malformed_catalog_exit_code(self, tmp_path):
         cat = tmp_path / "curves.json"
         cat.write_text('[{"p": 5, "a4": 1}]')

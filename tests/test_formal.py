@@ -6,7 +6,7 @@ import pytest
 import frobjet.polyutils as pu
 from frobjet.crystal import crystalline_classes, kedlaya_frobenius
 from frobjet.errors import (BadReduction, DistinctWordsRequired,
-                            PrecisionExhausted)
+                            PrecisionExhausted, SeriesTooShort)
 from frobjet.formal import (LogSeries, WeierstrassCurve,
                             compose_log_with_law, exp_series,
                             formal_group_law, formal_log, gm_log,
@@ -14,8 +14,21 @@ from frobjet.formal import (LogSeries, WeierstrassCurve,
 from frobjet.jets import JetRing, JetRingConfig, eval_jet
 from frobjet.tower import TowerConfig, build_tower
 
+import formal_oracle
+from test_crystal import random_ordinary_curve
+
 CM5 = WeierstrassCurve(5, 1, 0, "cm5")
 C7 = WeierstrassCurve(7, 1, 3, "c7")
+
+
+# a6 = 0 and a4 = 0 included: A and B then each lose a term
+ORACLE_CURVES = (
+    [CM5, WeierstrassCurve(5, 1, 1, "5a"), C7,
+     WeierstrassCurve(7, 0, 1, "7-a4zero"), WeierstrassCurve(11, 2, 5, "11a"),
+     WeierstrassCurve(13, 3, 0, "13-a6zero")]
+    + [random_ordinary_curve(p, seed)
+       for p, seed in [(5, 11), (7, 12), (11, 13), (13, 14)]])
+ORACLE_DEGREES = (1, 2, 6, 9, 10, 12, 24)
 
 
 class TestGroupLaw:
@@ -118,6 +131,41 @@ class TestGroupLaw:
                 assert got.denominator % 5
                 lifted = got.numerator * pu.modinv(got.denominator, mod)
                 assert (lifted - want) % mod == 0
+
+    @pytest.mark.parametrize("curve", ORACLE_CURVES, ids=lambda c: c.label)
+    def test_matches_dict_oracle(self, curve):
+        """The Kronecker-packed law and residual against the sparse-dict
+        arithmetic, key by key, also with the compose degree off law.D."""
+        log = formal_log(curve, 26, 12)
+        for D in ORACLE_DEGREES:
+            law = formal_group_law(curve, D, 10)
+            assert law.coeffs == formal_oracle.formal_group_law(
+                curve, D, 10).coeffs
+            for Dc in sorted({max(1, D - 3), D, D + 2}):
+                assert (compose_log_with_law(log, law, Dc)
+                        == formal_oracle.compose_log_with_law(log, law, Dc))
+
+    @pytest.mark.parametrize("D", [1, 3, 8])
+    def test_multiplicative_matches_dict_oracle(self, D):
+        law = formal_group_law(None, 5, 10, p=5)
+        log = gm_log(5, 8, 10)
+        assert (compose_log_with_law(log, law, D)
+                == formal_oracle.compose_log_with_law(log, law, D))
+
+    @pytest.mark.parametrize("D", [0, -1])
+    def test_degree_below_one_rejected(self, D):
+        with pytest.raises(SeriesTooShort):
+            formal_group_law(C7, D, 10)
+        with pytest.raises(SeriesTooShort):
+            formal_group_law(None, D, 10, p=7)
+        law = formal_group_law(C7, 4, 10)
+        with pytest.raises(SeriesTooShort):
+            compose_log_with_law(formal_log(C7, 4, 10), law, D)
+
+    def test_log_shorter_than_degree_rejected(self):
+        law = formal_group_law(C7, 6, 10)
+        with pytest.raises(PrecisionExhausted):
+            compose_log_with_law(formal_log(C7, 4, 10), law, 6)
 
     def test_bad_reduction_rejected(self):
         with pytest.raises(BadReduction):

@@ -1,0 +1,65 @@
+"""Static rules over the package source: no floats and no bare asserts.
+
+Every certificate must hold under ``python -O`` and in exact arithmetic, so
+``src/frobjet`` may contain no ``assert`` statement, no float literal, no
+call to ``float`` and none of the float functions of :mod:`math`.
+``math.inf`` stays allowed: it is the valuation of zero.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+FLOAT_MATH = {"log", "log2", "log10", "sqrt", "exp"}
+SOURCES = sorted(
+    (Path(__file__).resolve().parents[1] / "src" / "frobjet").glob("*.py"))
+
+
+def violations(tree: ast.AST) -> list:
+    math_names = {"math"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            math_names |= {a.asname for a in node.names
+                           if a.name == "math" and a.asname}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            found.append((node.lineno, "assert statement"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append((node.lineno, f"float literal {node.value!r}"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            found.append((node.lineno, "call to float"))
+        elif (isinstance(node, ast.Attribute) and node.attr in FLOAT_MATH
+              and isinstance(node.value, ast.Name)
+              and node.value.id in math_names):
+            found.append((node.lineno, f"math.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found.extend((node.lineno, f"from math import {a.name}")
+                         for a in node.names if a.name in FLOAT_MATH)
+    return found
+
+
+def test_sources_found():
+    assert {"formal.py", "polyutils.py", "tower.py"} <= {
+        path.name for path in SOURCES}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_float_no_assert(path):
+    assert violations(ast.parse(path.read_text(), str(path))) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "assert x", "y = 0.5", "y = float(x)", "y = math.log(x)",
+    "import math as m\ny = m.sqrt(x)", "from math import log2",
+    "y = math.exp(1)", "y = math.log10(x)"])
+def test_rules_catch(snippet):
+    assert violations(ast.parse(snippet))
+
+
+def test_inf_and_exact_math_allowed():
+    assert violations(ast.parse(
+        "import math\nINF = math.inf\nk = math.comb(5, 2)\n"
+        "from math import gcd")) == []

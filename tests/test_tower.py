@@ -1,7 +1,9 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from frobjet.errors import (NotAUnit, NotEisensteinCompatible,
@@ -328,3 +330,60 @@ class TestPower:
         for n in range(12):
             assert x ** n == acc
             acc = acc * x
+
+
+# the four towers of the benchmark's ramified-characters workload
+BENCH_TOWERS = [(7, 2, 1, 1, 16), (7, 2, 2, 2, 14), (7, 2, 3, 2, 30),
+                (5, 2, 2, 1, 40)]
+Z, PI = sympy.symbols("z pi")
+
+
+@functools.cache
+def bench_tower(cfg):
+    return build_tower(TowerConfig(*cfg))
+
+
+def draw_element(data, t):
+    pk = t.p ** t.K
+    return t.element([data.draw(st.lists(st.integers(0, pk - 1),
+                                         min_size=t.e, max_size=t.e))
+                      for _ in range(t.f)])
+
+
+def sympy_product(t, a, b):
+    """a*b reduced by the Groebner basis [g(z), pi^e - p], read mod p^K.
+
+    The leading terms z^f and pi^e are coprime, so the basis is Groebner
+    and the remainder is the normal form with deg_z < f, deg_pi < e.
+    """
+    def expr(x):
+        return sum(c * Z ** i * PI ** j for i, row in enumerate(x.coeffs)
+                   for j, c in enumerate(row))
+    g = sum(c * Z ** i for i, c in enumerate(t.g))
+    _, r = sympy.reduced(sympy.expand(expr(a) * expr(b)),
+                         [g, PI ** t.e - t.p], Z, PI)
+    out = [[0] * t.e for _ in range(t.f)]
+    for (i, j), c in sympy.Poly(r, Z, PI).terms():
+        out[i][j] = int(c) % t.pK
+    return out
+
+
+@pytest.mark.parametrize("cfg", BENCH_TOWERS, ids=str)
+class TestSympyOracle:
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_mul(self, cfg, data):
+        t = bench_tower(cfg)
+        a, b = draw_element(data, t), draw_element(data, t)
+        assert [list(row) for row in (a * b).coeffs] == sympy_product(t, a, b)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_inverse(self, cfg, data):
+        t = bench_tower(cfg)
+        a = draw_element(data, t)
+        if not any(row[0] % t.p for row in a.coeffs):
+            a = a + 1   # a unit: its W-part is nonzero mod p
+        one = [[0] * t.e for _ in range(t.f)]
+        one[0][0] = 1
+        assert sympy_product(t, a, a.inverse()) == one
