@@ -2,10 +2,13 @@
 
 Curves are short Weierstrass, y^2 = x^3 + a4 x + a6, over Z_p with p >= 5
 and unit discriminant.  All series work happens in the chart t = -x/y:
-the auxiliary series w(t) (= -1/y) solves w = t^3 + a4 t w^2 + a6 w^3 and is
-computed by Newton iteration; the invariant differential dx/(2y) expands as
-(t w' - w)/(2w) dt, normalized so its leading coefficient is 1.  The
-logarithm l(T) = sum b_m/m T^m stores only the integral numerators b_m.
+the auxiliary series w(t) (= -1/y) solves w = t^3 + a4 t w^2 + a6 w^3.
+With a1 = a3 = 0, [-1](t) = -t, so w is odd: w(t) = t^3 W(t^2), where
+W(s) = 1 + a4 s^2 W^2 + a6 s^3 W^3 is solved by Newton iteration at half
+the length.  The invariant differential dx/(2y) expands as
+(t w' - w)/(2w) dt, whose coefficient (W + s W')/W is a series in s = t^2
+with leading coefficient 1.  The logarithm l(T) = sum b_m/m T^m stores
+only the integral numerators b_m, and is odd: b_m = 0 for every even m.
 
 The group law F(T1, T2) comes from the chord construction: the slope
 lambda = (w(t2) - w(t1))/(t2 - t1) is a polynomial identity (no division),
@@ -25,7 +28,6 @@ global p-power denominator so integrality claims stay checkable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import polyutils as pu
 from .errors import (BadReduction, CertificateFailure, DistinctWordsRequired,
@@ -80,75 +82,86 @@ class LogSeries:
         return cls(d["p"], d["prec"], [0] + list(d["b"]))
 
 
-def curve_w_series(curve: WeierstrassCurve, n: int, mod: int) -> list:
-    """w(t) with w = t^3 + a4 t w^2 + a6 w^3, to length ``n`` mod ``mod``.
+def _one_minus(x: list, y: list, c4: int, c6: int, n: int, mod: int) -> list:
+    """1 - c4 s^2 x - c6 s^3 y mod (s^n, mod)."""
+    out = [1] + [0] * (n - 1)
+    for i, c in enumerate(x[:max(n - 2, 0)]):
+        out[i + 2] = (out[i + 2] - c4 * c) % mod
+    for i, c in enumerate(y[:max(n - 3, 0)]):
+        out[i + 3] = (out[i + 3] - c6 * c) % mod
+    return out
 
-    Newton iteration with a tracked correct-degree bound: the seed t^3 is
-    exact through degree 6 and each step at truncation 2m doubles the bound
-    (the derivative 1 - 2 a4 t w - 3 a6 w^2 is a unit series).  A final
-    residual check guards the bookkeeping.
+
+def _curve_w_half(curve: WeierstrassCurve, n: int, mod: int) -> tuple:
+    """(W, W^2) to length ``n`` >= 1, where W = 1 + a4 s^2 W^2 + a6 s^3 W^3.
+
+    Newton on G(W) = W - 1 - a4 s^2 W^2 - a6 s^3 W^3, doubling the length m
+    of W each step.  V = 1/G'(W) is carried along: one Newton update
+    V += V (1 - G'V) per step brings it to length m, which is enough for
+    the correction W -= V G(W) from m to 2m because G(W) = O(s^m).
     """
-    n = max(n, 4)
     a4, a6 = curve.a4 % mod, curve.a6 % mod
 
-    def residual(w, length):
-        w2 = pu.ser_mul(w, w, mod, length)
-        w3 = pu.ser_mul(w2, w, mod, length)
-        val = list(w[:length]) + [0] * max(0, length - len(w))
-        val[3] = (val[3] - 1) % mod
-        for i, c in enumerate(w2[:length - 1]):
-            val[i + 1] = (val[i + 1] - a4 * c) % mod
-        for i, c in enumerate(w3[:length]):
-            val[i] = (val[i] - a6 * c) % mod
-        dphi = [1] + [0] * (length - 1)
-        for i, c in enumerate(w[:length - 1]):
-            dphi[i + 1] = (dphi[i + 1] - 2 * a4 * c) % mod
-        for i, c in enumerate(w2[:length]):
-            dphi[i] = (dphi[i] - 3 * a6 * c) % mod
-        return val, dphi
+    def residual(W, m):
+        W2 = pu.ser_mul(W, W, mod, m)
+        W3 = pu.ser_mul(W2, W, mod, max(m - 3, 0))
+        one = _one_minus(W2, W3, -a4, -a6, m, mod)
+        return [(c - d) % mod for c, d in zip(W + [0] * m, one)], W2
 
-    w = [0, 0, 0, 1]
-    m = 7
+    W, V, m = [1], [1], 1
     while m < n:
-        length = min(2 * m, n)
-        w = (w + [0] * length)[:length]
-        val, dphi = residual(w, length)
-        corr = pu.ser_mul(val, pu.ser_inv(dphi, mod, length), mod, length)
-        w = [(a - b) % mod for a, b in
-             zip(w, corr + [0] * (length - len(corr)))]
-        m = length + 1 if 2 * (m - 1) >= length else 2 * (m - 1)
-    w = (w + [0] * n)[:n]
-    val, _ = residual(w, n)
-    if any(val):
+        m2 = min(2 * m, n)
+        G, W2 = residual(W, m2)
+        h = len(V)  # E = G'V = 1 + O(s^h)
+        E = pu.ser_mul(_one_minus(W, W2, 2 * a4, 3 * a6, m, mod), V, mod, m)
+        V = V + pu.ser_mul(V, [(-c) % mod for c in E[h:]], mod, m - h)
+        W = W + [(-c) % mod for c in pu.ser_mul(V, G[m:m2], mod, m2 - m)]
+        m = m2
+    G, W2 = residual(W, n)
+    if any(G):
         raise CertificateFailure(
-            "Newton iteration for w(t) failed to converge")
+            "Newton iteration for W(s) failed to converge")
+    return W, W2
+
+
+def curve_w_series(curve: WeierstrassCurve, n: int, mod: int) -> list:
+    """w(t) with w = t^3 + a4 t w^2 + a6 w^3: exactly ``n`` coefficients.
+
+    w is odd, w(t) = t^3 W(t^2), so w_(2k+3) = W_k and every other
+    coefficient is 0.
+    """
+    if n < 1:
+        raise SeriesTooShort(f"w(t) needs length n >= 1, got {n}")
+    w = [0] * n
+    odd = range(3, n, 2)
+    if odd:
+        w[3::2] = _curve_w_half(curve, len(odd), mod)[0]
     return w
 
 
 def formal_log(curve: WeierstrassCurve, D: int, prec: int) -> LogSeries:
     """Logarithm of the curve normalized so b_1 = 1 (omega = dx/2y).
 
-    Needs every 1/m for m <= D to stay within the precision budget, so
-    floor(log_p D) must be below ``prec``.
+    With s = t^2 and w = t^3 W(s), omega = (t w' - w)/(2w) dt is the even
+    series (W + s W')/W = (W + s W')(1 - a4 s^2 W - a6 s^3 W^2), the
+    inverse read off the equation for W.  So b_(2k+1) = omega_k and every
+    even b_m is 0.  Needs every 1/m for m <= D to stay within the
+    precision budget, so floor(log_p D) must be below ``prec``.
     """
+    if D < 1:
+        raise SeriesTooShort(f"logarithm needs degree D >= 1, got {D}")
     p = curve.p
     dmax = pu.floor_log(p, D)
     if prec <= dmax:
         raise PrecisionExhausted(
             f"denominators up to p^{dmax} do not fit in prec {prec}")
     mod = p ** prec
-    n = D + 4
-    w = curve_w_series(curve, n, mod)
-    # omega = (t w' - w)/(2 w) dt; both sides divisible by t^3
-    tw_minus = [((i - 1) * c) % mod for i, c in enumerate(w)]
-    num = [tw_minus[i + 3] % mod for i in range(n - 3)]
-    den = [w[i + 3] % mod for i in range(n - 3)]
-    inv2 = pu.modinv(2, mod)
-    omega = pu.ser_mul(num, pu.ser_inv(den, mod, D), mod, D)
-    omega = [(c * inv2) % mod for c in omega]
+    n = (D + 1) // 2  # one omega_k per odd m <= D
+    W, W2 = _curve_w_half(curve, n, mod)
+    dsW = [((k + 1) * c) % mod for k, c in enumerate(W)]
     b = [0] * (D + 1)
-    for m in range(1, D + 1):
-        b[m] = omega[m - 1]
+    b[1::2] = pu.ser_mul(dsW, _one_minus(W, W2, curve.a4, curve.a6, n, mod),
+                         mod, n)
     if b[1] != 1:
         raise CertificateFailure("logarithm does not start with T")
     return LogSeries(p, prec, b)
@@ -251,47 +264,6 @@ def formal_group_law(curve: WeierstrassCurve | None, D: int, prec: int,
     return FormalGroupLaw(p, prec, D, _unpack(F, D))
 
 
-# ---------------------------------------------------------------------------
-# exact-rational reversion (exponential) for oracle checks
-# ---------------------------------------------------------------------------
-
-def log_coefficients_exact(log: LogSeries, D: int) -> list:
-    """Fractions b_m/m, m <= D, lifting the stored residues."""
-    return [Fraction(0)] + [Fraction(log.b[m], m) for m in range(1, D + 1)]
-
-
-def exp_series(log: LogSeries, D: int) -> list:
-    """Compositional inverse of the logarithm as exact Fractions e_1..e_D.
-
-    Solves l(e(T)) = T coefficient by coefficient; denominators pick up
-    p-powers of size about D/(p-1), which is why this stays an oracle for
-    modest degrees rather than a production path.
-    """
-    lc = log_coefficients_exact(log, D)
-    e = [Fraction(0), Fraction(1)]
-    for k in range(2, D + 1):
-        # coefficient of T^k in sum_m lc[m] * e(T)^m with e_k = 0
-        coeff = Fraction(0)
-        powers = [None, list(e) + [Fraction(0)]]
-        cur = powers[1]
-        for m in range(2, k + 1):
-            cur = _ser_mul_frac(cur, powers[1], k + 1)
-            coeff += lc[m] * (cur[k] if k < len(cur) else 0)
-        e.append(-coeff)
-    return e
-
-
-def _ser_mul_frac(a, b, n):
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a[:n]):
-        if c == 0:
-            continue
-        for j, d in enumerate(b[:n - i]):
-            if d:
-                out[i + j] += c * d
-    return out
-
-
 def scaled_log_coefficients(log: LogSeries, D: int, dmax: int,
                             mod: int) -> list:
     """p^dmax * b_m/m mod ``mod`` at index m = 1..D (index 0 is 0).
@@ -323,11 +295,15 @@ def compose_log_with_law(log: LogSeries, law: FormalGroupLaw, D: int):
     c = scaled_log_coefficients(log, D, dmax, mod)
     n = (D + 1) ** 2
     F = _pack({k: v % mod for k, v in law.coeffs.items() if sum(k) <= D}, D)
-    # Horner: (...((c_D F + c_{D-1}) F + c_{D-2}) F ... + c_1) F
-    acc = [(c[D] * x) % mod for x in F]
-    for m in range(D - 1, 0, -1):
-        acc[0] = (acc[0] + c[m]) % mod
-        acc = pu.ser_mul(acc, F, mod, n)
+    G = pu.ser_mul(F, F, mod, n)
+    # Horner in G = F^2 over pairs: sum_k (c_2k + c_(2k+1) F) G^k
+    c.append(0)  # c_(D+1), the odd half of the top pair when D is even
+    acc = [0] * n
+    for k in range(D // 2, -1, -1):
+        acc = [(a + c[2 * k + 1] * x) % mod for a, x in zip(acc, F)]
+        acc[0] = (acc[0] + c[2 * k]) % mod
+        if k:
+            acc = pu.ser_mul(acc, G, mod, n)
     for m in range(1, D + 1):
         for k in (m * (D + 2), m * (D + 1)):
             acc[k] = (acc[k] - c[m]) % mod

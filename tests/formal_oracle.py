@@ -1,18 +1,139 @@
-"""Differential oracle for ``frobjet.formal`` group-law series.
+"""Differential oracles for ``frobjet.formal``.
 
-This is the bivariate arithmetic as it ran before the group law moved onto
+``curve_w_series`` and ``formal_log`` are the logarithm as it ran before it
+moved onto the odd half w(t) = t^3 W(t^2): Newton on the full t-series,
+with a fresh inverse of the derivative at every step.  The tests compare
+``LogSeries.b`` against it list by list.
+
+The bivariate arithmetic is the group law as it ran before it moved onto
 the Kronecker-packed univariate kernel: every series is a sparse dict keyed
 by ``(i, j)``, multiplied term by term with total degree capped at ``D``.
 It is slow and is kept here only so the tests can compare
 ``formal_group_law`` and ``compose_log_with_law`` against it key by key.
+
+``exp_series`` reverts the logarithm over exact Fractions, an independent
+route to the group law at small degree.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from frobjet import polyutils as pu
-from frobjet.errors import FamilyMismatch
-from frobjet.formal import (FormalGroupLaw, LogSeries, WeierstrassCurve,
-                            curve_w_series)
+from frobjet.errors import (CertificateFailure, FamilyMismatch,
+                            PrecisionExhausted)
+from frobjet.formal import FormalGroupLaw, LogSeries, WeierstrassCurve
+
+
+def curve_w_series(curve: WeierstrassCurve, n: int, mod: int) -> list:
+    """w(t) with w = t^3 + a4 t w^2 + a6 w^3, to length ``n`` mod ``mod``.
+
+    Newton iteration with a tracked correct-degree bound: the seed t^3 is
+    exact through degree 6 and each step at truncation 2m doubles the bound
+    (the derivative 1 - 2 a4 t w - 3 a6 w^2 is a unit series).  A final
+    residual check guards the bookkeeping.
+    """
+    n = max(n, 4)
+    a4, a6 = curve.a4 % mod, curve.a6 % mod
+
+    def residual(w, length):
+        w2 = pu.ser_mul(w, w, mod, length)
+        w3 = pu.ser_mul(w2, w, mod, length)
+        val = list(w[:length]) + [0] * max(0, length - len(w))
+        val[3] = (val[3] - 1) % mod
+        for i, c in enumerate(w2[:length - 1]):
+            val[i + 1] = (val[i + 1] - a4 * c) % mod
+        for i, c in enumerate(w3[:length]):
+            val[i] = (val[i] - a6 * c) % mod
+        dphi = [1] + [0] * (length - 1)
+        for i, c in enumerate(w[:length - 1]):
+            dphi[i + 1] = (dphi[i + 1] - 2 * a4 * c) % mod
+        for i, c in enumerate(w2[:length]):
+            dphi[i] = (dphi[i] - 3 * a6 * c) % mod
+        return val, dphi
+
+    w = [0, 0, 0, 1]
+    m = 7
+    while m < n:
+        length = min(2 * m, n)
+        w = (w + [0] * length)[:length]
+        val, dphi = residual(w, length)
+        corr = pu.ser_mul(val, pu.ser_inv(dphi, mod, length), mod, length)
+        w = [(a - b) % mod for a, b in
+             zip(w, corr + [0] * (length - len(corr)))]
+        m = length + 1 if 2 * (m - 1) >= length else 2 * (m - 1)
+    w = (w + [0] * n)[:n]
+    val, _ = residual(w, n)
+    if any(val):
+        raise CertificateFailure(
+            "Newton iteration for w(t) failed to converge")
+    return w
+
+
+def formal_log(curve: WeierstrassCurve, D: int, prec: int) -> LogSeries:
+    """Logarithm of the curve normalized so b_1 = 1 (omega = dx/2y).
+
+    Needs every 1/m for m <= D to stay within the precision budget, so
+    floor(log_p D) must be below ``prec``.
+    """
+    p = curve.p
+    dmax = pu.floor_log(p, D)
+    if prec <= dmax:
+        raise PrecisionExhausted(
+            f"denominators up to p^{dmax} do not fit in prec {prec}")
+    mod = p ** prec
+    n = D + 4
+    w = curve_w_series(curve, n, mod)
+    # omega = (t w' - w)/(2 w) dt; both sides divisible by t^3
+    tw_minus = [((i - 1) * c) % mod for i, c in enumerate(w)]
+    num = [tw_minus[i + 3] % mod for i in range(n - 3)]
+    den = [w[i + 3] % mod for i in range(n - 3)]
+    inv2 = pu.modinv(2, mod)
+    omega = pu.ser_mul(num, pu.ser_inv(den, mod, D), mod, D)
+    omega = [(c * inv2) % mod for c in omega]
+    b = [0] * (D + 1)
+    for m in range(1, D + 1):
+        b[m] = omega[m - 1]
+    if b[1] != 1:
+        raise CertificateFailure("logarithm does not start with T")
+    return LogSeries(p, prec, b)
+
+
+def log_coefficients_exact(log: LogSeries, D: int) -> list:
+    """Fractions b_m/m, m <= D, lifting the stored residues."""
+    return [Fraction(0)] + [Fraction(log.b[m], m) for m in range(1, D + 1)]
+
+
+def exp_series(log: LogSeries, D: int) -> list:
+    """Compositional inverse of the logarithm as exact Fractions e_1..e_D.
+
+    Solves l(e(T)) = T coefficient by coefficient; denominators pick up
+    p-powers of size about D/(p-1), which is why this stays an oracle for
+    modest degrees rather than a production path.
+    """
+    lc = log_coefficients_exact(log, D)
+    e = [Fraction(0), Fraction(1)]
+    for k in range(2, D + 1):
+        # coefficient of T^k in sum_m lc[m] * e(T)^m with e_k = 0
+        coeff = Fraction(0)
+        powers = [None, list(e) + [Fraction(0)]]
+        cur = powers[1]
+        for m in range(2, k + 1):
+            cur = _ser_mul_frac(cur, powers[1], k + 1)
+            coeff += lc[m] * (cur[k] if k < len(cur) else 0)
+        e.append(-coeff)
+    return e
+
+
+def _ser_mul_frac(a, b, n):
+    out = [Fraction(0)] * n
+    for i, c in enumerate(a[:n]):
+        if c == 0:
+            continue
+        for j, d in enumerate(b[:n - i]):
+            if d:
+                out[i + j] += c * d
+    return out
 
 
 def _biv_mul(a: dict, b: dict, mod: int, D: int) -> dict:

@@ -4,17 +4,20 @@ from fractions import Fraction
 import pytest
 
 import frobjet.polyutils as pu
+from frobjet import formal
 from frobjet.crystal import crystalline_classes, kedlaya_frobenius
-from frobjet.errors import (BadReduction, DistinctWordsRequired,
-                            PrecisionExhausted, SeriesTooShort)
+from frobjet.errors import (BadReduction, CertificateFailure,
+                            DistinctWordsRequired, PrecisionExhausted,
+                            SeriesTooShort)
 from frobjet.formal import (LogSeries, WeierstrassCurve,
-                            compose_log_with_law, exp_series,
+                            compose_log_with_law, curve_w_series,
                             formal_group_law, formal_log, gm_log,
-                            log_coefficients_exact, l_mu_series, psi_series)
+                            l_mu_series, psi_series)
 from frobjet.jets import JetRing, JetRingConfig, eval_jet
 from frobjet.tower import TowerConfig, build_tower
 
 import formal_oracle
+from formal_oracle import exp_series, log_coefficients_exact
 from test_crystal import random_ordinary_curve
 
 CM5 = WeierstrassCurve(5, 1, 0, "cm5")
@@ -231,6 +234,66 @@ class TestFormalLog:
     def test_precision_budget(self):
         with pytest.raises(PrecisionExhausted):
             formal_log(CM5, 30, 2)
+
+    @pytest.mark.parametrize("D", [0, -1])
+    def test_degree_below_one_rejected(self, D):
+        with pytest.raises(SeriesTooShort):
+            formal_log(C7, D, 10)
+
+    def test_residual_check_catches_lost_convergence(self, monkeypatch):
+        """With G' replaced by 1, Newton gains two coefficients per step
+        instead of doubling; the final residual check must see it."""
+        one_minus = formal._one_minus
+
+        def no_derivative(x, y, c4, c6, n, mod):
+            if (c4, c6) == (2 * C7.a4, 3 * C7.a6):
+                return [1] + [0] * (n - 1)
+            return one_minus(x, y, c4, c6, n, mod)
+
+        monkeypatch.setattr(formal, "_one_minus", no_derivative)
+        with pytest.raises(CertificateFailure):
+            formal_log(C7, 200, 10)
+
+    def test_w_series_exact_length(self):
+        mod = 7 ** 10
+        for n in range(1, 12):
+            w = curve_w_series(C7, n, mod)
+            assert w == formal_oracle.curve_w_series(C7, n, mod)[:n]
+        for n in (0, -1):
+            with pytest.raises(SeriesTooShort):
+                curve_w_series(C7, n, mod)
+
+    @pytest.mark.parametrize("p,D", [(5, 1002), (7, 1962), (11, 4842)])
+    def test_matches_t_series_oracle_at_benchmark_degrees(self, p, D):
+        curve = random_ordinary_curve(p, p)
+        assert formal_log(curve, D, 10).b == formal_oracle.formal_log(
+            curve, D, 10).b
+
+    @pytest.mark.parametrize("curve", ORACLE_CURVES, ids=lambda c: c.label)
+    def test_matches_t_series_oracle(self, curve):
+        """Every degree up to 40 and one long one, a4 = 0 and a6 = 0
+        included, against Newton on the full t-series."""
+        for D in list(range(1, 41)) + [251]:
+            assert formal_log(curve, D, 8).b == formal_oracle.formal_log(
+                curve, D, 8).b
+        mod = curve.p ** 8
+        assert (curve_w_series(curve, 253, mod)
+                == formal_oracle.curve_w_series(curve, 253, mod))
+
+    @pytest.mark.parametrize("curve", ORACLE_CURVES, ids=lambda c: c.label)
+    def test_odd_coefficients_are_constant_terms(self, curve):
+        """b_(2k+1) = [x^(2k)] f(x)^k over the integers, b_(2k) = 0."""
+        K = 12
+        log = formal_log(curve, 2 * K + 1, 10)
+        mod = curve.p ** 10
+        f, fk = curve.fpoly(), [1]
+        for k in range(K + 1):
+            assert log.b[2 * k + 1] == fk[2 * k] % mod
+            if k:
+                assert log.b[2 * k] == 0
+            fk = [sum(fk[i] * f[j - i] for i in range(len(fk))
+                      if 0 <= j - i < len(f))
+                  for j in range(len(fk) + len(f) - 1)]
 
     def test_precision_budget_at_exact_power(self):
         # 1/17^3 sits at degree 17^3: three digits cannot hold it

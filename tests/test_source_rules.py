@@ -4,6 +4,10 @@ Every certificate must hold under ``python -O`` and in exact arithmetic, so
 ``src/frobjet`` may contain no ``assert`` statement, no float literal, no
 call to ``float`` and none of the float functions of :mod:`math`.
 ``math.inf`` stays allowed: it is the valuation of zero.
+
+The series kernels ``formal.py`` and ``polyutils.py`` work over Z/p^k
+only; their exact-``Fraction`` oracles live in ``tests/``, so these two
+modules import nothing from :mod:`fractions`.
 """
 
 import ast
@@ -12,6 +16,7 @@ from pathlib import Path
 import pytest
 
 FLOAT_MATH = {"log", "log2", "log10", "sqrt", "exp"}
+SERIES_KERNELS = ("formal.py", "polyutils.py")
 SOURCES = sorted(
     (Path(__file__).resolve().parents[1] / "src" / "frobjet").glob("*.py"))
 
@@ -41,6 +46,19 @@ def violations(tree: ast.AST) -> list:
     return found
 
 
+def fraction_imports(tree: ast.AST) -> list:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, f"import {a.name}")
+                         for a in node.names
+                         if a.name.split(".")[0] == "fractions")
+        elif (isinstance(node, ast.ImportFrom) and node.module == "fractions"
+              and node.level == 0):
+            found.append((node.lineno, "from fractions import"))
+    return found
+
+
 def test_sources_found():
     assert {"formal.py", "polyutils.py", "tower.py"} <= {
         path.name for path in SOURCES}
@@ -63,3 +81,22 @@ def test_inf_and_exact_math_allowed():
     assert violations(ast.parse(
         "import math\nINF = math.inf\nk = math.comb(5, 2)\n"
         "from math import gcd")) == []
+
+
+@pytest.mark.parametrize("name", SERIES_KERNELS)
+def test_series_kernels_import_no_fractions(name):
+    path = next(path for path in SOURCES if path.name == name)
+    assert fraction_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "from fractions import Fraction", "import fractions",
+    "import fractions as fr", "def f():\n    from fractions import Fraction"])
+def test_fraction_rule_catches(snippet):
+    assert fraction_imports(ast.parse(snippet))
+
+
+def test_fraction_rule_allows_other_imports():
+    assert fraction_imports(ast.parse(
+        "import math\nfrom decimal import Decimal\n"
+        "from .fractions import x")) == []
