@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
+from operator import mul
 
 from . import polyutils as pu
 from .errors import (BetaTooLarge, DistinctWordsRequired, LogDivergence,
@@ -30,7 +32,7 @@ from .formal import LogSeries
 from .linalg import padic_nullspace
 from .tower import (INF, FrobeniusIndex, QElement, Tower, TowerElement,
                     frobenius_apply, frobenius_word_apply, n_of_pi_from,
-                    raise_if_bad_word, valuation)
+                    pi_valuation, raise_if_bad_word, valuation)
 
 
 def gm_character_eval(tower: Tower, idx: FrobeniusIndex, x: TowerElement
@@ -60,28 +62,45 @@ def unit_log(tower: Tower, x: TowerElement) -> QElement:
 def _log1p(z: TowerElement) -> QElement:
     """log(1 + z) = sum (-1)^(n+1) z^n / n as num / p^dmax, v(z) > 0.
 
-    The sum runs until n/e - v_p(n) comfortably exceeds the certified
-    precision of z.
+    R is a DVR with the orthonormal basis zeta^i pi^j, so z^n = 0 mod p^prec
+    exactly when n v_pi(z) >= e prec: the sum stops at N = ceil(e prec /
+    v_pi(z)) - 1.  Paterson-Stockmeyer: with m = isqrt(N), each block
+    Q_b = sum_{k=1..m} c_(bm+k) z^k is one integer combination of z, ..., z^m
+    reduced once, and Horner in z^m runs over the blocks, about 2 sqrt(N)
+    ring products.  p^dmax covers every n <= nmax = e (prec + 2) + 1 > N.
     """
-    vz = valuation(z)
-    if vz != INF and not vz > 0:
+    u = pi_valuation(z)
+    if u == 0:
         raise LogDivergence("log(1 + z) needs v(z) > 0")
     tower, prec = z.tower, z.prec
-    p = tower.p
-    nmax = tower.e * (prec + 2) + 1
+    p, f, e = tower.p, tower.f, tower.e
+    nmax = e * (prec + 2) + 1
     dmax = max((pu.vp(n, p) for n in range(p, nmax + 1, p)), default=0)
+    if u == INF:
+        return QElement(tower.zero(prec), dmax)
     pk = p ** prec
-    acc = tower.zero(prec)
-    zn = tower.one(prec)
-    for n in range(1, nmax + 1):
-        zn = zn * z
-        if zn.is_zero():
-            break
-        v = pu.vp(n, p) if n % p == 0 else 0
-        c = (pu.modinv(n // p ** v, pk) * p ** (dmax - v)) % pk
-        if n % 2 == 0:
-            c = -c
-        acc = acc + zn * c
+    N = -(-e * prec // u) - 1
+    m = isqrt(N)
+    powers = [z]
+    for _ in range(m - 1):
+        powers.append(powers[-1] * z)
+    # cols[s] = slot s of z, z^2, ..., z^m in the flattened f x e matrix
+    cols = list(zip(*(sum(x.coeffs, ()) for x in powers)))
+
+    def block(b):
+        cs = []
+        for n in range(b * m + 1, min(b * m + m, N) + 1):
+            v = pu.vp(n, p) if n % p == 0 else 0
+            c = pu.modinv(n // p ** v, pk) * p ** (dmax - v)
+            cs.append(-c if n % 2 == 0 else c)
+        flat = [sum(map(mul, cs, col)) % pk for col in cols]
+        return TowerElement(tower, [flat[i:i + e] for i in range(0, f * e, e)],
+                            prec)
+
+    blocks = -(-N // m)
+    acc = block(blocks - 1)
+    for b in range(blocks - 2, -1, -1):
+        acc = acc * powers[-1] + block(b)
     return QElement(acc, dmax)
 
 

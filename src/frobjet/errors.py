@@ -22,6 +22,10 @@ class PrecisionExhausted(FrobjetError, ArithmeticError):
     """An operation would leave no certified digits."""
 
 
+class UnreducedCoefficients(FrobjetError, ValueError):
+    """Tower coefficients are not an f x e matrix of residues mod p^prec."""
+
+
 class PrecisionBudgetExceeded(FrobjetError, ArithmeticError):
     """A computation cannot certify the requested output precision."""
 

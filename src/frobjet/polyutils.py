@@ -217,6 +217,24 @@ def _limb_bytes(mod: int, nterms: int) -> int:
     return max(width, 4)
 
 
+def kron_mul(a: list, b: list, mod: int, n: int) -> list:
+    """First ``n`` coefficients of the product of the residues mod ``mod`` of
+    two nonempty coefficient lists, as exact integers; inputs are not cut.
+
+    Kronecker substitution: each list is packed into one big integer with
+    limbs wide enough that no product coefficient spills into the next, and
+    the limbs of the native product are read back.  Callers reduce.
+    """
+    w = _limb_bytes(mod, min(len(a), len(b)))
+    abig = int.from_bytes(
+        b"".join([(c % mod).to_bytes(w, "little") for c in a]), "little")
+    bbig = int.from_bytes(
+        b"".join([(c % mod).to_bytes(w, "little") for c in b]), "little")
+    raw = (abig * bbig).to_bytes(w * (len(a) + len(b)), "little")
+    return [int.from_bytes(raw[k:k + w], "little")
+            for k in range(0, min(len(a) + len(b) - 1, n) * w, w)]
+
+
 def ser_mul(a: list, b: list, mod: int, n: int) -> list:
     """Truncated product of dense coefficient lists modulo ``mod``."""
     a = a[:n]
@@ -232,17 +250,7 @@ def ser_mul(a: list, b: list, mod: int, n: int) -> list:
             for j in range(top):
                 out[i + j] = (out[i + j] + c * b[j]) % mod
         return out
-    w = _limb_bytes(mod, min(len(a), len(b)))
-    abig = int.from_bytes(
-        b"".join(int(c % mod).to_bytes(w, "little") for c in a), "little")
-    bbig = int.from_bytes(
-        b"".join(int(c % mod).to_bytes(w, "little") for c in b), "little")
-    cbig = abig * bbig
-    raw = cbig.to_bytes(w * (len(a) + len(b)) + w, "little")
-    out = []
-    for k in range(min(len(a) + len(b) - 1, n)):
-        out.append(int.from_bytes(raw[k * w:(k + 1) * w], "little") % mod)
-    return out
+    return [c % mod for c in kron_mul(a, b, mod, n)]
 
 
 def ser_inv(a: list, mod: int, n: int) -> list:

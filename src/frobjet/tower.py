@@ -16,6 +16,12 @@ polynomial g of zeta is the Hensel lift mod p^K of an irreducible factor of
 the e-th cyclotomic polynomial mod p; products of zeta-powers reduce through
 precomputed tables.
 
+A product is one big-integer multiply (``polyutils.kron_mul``): each matrix
+is flattened with e - 1 zeros between its zeta-rows, so that no pi-degree
+j1 + j2 <= 2e - 2 spills into the next row; then pi^(e+j) folds to p pi^j,
+the zeta-rows k >= f reduce through ``zred2``, and everything is reduced
+once mod p^prec.  At f = e = 1 a product is one integer product.
+
 Frobenius family
 ----------------
 The automorphism tau fixes W and sends pi to zeta*pi; phi fixes pi and sends
@@ -44,7 +50,7 @@ from fractions import Fraction
 from . import polyutils as pu
 from .errors import (CertificateFailure, FamilyMismatch, NotAUnit,
                      NotEisensteinCompatible, PrecisionExhausted,
-                     PrecisionTooLow)
+                     PrecisionTooLow, UnreducedCoefficients)
 
 INF = math.inf
 
@@ -149,47 +155,54 @@ class Tower:
 
     # -- element constructors ------------------------------------------------
 
+    def _prec(self, prec) -> int:
+        """``prec`` clamped to K (None means K), before anything is reduced."""
+        prec = self.K if prec is None else min(prec, self.K)
+        if prec < 1:
+            raise PrecisionExhausted("element precision dropped below 1")
+        return prec
+
     def zero(self, prec=None) -> "TowerElement":
-        prec = self.K if prec is None else prec
-        return TowerElement(self, [[0] * self.e for _ in range(self.f)], prec)
+        return _element(self, [[0] * self.e for _ in range(self.f)],
+                        self._prec(prec))
 
     def one(self, prec=None) -> "TowerElement":
         return self.from_int(1, prec)
 
     def from_int(self, n: int, prec=None) -> "TowerElement":
-        prec = self.K if prec is None else prec
+        prec = self._prec(prec)
         c = [[0] * self.e for _ in range(self.f)]
         c[0][0] = n % (self.p ** prec)
-        return TowerElement(self, c, prec)
+        return _element(self, c, prec)
 
     def pi(self, prec=None) -> "TowerElement":
-        prec = self.K if prec is None else prec
+        prec = self._prec(prec)
         c = [[0] * self.e for _ in range(self.f)]
         if self.e == 1:
             c[0][0] = self.p % (self.p ** prec)
         else:
             c[0][1] = 1
-        return TowerElement(self, c, prec)
+        return _element(self, c, prec)
 
     def zeta(self, prec=None) -> "TowerElement":
-        prec = self.K if prec is None else prec
+        prec = self._prec(prec)
         c = [[0] * self.e for _ in range(self.f)]
         if self.f == 1:
             c[0][0] = self.zpow[1 % self.e][0] % (self.p ** prec)
         else:
             c[1][0] = 1
-        return TowerElement(self, c, prec)
+        return _element(self, c, prec)
 
     def element(self, coeffs, prec=None) -> "TowerElement":
-        prec = self.K if prec is None else prec
+        prec = self._prec(prec)
         pk = self.p ** prec
         c = [[coeffs[i][j] % pk for j in range(self.e)] for i in range(self.f)]
-        return TowerElement(self, c, prec)
+        return _element(self, c, prec)
 
     def random_element(self, rng, prec=None) -> "TowerElement":
-        prec = self.K if prec is None else prec
+        prec = self._prec(prec)
         pk = self.p ** prec
-        return TowerElement(
+        return _element(
             self,
             [[rng.randrange(pk) for _ in range(self.e)] for _ in range(self.f)],
             prec)
@@ -232,16 +245,23 @@ def build_tower(config: TowerConfig) -> Tower:
 
 
 class TowerElement:
-    """Immutable element of a tower, coefficients reduced mod p^prec."""
+    """Immutable element of a tower, coefficients reduced mod p^prec.
+
+    The constructor clamps prec to K and takes only an f x e matrix of
+    residues in [0, p^prec); :meth:`Tower.element` reduces any integers.
+    """
 
     __slots__ = ("tower", "coeffs", "prec")
 
     def __init__(self, tower: Tower, coeffs, prec: int):
-        if prec < 1:
-            raise PrecisionExhausted("element precision dropped below 1")
-        self.tower = tower
-        self.prec = min(prec, tower.K)
-        self.coeffs = tuple(tuple(row) for row in coeffs)
+        prec = tower._prec(prec)
+        pk = tower.p ** prec
+        rows = tuple(map(tuple, coeffs))
+        if (len(rows) != tower.f or any(len(row) != tower.e for row in rows)
+                or not all(0 <= c < pk for row in rows for c in row)):
+            raise UnreducedCoefficients(
+                f"need {tower.f} x {tower.e} residues mod p^{prec}")
+        self.tower, self.prec, self.coeffs = tower, prec, rows
 
     # -- helpers ---------------------------------------------------------
 
@@ -250,11 +270,10 @@ class TowerElement:
             raise FamilyMismatch("elements from different towers")
 
     def at_precision(self, prec: int) -> "TowerElement":
-        pk = self.tower.p ** min(prec, self.prec)
-        return TowerElement(
-            self.tower,
-            [[c % pk for c in row] for row in self.coeffs],
-            min(prec, self.prec))
+        prec = self.tower._prec(min(prec, self.prec))
+        pk = self.tower.p ** prec
+        return _element(
+            self.tower, [[c % pk for c in row] for row in self.coeffs], prec)
 
     def is_zero(self) -> bool:
         """Congruent to 0 mod p^prec (never a claim of exact vanishing)."""
@@ -286,13 +305,13 @@ class TowerElement:
         pk = self.tower.p ** prec
         c = [[(a + b) % pk for a, b in zip(ra, rb)]
              for ra, rb in zip(self.coeffs, other.coeffs)]
-        return TowerElement(self.tower, c, prec)
+        return _element(self.tower, c, prec)
 
     __radd__ = __add__
 
     def __neg__(self):
         pk = self.tower.p ** self.prec
-        return TowerElement(
+        return _element(
             self.tower, [[(-a) % pk for a in row] for row in self.coeffs],
             self.prec)
 
@@ -305,51 +324,34 @@ class TowerElement:
         return (-self) + other
 
     def __mul__(self, other):
+        t = self.tower
         if isinstance(other, int):
-            pk = self.tower.p ** self.prec
-            return TowerElement(
-                self.tower,
-                [[(other * a) % pk for a in row] for row in self.coeffs],
+            pk = t.p ** self.prec
+            return _element(
+                t, [[(other * a) % pk for a in row] for row in self.coeffs],
                 self.prec)
         self._check(other)
-        t = self.tower
         prec = min(self.prec, other.prec)
         pk = t.p ** prec
         f, e = t.f, t.e
-        acc = [[0] * e for _ in range(2 * f - 1)]
-        for j1 in range(e):
-            cola = [self.coeffs[i][j1] for i in range(f)]
-            if not any(cola):
-                continue
-            for j2 in range(e):
-                colb = [other.coeffs[i][j2] for i in range(f)]
-                if not any(colb):
-                    continue
-                jj = j1 + j2
-                scale = t.p if jj >= e else 1
-                jr = jj % e
-                for i1 in range(f):
-                    a = cola[i1]
-                    if a == 0:
-                        continue
-                    a = a * scale
-                    for i2 in range(f):
-                        b = colb[i2]
-                        if b:
-                            acc[i1 + i2][jr] = (acc[i1 + i2][jr] + a * b) % pk
-        out = [[0] * e for _ in range(f)]
-        for k in range(2 * f - 1):
-            rowk = acc[k]
-            if not any(rowk):
-                continue
-            red = t.zred2[k]
-            for i in range(f):
-                ri = red[i]
-                if ri:
+        if f * e == 1:
+            return _element(
+                t, [[self.coeffs[0][0] * other.coeffs[0][0] % pk]], prec)
+        # rows e - 1 zeros apart: zeta^k pi^j of the product is flat[k w + j]
+        w, p, gap = 2 * e - 1, t.p, (0,) * (e - 1)
+        a, b = ([c for row in x.coeffs for c in row + gap]
+                for x in (self, other))
+        flat = pu.kron_mul(a, b, pk, (2 * f - 1) * w)
+        rows = [[flat[s + j] + p * flat[s + e + j] for j in range(e - 1)]
+                + [flat[s + e - 1]] for s in range(0, (2 * f - 1) * w, w)]
+        out = rows[:f]
+        for k in range(f, 2 * f - 1):
+            rowk = rows[k]
+            for r, oi in zip(t.zred2[k], out):
+                if r:
                     for j in range(e):
-                        if rowk[j]:
-                            out[i][j] = (out[i][j] + ri * rowk[j]) % pk
-        return TowerElement(t, out, prec)
+                        oi[j] += r * rowk[j]
+        return _element(t, [[c % pk for c in row] for row in out], prec)
 
     __rmul__ = __mul__
 
@@ -378,7 +380,7 @@ class TowerElement:
         inv_w = [[0] * e for _ in range(f)]
         for i, c in enumerate(s[:f]):
             inv_w[i][0] = c
-        x = TowerElement(t, inv_w, 1)
+        x = _element(t, inv_w, 1)
         nilp = (self.at_precision(1) * x) - 1
         geo = t.one(1)
         term = t.one(1)
@@ -390,8 +392,8 @@ class TowerElement:
         k = 1
         while k < self.prec:
             k = min(2 * k, self.prec)
-            ax = self.at_precision(k) * TowerElement(t, x.coeffs, k)
-            x = TowerElement(t, x.coeffs, k) * (2 - ax)
+            ax = self.at_precision(k) * _element(t, x.coeffs, k)
+            x = _element(t, x.coeffs, k) * (2 - ax)
         return x.at_precision(self.prec)
 
     # -- pi / p division -----------------------------------------------------
@@ -412,7 +414,7 @@ class TowerElement:
             for j in range(1, e):
                 c[i][j - 1] = self.coeffs[i][j] % pk
             c[i][e - 1] = (c[i][e - 1] + (self.coeffs[i][0] // p)) % pk
-        return TowerElement(t, c, prec)
+        return _element(t, c, prec)
 
     def divide_by_p(self) -> "TowerElement":
         t = self.tower
@@ -423,13 +425,20 @@ class TowerElement:
             raise PrecisionExhausted("no certified digits left after p-division")
         pk = t.p ** prec
         c = [[(a // t.p) % pk for a in row] for row in self.coeffs]
-        return TowerElement(t, c, prec)
+        return _element(t, c, prec)
 
     def to_dict(self):
         return {"coeffs": [list(r) for r in self.coeffs], "prec": self.prec}
 
     def __repr__(self):
         return f"TowerElement({self.to_dict()['coeffs']} @ prec {self.prec})"
+
+
+def _element(tower: Tower, rows, prec: int) -> TowerElement:
+    """Unchecked constructor: rows reduced mod p^prec, 1 <= prec <= K."""
+    a = object.__new__(TowerElement)
+    a.tower, a.prec, a.coeffs = tower, prec, tuple(map(tuple, rows))
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +467,7 @@ def apply_automorphism(a: TowerElement, tau_exp: int, frob_exp: int
             for k in range(f):
                 if red[k]:
                     out[k][j] = (out[k][j] + c * red[k]) % pk
-    return TowerElement(t, out, a.prec)
+    return _element(t, out, a.prec)
 
 
 def frobenius_apply(tower: Tower, idx: FrobeniusIndex, a: TowerElement
@@ -504,23 +513,21 @@ def pi_derivation(tower: Tower, idx: FrobeniusIndex, a: TowerElement
     return b.divide_by_pi()
 
 
-def valuation(a: TowerElement):
-    """v_p(a) in (1/e)Z, or +inf when a = 0 mod p^prec.
+def pi_valuation(a: TowerElement):
+    """v_pi(a) = e * v_p(a), an integer, or +inf when a = 0 mod p^prec.
 
-    The basis zeta^i pi^j is orthonormal: the valuation is the minimum of
-    v_p(coefficient) + j/e over nonzero entries.
+    The basis zeta^i pi^j is orthonormal: v_pi(a) is the minimum of
+    e * v_p(coefficient) + j over nonzero entries.
     """
-    t = a.tower
-    best = None
-    for i in range(t.f):
-        for j in range(t.e):
-            c = a.coeffs[i][j]
-            if c == 0:
-                continue
-            v = Fraction(pu.vp(c, t.p)) + Fraction(j, t.e)
-            if best is None or v < best:
-                best = v
-    return INF if best is None else best
+    p, e = a.tower.p, a.tower.e
+    return min((e * pu.vp(c, p) + j for row in a.coeffs
+                for j, c in enumerate(row) if c), default=INF)
+
+
+def valuation(a: TowerElement):
+    """v_p(a) in (1/e)Z, or +inf when a = 0 mod p^prec."""
+    v = pi_valuation(a)
+    return v if v == INF else Fraction(v, a.tower.e)
 
 
 def n_of_pi(tower: Tower) -> int:

@@ -1,8 +1,13 @@
+import functools
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from frobjet import characters
 from frobjet.characters import (PairingContext, RestrictedSeries, asd_check,
                                 count_roots_zp, gm_character_eval,
                                 kernel_dimension, pairing, reciprocity_check,
@@ -14,6 +19,8 @@ from frobjet.errors import (BetaTooLarge, DistinctWordsRequired,
 from frobjet.formal import WeierstrassCurve, formal_log
 from frobjet.tower import (INF, FrobeniusIndex, QElement, TowerConfig,
                            TowerElement, build_tower, valuation)
+
+from tower_oracle import schoolbook_mul, sequential_log1p
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +81,114 @@ class TestGmCharacter:
                 + gm_character_eval(t7, FrobeniusIndex(1), y))
             v = d.valuation()
             assert v == INF or v >= 12
+
+
+# ---------------------------------------------------------------------------
+# the Paterson-Stockmeyer logarithm against the sequential one it replaced
+# ---------------------------------------------------------------------------
+
+# the benchmark towers plus the f*e = 1 base ring of the log workload
+ORACLE_TOWERS = [(7, 2, 1, 1, 16), (7, 2, 2, 2, 14), (7, 2, 3, 2, 30),
+                 (5, 2, 2, 1, 40), (7, 2, 0, 1, 10)]
+
+
+@functools.cache
+def oracle_tower(cfg):
+    return build_tower(TowerConfig(*cfg))
+
+
+def on_oracle(fn, *args):
+    """fn(*args) with the sequential log and the schoolbook multiply."""
+    with mock.patch.object(characters, "_log1p", sequential_log1p), \
+            mock.patch.object(TowerElement, "__mul__", schoolbook_mul):
+        return fn(*args)
+
+
+def assert_same(got, want):
+    assert (got.num.coeffs, got.num.prec, got.den) == (
+        want.num.coeffs, want.num.prec, want.den)
+
+
+def draw_coeffs(data, t, prec):
+    pk = t.p ** prec
+    return [[data.draw(st.integers(0, pk - 1)) for _ in range(t.e)]
+            for _ in range(t.f)]
+
+
+def first_zero_power(z):
+    zn = z
+    for n in range(1, z.tower.e * z.prec + 2):   # v(z) >= 1/e
+        if zn.is_zero():
+            return n
+        zn = zn * z
+    return None
+
+
+@pytest.mark.parametrize("cfg", ORACLE_TOWERS, ids=str)
+class TestLog1pOracle:
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_gm_character(self, cfg, data):
+        t = oracle_tower(cfg)
+        prec = data.draw(st.integers(1, t.K))
+        coeffs = draw_coeffs(data, t, prec)
+        if not any(row[0] % t.p for row in coeffs):
+            coeffs[0][0] += 1   # a unit: its W-part is nonzero mod p
+        x = t.element(coeffs, prec)
+        idx = FrobeniusIndex(data.draw(st.integers(0, 2)))
+        assert_same(gm_character_eval(t, idx, x),
+                    on_oracle(gm_character_eval, t, idx, x))
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_unit_log(self, cfg, data):
+        t = oracle_tower(cfg)
+        prec = data.draw(st.integers(1, t.K))
+        # z = pi^k y, zero mod p^prec once k >= e prec
+        k = data.draw(st.integers(1, t.e * prec + 1))
+        y = t.element(draw_coeffs(data, t, prec), prec)
+        x = 1 + t.pi(prec) ** k * y
+        assert_same(unit_log(t, x), on_oracle(unit_log, t, x))
+
+    @pytest.mark.parametrize("N", [0, 1, 2, 3])
+    def test_short_sums(self, cfg, N):
+        # v_pi(z) = ceil(E / (N + 1)) with E = e prec stops the sum at N
+        t = oracle_tower(cfg)
+        E = t.e * t.K
+        z = t.pi() ** -(-E // (N + 1)) * t.random_unit(random.Random(N))
+        assert first_zero_power(z) == N + 1
+        x = 1 + z
+        assert_same(unit_log(t, x), on_oracle(unit_log, t, x))
+        for j in range(t.e):
+            # phi(zeta^j) = (zeta^j)^p, so the log runs on z = 0
+            u = t.zeta() ** j
+            assert_same(gm_character_eval(t, FrobeniusIndex(1), u),
+                        on_oracle(gm_character_eval, t, FrobeniusIndex(1), u))
+
+
+def test_log_multiplies_grow_like_sqrt(monkeypatch):
+    """Ring products inside the logarithm of one character value stay
+    within 2 ceil(sqrt(N)) + 4 for its N terms: one per term would be N.
+    The products of x^p and of the inverse before it are not counted."""
+    t = oracle_tower((7, 2, 3, 2, 30))
+    calls, args = [], []
+    mul, log1p = TowerElement.__mul__, characters._log1p
+
+    def counted_mul(self, other):
+        if args and not isinstance(other, int):
+            calls.append(1)
+        return mul(self, other)
+
+    def traced_log1p(z):
+        args.append(z)
+        return log1p(z)
+    monkeypatch.setattr(TowerElement, "__mul__", counted_mul)
+    monkeypatch.setattr(characters, "_log1p", traced_log1p)
+    gm_character_eval(t, FrobeniusIndex(1), t.random_unit(random.Random(8)))
+    (z,) = args
+    N = math.ceil(z.prec / valuation(z)) - 1
+    assert N >= 200
+    assert len(calls) <= 2 * (math.isqrt(N - 1) + 1) + 4
 
 
 @pytest.fixture(scope="module")

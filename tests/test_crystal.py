@@ -154,6 +154,49 @@ def test_matches_fraction_oracle(curve, K, pad):
                 curve, K, series_pad=pad).matrix)
 
 
+def twisted_matrix_agrees(matrix, twisted, u, p, K):
+    """Whether ``twisted``, the matrix of (u^4 a4, u^6 a6), is
+    [[a, u^2 b], [u^-2 c, d]] mod p^K for ``matrix`` = [[a, b], [c, d]].
+
+    (x, y) -> (u^2 x, u^3 y) is an isomorphism over Z_p from the curve onto
+    y^2 = x^3 + u^4 a4 x + u^6 a6; it pulls the twist's (dx/y, x dx/y) back
+    to (u^-1 dx/y, u x dx/y), and Frobenius commutes with it.
+    """
+    pk = p ** K
+    (a, b), (c, d) = matrix
+    u2 = u * u
+    want = [[a % pk, u2 * b % pk], [c * pow(u2, -1, pk) % pk, d % pk]]
+    return want == [[x % pk for x in row] for row in twisted]
+
+
+TWIST_CURVES = CURVES + [random_ordinary_curve(p, seed)
+                         for p, seed in [(5, 11), (7, 12), (11, 13)]]
+
+
+@pytest.mark.parametrize("u", [2, 3])
+@pytest.mark.parametrize("curve", TWIST_CURVES, ids=lambda c: c.label)
+def test_isomorphic_twist(curve, u):
+    """Pins b and c, which det = p and trace = a_p do not.  The twisted
+    coefficients stay unreduced: reducing them mod p changes the lift."""
+    p, K = curve.p, 6
+    twisted = WeierstrassCurve(p, u ** 4 * curve.a4, u ** 6 * curve.a6)
+    assert twisted_matrix_agrees(drd_for(curve, K).matrix,
+                                 kedlaya_frobenius(twisted, K).matrix,
+                                 u, p, K)
+
+
+def test_isomorphic_twist_catches_off_diagonal_error():
+    # y^2 = x^3 + 2x + 1 at p = 5: c = 0 mod 5, so b + 5^3 keeps det = p
+    curve, K = WeierstrassCurve(5, 2, 1), 4
+    drd = drd_for(curve, K)
+    (a, b), (c, d) = drd.matrix
+    wrong = DeRhamData(p=5, prec=K, matrix=[[a, b + 5 ** 3], [c, d]],
+                       ap=drd.ap)
+    twisted = kedlaya_frobenius(WeierstrassCurve(5, 2 ** 4 * 2, 2 ** 6), K)
+    assert twisted_matrix_agrees(drd.matrix, twisted.matrix, 2, 5, K)
+    assert not twisted_matrix_agrees(wrong.matrix, twisted.matrix, 2, 5, K)
+
+
 class TestCrystallineClasses:
     @pytest.mark.parametrize("curve", CURVES, ids=lambda c: c.label)
     def test_remark_relations(self, curve):

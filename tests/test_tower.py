@@ -6,13 +6,18 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from frobjet import polyutils as pu
 from frobjet.errors import (NotAUnit, NotEisensteinCompatible,
-                            PrecisionExhausted, PrecisionTooLow)
+                            PrecisionExhausted, PrecisionTooLow,
+                            UnreducedCoefficients)
 from frobjet.tower import (INF, FrobeniusIndex, TowerConfig, TowerElement,
                            apply_automorphism, build_tower,
                            check_monomial_independence, frobenius_apply,
                            frobenius_word_apply, n_of_pi, n_of_pi_from,
-                           pi_derivation, valuation, word_exponents_for)
+                           pi_derivation, pi_valuation, valuation,
+                           word_exponents_for)
+
+from tower_oracle import schoolbook_mul
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +81,69 @@ class TestBuildTower:
     def test_rejects_p_equals_l(self):
         with pytest.raises(NotEisensteinCompatible):
             build_tower(TowerConfig(7, 7, 1, 1, 10))
+
+
+class TestConstructors:
+    """Precision above K is clamped before the coefficients are reduced, so
+    what is stored is a residue mod p^K and ``is_zero`` can trust it."""
+
+    @pytest.fixture(scope="class")
+    def t4(self):
+        return build_tower(TowerConfig(7, 2, 1, 1, 4))
+
+    def assert_reduced(self, a, prec=4):
+        assert a.prec == prec
+        assert all(0 <= c < 7 ** prec for row in a.coeffs for c in row)
+
+    def test_from_int(self, t4):
+        a = t4.from_int(7 ** 4, 5)
+        self.assert_reduced(a)
+        assert a.is_zero() and a == t4.zero()
+        assert valuation(a) == INF
+
+    def test_element(self, t4):
+        a = t4.element([[7 ** 4, 7 ** 5 + 3]], 6)
+        self.assert_reduced(a)
+        assert a.coeffs == ((0, 3),)
+        assert valuation(a) == Fraction(1, 2)
+
+    def test_zero(self, t4):
+        a = t4.zero(9)
+        self.assert_reduced(a)
+        assert a.is_zero()
+
+    def test_pi(self, t4, t3):
+        self.assert_reduced(t4.pi(9))
+        assert t4.pi(9).coeffs == ((0, 1),)
+        assert t3.pi(12).coeffs == ((3,),) and t3.pi(12).prec == t3.K
+
+    def test_zeta(self, t4):
+        a = t4.zeta(9)
+        self.assert_reduced(a)
+        assert a.coeffs == ((7 ** 4 - 1, 0),)
+
+    def test_random_element(self, t4):
+        rng = random.Random(0)
+        for _ in range(20):
+            self.assert_reduced(t4.random_element(rng, 9))
+
+    def test_precision_below_one(self, t4):
+        for make in (lambda: t4.from_int(1, 0), lambda: t4.zero(-1),
+                     lambda: t4.element([[1, 1]], 0),
+                     lambda: TowerElement(t4, [[1, 1]], 0)):
+            with pytest.raises(PrecisionExhausted):
+                make()
+
+    @pytest.mark.parametrize("coeffs, prec", [
+        ([[7 ** 4, 0]], 4), ([[7 ** 4, 0]], 5), ([[-1, 0]], 4),
+        ([[7, 0]], 1), ([[1, 2, 3]], 4), ([[1, 2], [3, 4]], 4)])
+    def test_public_constructor_rejects(self, t4, coeffs, prec):
+        with pytest.raises(UnreducedCoefficients):
+            TowerElement(t4, coeffs, prec)
+
+    def test_public_constructor_clamps(self, t4):
+        a = TowerElement(t4, [[7 ** 4 - 1, 5]], 9)
+        assert a.prec == 4 and a.coeffs == ((7 ** 4 - 1, 5),)
 
 
 class TestFrobenius:
@@ -188,6 +256,12 @@ class TestValuation:
     def test_pi_cubed_times_unit(self, t7):
         u = t7.random_unit(random.Random(4))
         assert valuation(t7.pi() ** 3 * u) == Fraction(3, 2)
+
+    def test_pi_valuation_is_integral(self, t7):
+        u = t7.random_unit(random.Random(4))
+        assert pi_valuation(t7.pi() ** 3 * u) == 3
+        assert pi_valuation(t7.from_int(49)) == 4
+        assert pi_valuation(t7.zero()) == INF
 
     def test_multiplicative(self, t5):
         rng = random.Random(5)
@@ -387,3 +461,54 @@ class TestSympyOracle:
         one = [[0] * t.e for _ in range(t.f)]
         one[0][0] = 1
         assert sympy_product(t, a, a.inverse()) == one
+
+
+# ---------------------------------------------------------------------------
+# the packed multiply against the schoolbook one it replaced
+# ---------------------------------------------------------------------------
+
+# the benchmark towers plus the f*e = 1 base ring of the log workload
+ORACLE_TOWERS = BENCH_TOWERS + [(7, 2, 0, 1, 10)]
+
+
+def draw_operand(data, t):
+    """A dense element, a monomial c zeta^i pi^j, or one with zero rows and
+    columns, at a precision drawn from 1..K."""
+    prec = data.draw(st.integers(1, t.K))
+    pk = t.p ** prec
+    coeffs = [[data.draw(st.integers(0, pk - 1)) for _ in range(t.e)]
+              for _ in range(t.f)]
+    kind = data.draw(st.sampled_from(["dense", "monomial", "holes"]))
+    if kind == "monomial":
+        i, j = data.draw(st.integers(0, t.f - 1)), data.draw(
+            st.integers(0, t.e - 1))
+        c = data.draw(st.sampled_from([1, coeffs[i][j]]))
+        coeffs = [[0] * t.e for _ in range(t.f)]
+        coeffs[i][j] = c
+    elif kind == "holes":
+        rows = data.draw(st.sets(st.integers(0, t.f - 1)))
+        cols = data.draw(st.sets(st.integers(0, t.e - 1)))
+        coeffs = [[0 if i in rows or j in cols else c
+                   for j, c in enumerate(row)]
+                  for i, row in enumerate(coeffs)]
+    return t.element(coeffs, prec)
+
+
+@pytest.mark.parametrize("cfg", ORACLE_TOWERS, ids=str)
+class TestSchoolbookOracle:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_mul(self, cfg, data):
+        t = bench_tower(cfg)
+        a, b = draw_operand(data, t), draw_operand(data, t)
+        got, want = a * b, schoolbook_mul(a, b)
+        assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_valuation(self, cfg, data):
+        t = bench_tower(cfg)
+        a = draw_operand(data, t)
+        vals = [Fraction(pu.vp(c, t.p)) + Fraction(j, t.e)
+                for row in a.coeffs for j, c in enumerate(row) if c]
+        assert valuation(a) == (min(vals) if vals else INF)
