@@ -15,16 +15,23 @@ pole level reduces through the relations
 
 and at level zero the exact forms d(x^s y) kill all numerator degrees >= 2.
 
+A quotient by f goes down a level unchanged, so a term entering at level m
+may enter at the top level m_top times f^(m_top - m).  Both columns share
+the combined numerator H = sum_k p c_k N^k (f^p)^(k_max - k), N = f(x^p) -
+f^p; column i is x^(pi + p - 1) H, expanded in f once as sum_j d_j f^j +
+Q f^m_top.  The level loop carries a numerator of degree <= 1, adding
+d_(m_top - m) at level m and Q at level zero: O(1) work per level.
+
 Every polynomial is a list of integers mod p^M.  The only denominators that
 p divides are the 2m - 1 and the level-zero leading factors 2s + 3; the
 numerator is held as p^E times the exact one, E counting the p-powers
 divided out so far, and M = K + L where L bounds E in advance: the sum of
 v_p(2m - 1) over every pole level and of v_p(2s + 3) over every level-zero
 step the degree bound allows (cf. Harvey, arXiv:math/0610973).  The result
-therefore equals the exact rational reduction of the truncated series mod
-p^K, digit for digit.  The binomial series is truncated at a depth that
-leaves the requested precision intact, and the matrix is certified against
-det = p and trace = a_p (from an exhaustive point count).
+equals the exact rational reduction of the truncated series mod p^K.  The
+binomial series is truncated at a depth that leaves the requested precision
+intact, and the matrix is certified against det = p, trace = a_p (from an
+exhaustive point count) and F(omega) = 0 mod p.
 """
 
 from __future__ import annotations
@@ -76,6 +83,8 @@ class DeRhamData:
             raise PrecisionBudgetExceeded("trace(F) != a_p at working precision")
         if self.ap % self.p == 0:
             raise SupersingularInput("a_p = 0 mod p: not ordinary")
+        if a % self.p or c % self.p:  # F(Fil^1) lies in p H^1 (Mazur)
+            raise CertificateFailure("F(omega) is not divisible by p")
 
     def unit_root(self) -> int:
         """Unit eigenvalue of X^2 - a_p X + p, congruent to a_p mod p."""
@@ -126,12 +135,10 @@ def kedlaya_frobenius(curve: WeierstrassCurve, K: int,
     pad = series_pad if series_pad is not None else (
         3 + pu.floor_log(p, 6 * p * (K + 6)))
     k_max = K + pad
-    half = (p - 1) // 2
-    m_top = p * k_max + half
-    # Level m = pk + (p-1)/2 receives x^(pi + p - 1) N^k with deg N <= 3p,
-    # of degree at most 3m + pi - (p-1)/2 <= 3m + (p+1)/2; each reduction
-    # step lowers the degree by 3 (down to 1), so level zero has degree
-    # at most top.
+    m_top = p * k_max + (p - 1) // 2
+    # Level m = pk + (p-1)/2 receives x^(pi + p - 1) N^k, deg N <= 3p, of
+    # degree at most 3m + pi - (p-1)/2 <= 3m + (p+1)/2; each reduction step
+    # lowers the degree by 3 (down to 1), so level zero has degree <= top.
     top = (p + 1) // 2
     loss = (sum(pu.vp(2 * m - 1, p) for m in range(1, m_top + 1))
             + sum(pu.vp(2 * s + 3, p) for s in range(top - 1)))
@@ -139,78 +146,77 @@ def kedlaya_frobenius(curve: WeierstrassCurve, K: int,
 
     a4, a6 = curve.a4, curve.a6
     f = [c % P for c in curve.fpoly()]
-    fprime = [a4 % P, 0, 3]
     # u f + v f' = 1 over Z_p: D = 4 a4^3 + 27 a6^2 is a unit at good
     # reduction (count_points_ap has checked it)
     dinv = pu.modinv(4 * a4 ** 3 + 27 * a6 ** 2, P)
     u = [27 * a6 * dinv % P, -18 * a4 * dinv % P]
     v = [4 * a4 * a4 * dinv % P, -9 * a6 * dinv % P, 6 * a4 * dinv % P]
-    # N(x) = f(x^p) - f(x)^p, every coefficient divisible by p; kept at its
-    # structural length 3p + 1 so that the degree bound above holds
-    N = [0] * (3 * p + 1)
-    for i, c in enumerate(f):
-        N[i * p] = c
     fpow = [1]
     for _ in range(p):
         fpow = pu.ser_mul(fpow, f, P, len(fpow) + 3)
-    N = [(c - d) % P for c, d in zip(N, fpow)]
+    # N(x) = f(x^p) - f(x)^p, every coefficient divisible by p
+    N = [((0 if i % p else f[i // p]) - c) % P for i, c in enumerate(fpow)]
     if any(c % p for c in N):
         raise CertificateFailure("f(x^p) - f(x)^p is not divisible by p")
-    # p c_k N^k with c_k = (-1)^k C(2k, k) / 4^k, shared by both columns
+    # H = sum_k p c_k N^k (f^p)^(k_max - k), c_k = (-1)^k C(2k, k) / 4^k
     inv4 = pu.modinv(4, P)
-    terms = []
-    Nk = [1]
+    H, Nk = [], [1]
     for k in range(k_max + 1):
         ck = (-1) ** k * math.comb(2 * k, k) * pow(inv4, k, P)
-        terms.append([p * ck * c % P for c in Nk])
+        H = pu.padd(pu.ser_mul(H, fpow, P, len(H) + 3 * p),
+                    [p * ck * c % P for c in Nk], P)
         if k < k_max:
             Nk = pu.ser_mul(Nk, N, P, len(Nk) + 3 * p)
-
-    cols = []
-    for i in (0, 1):
-        shift = [0] * (p * i + p - 1)
-        # S = p^E R mod P, R the exact numerator at the current pole level
-        S, E = [], 0
-        for m in range(m_top, 0, -1):
-            k, rest = divmod(m - half, p)
-            if not rest:
-                pe = p ** E
-                S = pu.padd(S, shift + [pe * c for c in terms[k]], P)
-            # S = q f + r and r v = bq f + b give S = a f + b f' with
-            # a = q + r u + bq f'; 2m - 1 = p^e w, so the next level's
-            # numerator a + (2/(2m-1)) b' is held as p^e a + (2/w) b'
-            q, r = pu.pdivmod_monic(S, f, P)
-            bq, b = pu.pdivmod_monic(pu.ser_mul(r, v, P, 5), f, P)
-            a = pu.padd(q, pu.padd(pu.ser_mul(r, u, P, 4),
-                                   pu.ser_mul(bq, fprime, P, 4), P), P)
-            e = pu.vp(2 * m - 1, p)
-            scale = p ** e
-            two_w = 2 * pu.modinv((2 * m - 1) // scale, P)
-            S = pu.padd([c * scale for c in a],
-                        [c * j * two_w for j, c in enumerate(b)][1:], P)
-            E += e
-        # level zero: 2 d(x^s y) = (2s x^(s-1) f + x^s f') dx/y has
-        # (2s + 3) x^(s+2) + (2s + 1) a4 x^s + 2s a6 x^(s-1) as numerator;
-        # it kills degree s + 2, for every degree the bound allows
-        if len(S) > top + 1:
-            raise CertificateFailure("level-zero numerator exceeds its bound")
-        S = S + [0] * (top + 1 - len(S))
-        for s in range(top - 2, -1, -1):
-            e = pu.vp(2 * s + 3, p)
-            scale = p ** e
-            c = S[s + 2] * pu.modinv((2 * s + 3) // scale, P)
-            S = [x * scale % P for x in S]
+    expansions = [pu.fadic_expand([0] * (p * i + p - 1) + H, f, m_top, P)
+                  for i in (0, 1)]
+    # r of degree <= 2 is a f + b f' with r v = bq f + b, a = r u + bq f' of
+    # degree <= 1 (u f + v f' = 1); steps[j] holds (a, b') for r = x^j
+    steps = []
+    for r in ([1], [0, 1], [0, 0, 1]):
+        (b,), bq = pu.fadic_expand(pu.ser_mul(r, v, P, 5), f, 1, P)
+        a = pu.padd(pu.ser_mul(r, u, P, 4),
+                    pu.ser_mul(bq, [a4 % P, 0, 3], P, 4), P)
+        if len(a) > 2:
+            raise CertificateFailure("u f + v f' is not 1")
+        steps.append((a + [0] * (2 - len(a)), [b[1], 2 * b[2] % P]))
+    # carry = p^E R mod P, R the exact numerator at this level less the
+    # digits to come; 2m - 1 = p^e w, so a + (2/(2m-1)) b' is p^e a + (2/w) b'
+    carries, E = [[0, 0], [0, 0]], 0
+    for m in range(m_top, 0, -1):
+        e = pu.vp(2 * m - 1, p)
+        scale, pe = p ** e, p ** E
+        two_w = 2 * pu.modinv((2 * m - 1) // scale, P)
+        rows = [[(scale * a[i] + two_w * b[i]) % P for a, b in steps]
+                for i in (0, 1)]
+        for S, (digits, _) in zip(carries, expansions):
+            r = [c + pe * d for c, d in zip(S + [0], digits[m_top - m])]
+            S[:] = [sum(x * y for x, y in zip(row, r)) % P for row in rows]
+        E += e
+    # level zero: 2 d(x^s y) = (2s x^(s-1) f + x^s f') dx/y has
+    # (2s + 3) x^(s+2) + (2s + 1) a4 x^s + 2s a6 x^(s-1) as numerator;
+    # it kills degree s + 2, for every degree the bound allows
+    cols = [pu.padd(S, [p ** E * c for c in Q], P)
+            for S, (_, Q) in zip(carries, expansions)]
+    if max(map(len, cols)) > top + 1:
+        raise CertificateFailure("level-zero numerator exceeds its bound")
+    cols = [S + [0] * (top + 1 - len(S)) for S in cols]
+    for s in range(top - 2, -1, -1):
+        e = pu.vp(2 * s + 3, p)
+        scale = p ** e
+        inv = pu.modinv((2 * s + 3) // scale, P)
+        for S in cols:
+            c = S[s + 2] * inv
+            S[:] = [x * scale % P for x in S]
             S[s + 2] = 0
             S[s] = (S[s] - c * (2 * s + 1) * a4) % P
             if s:
                 S[s - 1] = (S[s - 1] - c * 2 * s * a6) % P
-            E += e
-        cols.append((S, E))
+        E += e
 
     pk = p ** K
     matrix = [[0, 0], [0, 0]]
-    for j, (S, E) in enumerate(cols):
-        pe = p ** E
+    pe = p ** E
+    for j, S in enumerate(cols):
         for i in (0, 1):
             val = S[i]
             if val % pe:

@@ -241,7 +241,7 @@ def ser_mul(a: list, b: list, mod: int, n: int) -> list:
     b = b[:n]
     if not a or not b:
         return []
-    if min(len(a), len(b)) < 40:
+    if min(len(a), len(b)) < 8:
         out = [0] * min(len(a) + len(b) - 1, n)
         for i, c in enumerate(a):
             if c == 0:
@@ -251,6 +251,48 @@ def ser_mul(a: list, b: list, mod: int, n: int) -> list:
                 out[i + j] = (out[i + j] + c * b[j]) % mod
         return out
     return [c % mod for c in kron_mul(a, b, mod, n)]
+
+
+def fadic_expand(a: list, f: list, n: int, mod: int):
+    """([d_0, ..., d_(n-1)], Q) with a = sum d_j f^j + Q f^n mod ``mod``, for
+    a monic ``f`` of degree d; each digit has d entries, Q is trimmed.  Divide
+    and conquer (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 9): one
+    division by f^h, h = n // 2, through the inverse of its reversal."""
+    d = len(f) - 1
+    low = [(j, c % mod) for j, c in enumerate(f[:-1]) if c % mod]
+    pows, invs = {1: [c % mod for c in f]}, {}
+
+    def power(h):
+        if h not in pows:
+            pows[h] = ser_mul(power(h // 2), power(h - h // 2), mod, d * h + 1)
+        return pows[h]
+
+    def expand(a, n):
+        h = n // 2
+        if n <= 8 or len(a) <= d * h:
+            digits = []
+            for _ in range(n):
+                for i in range(len(a) - 1, d - 1, -1):
+                    c = a[i] = a[i] % mod
+                    for j, cj in low:
+                        a[i - d + j] -= c * cj
+                digits.append([c % mod for c in a[:d]] + [0] * (d - len(a)))
+                a = a[d:]
+            return digits, trim(a)
+        L = len(a) - d * h
+        if len(invs.get(h, ())) < L:
+            # 1/rev(f^h) = rev(f^(H-h))/rev(f^H) from a cached H > h
+            H = min((H for H in invs if H > h and len(invs[H]) >= L),
+                    default=0)
+            invs[h] = (ser_mul(invs[H], power(H - h)[::-1], mod, L) if H
+                       else ser_inv(power(h)[::-1], mod, L))
+        q = ser_mul(a[::-1], invs[h], mod, L)[::-1]
+        qf = ser_mul(q, power(h), mod, d * h)
+        r = [(x - y) % mod for x, y in zip(a, qf)]
+        hi, Q = expand(q, n - h)
+        return expand(r, h)[0] + hi, Q
+
+    return expand([c % mod for c in a], n)
 
 
 def ser_inv(a: list, mod: int, n: int) -> list:

@@ -194,10 +194,12 @@ class Tower:
         return _element(self, c, prec)
 
     def element(self, coeffs, prec=None) -> "TowerElement":
-        prec = self._prec(prec)
-        pk = self.p ** prec
-        c = [[coeffs[i][j] % pk for j in range(self.e)] for i in range(self.f)]
-        return _element(self, c, prec)
+        pk = self.p ** self._prec(prec)
+        try:
+            rows = [[c % pk for c in row] for row in coeffs]
+        except TypeError:
+            raise UnreducedCoefficients("not a coefficient matrix") from None
+        return TowerElement(self, rows, prec)
 
     def random_element(self, rng, prec=None) -> "TowerElement":
         prec = self._prec(prec)
@@ -611,9 +613,9 @@ class QElement:
         if isinstance(other, TowerElement):
             other = QElement(other, 0)
         d = max(self.den, other.den)
-        p = self.tower.p
-        return QElement(self.num * p ** (d - self.den)
-                        + other.num * p ** (d - other.den), d)
+        a, b = (x.num if x.den == d else x.num * self.tower.p ** (d - x.den)
+                for x in (self, other))
+        return QElement(a + b, d)
 
     def __neg__(self):
         return QElement(-self.num, self.den)

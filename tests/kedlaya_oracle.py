@@ -1,10 +1,14 @@
-"""Differential oracle for ``frobjet.crystal.kedlaya_frobenius``.
+"""Differential oracles for ``frobjet.crystal.kedlaya_frobenius``.
 
-This is the reduction as it ran before it moved to Z/p^M: every polynomial is
-a list of ``fractions.Fraction``, so no precision is ever lost and the result
-is the exact rational matrix of the truncated series, reduced mod p^K at the
-end.  It is slow (seconds at p = 11, K = 6) and is kept here only so the
-tests can compare the fast routine against it entry by entry.
+``kedlaya_frobenius`` is the reduction as it ran before it moved to Z/p^M:
+every polynomial is a list of ``fractions.Fraction``, so no precision is ever
+lost and the result is the exact rational matrix of the truncated series,
+reduced mod p^K at the end.  It is slow (seconds at p = 11, K = 6).
+
+``kedlaya_frobenius_zp`` is the Z/p^M reduction as it ran before the single
+f-adic expansion: with the same M and E, it divides the whole numerator by f
+again at every pole level, O(m_top^2) coefficient steps.  It is fast enough
+to compare whole matrices over many seeded cases.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from fractions import Fraction
 from frobjet import polyutils as pu
 from frobjet.crystal import DeRhamData, count_points_ap
 from frobjet.errors import (CertificateFailure, PrecisionBudgetExceeded,
-                            SupersingularInput)
+                            PrecisionTooLow, SupersingularInput)
 from frobjet.formal import WeierstrassCurve
 
 
@@ -170,3 +174,120 @@ def _bezout_exact(f, g):
         raise CertificateFailure("f and f' are not coprime")
     c = r0[0]
     return _fscale(u0, 1 / c), _fscale(v0, 1 / c)
+
+
+# ---------------------------------------------------------------------------
+# the same reduction over Z/p^M, dividing the whole numerator at every level
+# ---------------------------------------------------------------------------
+
+def kedlaya_frobenius_zp(curve: WeierstrassCurve, K: int,
+                      series_pad: int | None = None) -> DeRhamData:
+    """Frobenius matrix on H^1_dR to absolute precision K.
+
+    ``series_pad`` extends the binomial-series depth beyond the default
+    K + log_p-sized padding; the certification step (det = p, trace = a_p)
+    raises PrecisionBudgetExceeded when the default is ever insufficient.
+    """
+    if K < 1:
+        raise PrecisionTooLow(f"precision K = {K} must be >= 1")
+    p = curve.p
+    ap = count_points_ap(curve)
+    if ap % p == 0:
+        raise SupersingularInput(
+            f"{curve.label or (curve.a4, curve.a6)} is supersingular at {p}")
+    # 2 + ceil(log_p(6p(K + 6))); 6p(K + 6) is even, so never a power of p
+    pad = series_pad if series_pad is not None else (
+        3 + pu.floor_log(p, 6 * p * (K + 6)))
+    k_max = K + pad
+    half = (p - 1) // 2
+    m_top = p * k_max + half
+    # Level m = pk + (p-1)/2 receives x^(pi + p - 1) N^k with deg N <= 3p,
+    # of degree at most 3m + pi - (p-1)/2 <= 3m + (p+1)/2; each reduction
+    # step lowers the degree by 3 (down to 1), so level zero has degree
+    # at most top.
+    top = (p + 1) // 2
+    loss = (sum(pu.vp(2 * m - 1, p) for m in range(1, m_top + 1))
+            + sum(pu.vp(2 * s + 3, p) for s in range(top - 1)))
+    P = p ** (K + loss)
+
+    a4, a6 = curve.a4, curve.a6
+    f = [c % P for c in curve.fpoly()]
+    fprime = [a4 % P, 0, 3]
+    # u f + v f' = 1 over Z_p: D = 4 a4^3 + 27 a6^2 is a unit at good
+    # reduction (count_points_ap has checked it)
+    dinv = pu.modinv(4 * a4 ** 3 + 27 * a6 ** 2, P)
+    u = [27 * a6 * dinv % P, -18 * a4 * dinv % P]
+    v = [4 * a4 * a4 * dinv % P, -9 * a6 * dinv % P, 6 * a4 * dinv % P]
+    # N(x) = f(x^p) - f(x)^p, every coefficient divisible by p; kept at its
+    # structural length 3p + 1 so that the degree bound above holds
+    N = [0] * (3 * p + 1)
+    for i, c in enumerate(f):
+        N[i * p] = c
+    fpow = [1]
+    for _ in range(p):
+        fpow = pu.ser_mul(fpow, f, P, len(fpow) + 3)
+    N = [(c - d) % P for c, d in zip(N, fpow)]
+    if any(c % p for c in N):
+        raise CertificateFailure("f(x^p) - f(x)^p is not divisible by p")
+    # p c_k N^k with c_k = (-1)^k C(2k, k) / 4^k, shared by both columns
+    inv4 = pu.modinv(4, P)
+    terms = []
+    Nk = [1]
+    for k in range(k_max + 1):
+        ck = (-1) ** k * math.comb(2 * k, k) * pow(inv4, k, P)
+        terms.append([p * ck * c % P for c in Nk])
+        if k < k_max:
+            Nk = pu.ser_mul(Nk, N, P, len(Nk) + 3 * p)
+
+    cols = []
+    for i in (0, 1):
+        shift = [0] * (p * i + p - 1)
+        # S = p^E R mod P, R the exact numerator at the current pole level
+        S, E = [], 0
+        for m in range(m_top, 0, -1):
+            k, rest = divmod(m - half, p)
+            if not rest:
+                pe = p ** E
+                S = pu.padd(S, shift + [pe * c for c in terms[k]], P)
+            # S = q f + r and r v = bq f + b give S = a f + b f' with
+            # a = q + r u + bq f'; 2m - 1 = p^e w, so the next level's
+            # numerator a + (2/(2m-1)) b' is held as p^e a + (2/w) b'
+            q, r = pu.pdivmod_monic(S, f, P)
+            bq, b = pu.pdivmod_monic(pu.ser_mul(r, v, P, 5), f, P)
+            a = pu.padd(q, pu.padd(pu.ser_mul(r, u, P, 4),
+                                   pu.ser_mul(bq, fprime, P, 4), P), P)
+            e = pu.vp(2 * m - 1, p)
+            scale = p ** e
+            two_w = 2 * pu.modinv((2 * m - 1) // scale, P)
+            S = pu.padd([c * scale for c in a],
+                        [c * j * two_w for j, c in enumerate(b)][1:], P)
+            E += e
+        # level zero: 2 d(x^s y) = (2s x^(s-1) f + x^s f') dx/y has
+        # (2s + 3) x^(s+2) + (2s + 1) a4 x^s + 2s a6 x^(s-1) as numerator;
+        # it kills degree s + 2, for every degree the bound allows
+        if len(S) > top + 1:
+            raise CertificateFailure("level-zero numerator exceeds its bound")
+        S = S + [0] * (top + 1 - len(S))
+        for s in range(top - 2, -1, -1):
+            e = pu.vp(2 * s + 3, p)
+            scale = p ** e
+            c = S[s + 2] * pu.modinv((2 * s + 3) // scale, P)
+            S = [x * scale % P for x in S]
+            S[s + 2] = 0
+            S[s] = (S[s] - c * (2 * s + 1) * a4) % P
+            if s:
+                S[s - 1] = (S[s - 1] - c * 2 * s * a6) % P
+            E += e
+        cols.append((S, E))
+
+    pk = p ** K
+    matrix = [[0, 0], [0, 0]]
+    for j, (S, E) in enumerate(cols):
+        pe = p ** E
+        for i in (0, 1):
+            val = S[i]
+            if val % pe:
+                raise PrecisionBudgetExceeded(
+                    "reduction left a p-denominator: increase series_pad")
+            matrix[i][j] = (val // pe) % pk
+    return DeRhamData(p=p, prec=K, matrix=matrix, ap=ap)

@@ -7,10 +7,12 @@ import pytest
 
 import frobjet
 
+from frobjet import polyutils as pu
 from frobjet.crystal import (DeRhamData, count_points_ap,
                              crystalline_classes, kedlaya_frobenius)
-from frobjet.errors import (BadReduction, PrecisionBudgetExceeded,
-                            PrecisionTooLow, SupersingularInput)
+from frobjet.errors import (BadReduction, CertificateFailure,
+                            PrecisionBudgetExceeded, PrecisionTooLow,
+                            SupersingularInput)
 from frobjet.formal import WeierstrassCurve
 
 import kedlaya_oracle
@@ -125,6 +127,12 @@ class TestKedlaya:
         with pytest.raises(PrecisionBudgetExceeded):
             DeRhamData(p=5, prec=4, matrix=[[1, 0], [0, 1]], ap=2)
 
+    @pytest.mark.parametrize("matrix", [[[1, -5], [1, 0]], [[0, -5], [1, 1]]])
+    def test_mazur_check(self, matrix):
+        # det = 5 and trace = 1, but the omega column (a, c) is not 0 mod 5
+        with pytest.raises(CertificateFailure):
+            DeRhamData(p=5, prec=4, matrix=matrix, ap=1)
+
 
 def random_ordinary_curve(p, seed):
     rng = random.Random(seed)
@@ -152,6 +160,52 @@ def test_matches_fraction_oracle(curve, K, pad):
     assert (kedlaya_frobenius(curve, K, series_pad=pad).matrix
             == kedlaya_oracle.kedlaya_frobenius(
                 curve, K, series_pad=pad).matrix)
+
+
+def zero_coefficient_curve(p, seed):
+    """An ordinary curve with a4 = 0 (p = 1 mod 3) or a6 = 0 (p = 1 mod 4),
+    alternating by seed where both exist; a random one where neither does."""
+    kinds = [k for k, ok in (("a4", p % 3 == 1), ("a6", p % 4 == 1)) if ok]
+    if not kinds:
+        return random_ordinary_curve(p, seed)
+    kind = kinds[seed % len(kinds)]
+    rng = random.Random(seed)
+    while True:
+        c = rng.randrange(1, p)
+        curve = WeierstrassCurve(p, 0 if kind == "a4" else c,
+                                 c if kind == "a4" else 0,
+                                 f"{kind}=0-{p}-{seed}")
+        if count_points_ap(curve) % p:
+            return curve
+
+
+ZP_ORACLE_CASES = [
+    (curve, K) for p in (5, 7, 11, 13, 17) for K in list(range(1, 11)) + [20]
+    for curve in ([random_ordinary_curve(p, 100 * p + K)]
+                  + [zero_coefficient_curve(p, K)] * (K != 20))]
+
+
+@pytest.mark.parametrize("curve, K", ZP_ORACLE_CASES,
+                         ids=lambda c: getattr(c, "label", None))
+def test_matches_zp_oracle(curve, K):
+    """The single f-adic expansion against the Z/p^M reduction that divides
+    the whole numerator at every pole level: whole matrices, list-equal."""
+    assert (kedlaya_frobenius(curve, K, series_pad=8).matrix
+            == kedlaya_oracle.kedlaya_frobenius_zp(
+                curve, K, series_pad=8).matrix)
+
+
+def test_reduction_divides_nothing_by_f(monkeypatch):
+    calls = []
+    divide = pu.pdivmod_monic
+
+    def counting(*args):
+        calls.append(args)
+        return divide(*args)
+
+    monkeypatch.setattr(pu, "pdivmod_monic", counting)
+    kedlaya_frobenius(WeierstrassCurve(11, 2, 5), 6)
+    assert calls == []
 
 
 def twisted_matrix_agrees(matrix, twisted, u, p, K):
@@ -231,15 +285,15 @@ class TestCrystallineClasses:
 
 class TestCertificatesUnderOptimize:
     def test_typed_error_survives_python_O(self):
-        # det = p and trace = a_p hold, but <F omega, omega> = 1 is not
-        # divisible by p
+        # det = p and trace = a_p hold, but F omega = omega + eta is not
+        # divisible by p, so the constructor raises
         code = (
             "import sys\n"
             "from frobjet.crystal import DeRhamData, crystalline_classes\n"
             "from frobjet.errors import CertificateFailure\n"
             "assert sys.flags.optimize\n"
-            "drd = DeRhamData(5, 4, [[1, -5], [1, 0]], 1)\n"
             "try:\n"
+            "    drd = DeRhamData(5, 4, [[1, -5], [1, 0]], 1)\n"
             "    print(crystalline_classes(drd, 2).f('1'))\n"
             "except CertificateFailure:\n"
             "    print('CertificateFailure')\n")

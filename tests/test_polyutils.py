@@ -1,0 +1,65 @@
+import random
+
+import pytest
+
+from frobjet import polyutils as pu
+
+MOD = 11 ** 19
+
+
+def double_loop(a, b, mod, n):
+    out = [0] * n
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            if i + j < n:
+                out[i + j] += c * d
+    return [c % mod for c in out[:max(0, min(len(a) + len(b) - 1, n))]]
+
+
+@pytest.mark.parametrize("la, lb", [
+    (3, 3), (7, 7), (8, 8), (9, 9), (7, 400), (8, 400), (400, 34), (1, 9),
+    (40, 39)])
+@pytest.mark.parametrize("cut", [0, 1, 5])
+def test_ser_mul_both_branches(la, lb, cut):
+    """The schoolbook branch (shorter operand below 8) and the Kronecker
+    branch against a plain double loop, truncated and not."""
+    rng = random.Random(la * 1000 + lb)
+    a = [rng.randrange(-MOD, MOD) for _ in range(la)]
+    b = [rng.randrange(MOD) for _ in range(lb)]
+    n = la + lb - 1 - cut * (la + lb) // 8
+    assert pu.ser_mul(a, b, MOD, n) == double_loop(a, b, MOD, n)
+
+
+def repeated_division(a, f, n, mod):
+    d = len(f) - 1
+    digits = []
+    for _ in range(n):
+        a, r = pu.pdivmod_monic(a, f, mod)
+        digits.append(r + [0] * (d - len(r)))
+    return digits, pu.trim([c % mod for c in a])
+
+
+FADIC_CASES = sorted({(d, n, length) for d in (1, 2, 3, 4)
+                      for n in (0, 1, 2, 9, 17, 50)
+                      for length in (0, 1, d - 1, d * n, d * n + 1,
+                                     d * n + 7)})
+
+
+@pytest.mark.parametrize("d, n, length", FADIC_CASES)
+def test_fadic_expand_matches_repeated_division(d, n, length):
+    rng = random.Random(d * 10000 + n * 100 + length)
+    for mod in (7, 5 ** 9, MOD):
+        f = [rng.randrange(mod) for _ in range(d)] + [1]
+        a = [rng.randrange(-mod, mod) for _ in range(length)]
+        assert pu.fadic_expand(a, f, n, mod) == repeated_division(a, f, n, mod)
+
+
+@pytest.mark.parametrize("a4, a6", [(2, 5), (0, 3), (4, 0)])
+@pytest.mark.parametrize("n", [0, 1, 8, 9, 126])
+def test_fadic_expand_curve_cubic(a4, a6, n):
+    """The monic cubic of the curves, over the Kedlaya modulus, with an
+    input a little longer than f^n as in the reduction."""
+    rng = random.Random(n)
+    f = [a6, a4, 0, 1]
+    a = [rng.randrange(MOD) for _ in range(3 * n + 10)]
+    assert pu.fadic_expand(a, f, n, MOD) == repeated_division(a, f, n, MOD)

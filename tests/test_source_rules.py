@@ -5,9 +5,10 @@ Every certificate must hold under ``python -O`` and in exact arithmetic, so
 call to ``float`` and none of the float functions of :mod:`math`.
 ``math.inf`` stays allowed: it is the valuation of zero.
 
-The series kernels ``formal.py`` and ``polyutils.py`` work over Z/p^k
-only; their exact-``Fraction`` oracles live in ``tests/``, so these two
-modules import nothing from :mod:`fractions`.
+The series kernels ``formal.py`` and ``polyutils.py`` and Kedlaya's
+reduction in ``crystal.py`` work over Z/p^k only; their exact-``Fraction``
+oracles live in ``tests/``, so these modules import nothing from
+:mod:`fractions`.
 """
 
 import ast
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 FLOAT_MATH = {"log", "log2", "log10", "sqrt", "exp"}
-SERIES_KERNELS = ("formal.py", "polyutils.py")
+SERIES_KERNELS = ("crystal.py", "formal.py", "polyutils.py")
 SOURCES = sorted(
     (Path(__file__).resolve().parents[1] / "src" / "frobjet").glob("*.py"))
 

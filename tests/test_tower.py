@@ -10,8 +10,8 @@ from frobjet import polyutils as pu
 from frobjet.errors import (NotAUnit, NotEisensteinCompatible,
                             PrecisionExhausted, PrecisionTooLow,
                             UnreducedCoefficients)
-from frobjet.tower import (INF, FrobeniusIndex, TowerConfig, TowerElement,
-                           apply_automorphism, build_tower,
+from frobjet.tower import (INF, FrobeniusIndex, QElement, TowerConfig,
+                           TowerElement, apply_automorphism, build_tower,
                            check_monomial_independence, frobenius_apply,
                            frobenius_word_apply, n_of_pi, n_of_pi_from,
                            pi_derivation, pi_valuation, valuation,
@@ -144,6 +144,43 @@ class TestConstructors:
     def test_public_constructor_clamps(self, t4):
         a = TowerElement(t4, [[7 ** 4 - 1, 5]], 9)
         assert a.prec == 4 and a.coeffs == ((7 ** 4 - 1, 5),)
+
+    @pytest.mark.parametrize("coeffs", [
+        [[1, 2, 3]], [[1]], [[1, 2], [3, 4]], [], [1, 2], 5])
+    def test_element_rejects_shape(self, t4, coeffs):
+        with pytest.raises(UnreducedCoefficients):
+            t4.element(coeffs)
+
+    @pytest.mark.parametrize("d", [
+        {"coeffs": [[1, 2, 3]], "prec": 4}, {"coeffs": [[1]], "prec": 4},
+        {"coeffs": [[[1], [2]]], "prec": 4}])
+    def test_element_from_dict_rejects_shape(self, t4, d):
+        with pytest.raises(UnreducedCoefficients):
+            t4.element_from_dict(d)
+
+
+class TestQElementAdd:
+    def test_equal_den_makes_no_product(self, t5, monkeypatch):
+        rng = random.Random(3)
+        a, b = (QElement(t5.random_element(rng), 2) for _ in range(2))
+        want = a.num + b.num
+        calls = []
+        mul = TowerElement.__mul__
+
+        def counting(self, other):
+            calls.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(TowerElement, "__mul__", counting)
+        s = a + b
+        assert calls == [] and s.den == 2 and s.num == want
+
+    def test_unequal_den_scales_one_side(self, t5):
+        rng = random.Random(4)
+        x, y = t5.random_element(rng), t5.random_element(rng)
+        for s in (QElement(x, 1) + QElement(y, 3),
+                  QElement(y, 3) + QElement(x, 1)):
+            assert s.den == 3 and s.num == x * 25 + y
 
 
 class TestFrobenius:
