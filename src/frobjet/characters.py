@@ -75,7 +75,7 @@ def _log1p(z: TowerElement) -> QElement:
     tower, prec = z.tower, z.prec
     p, f, e = tower.p, tower.f, tower.e
     nmax = e * (prec + 2) + 1
-    dmax = max((pu.vp(n, p) for n in range(p, nmax + 1, p)), default=0)
+    dmax = pu.floor_log(p, nmax)
     if u == INF:
         return QElement(tower.zero(prec), dmax)
     pk = p ** prec
@@ -298,7 +298,7 @@ def count_roots_zp(series: RestrictedSeries, depth: int | None = None) -> int:
             fp = fprime_at(c)
             if fp % work == 0:
                 return None
-            v = _vp_or(fp, p, depth + 8)
+            v = pu.vp_capped(fp, p, depth + 8)
             unit = fp // p ** v
             fc = f_at(c)
             if fc % p ** v:
@@ -312,8 +312,8 @@ def count_roots_zp(series: RestrictedSeries, depth: int | None = None) -> int:
     while candidates and level < depth:
         nxt = []
         for c in candidates:
-            vf = _vp_or(f_at(c), p, depth + 8)
-            vfp = _vp_or(fprime_at(c), p, depth + 8)
+            vf = pu.vp_capped(f_at(c), p, depth + 8)
+            vfp = pu.vp_capped(fprime_at(c), p, depth + 8)
             if vf > 2 * vfp:
                 root = newton(c)
                 if root is not None:
@@ -322,7 +322,7 @@ def count_roots_zp(series: RestrictedSeries, depth: int | None = None) -> int:
             # at a deeper level when roots cluster p-adically
             for tlift in range(p):
                 cc = c + tlift * p ** level
-                if _vp_or(f_at(cc), p, depth + 8) >= level + 1:
+                if pu.vp_capped(f_at(cc), p, depth + 8) >= level + 1:
                     nxt.append(cc)
         candidates = nxt
         level += 1
@@ -331,10 +331,3 @@ def count_roots_zp(series: RestrictedSeries, depth: int | None = None) -> int:
         if root is not None:
             roots.add(root)
     return len(roots)
-
-
-def _vp_or(x, p, cap):
-    x = x % p ** cap
-    if x == 0:
-        return cap
-    return pu.vp(x, p)

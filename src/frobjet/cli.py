@@ -32,9 +32,6 @@ from .symbols import Symbol, gamma_matrix, pmatrix_rank_minors, sym_eval
 from .tower import (INF, FrobeniusIndex, Tower, TowerConfig, build_tower,
                     check_monomial_independence, frobenius_apply, n_of_pi)
 
-SUITES = ("st-identities", "asd", "gamma", "pairing", "gm", "strassman",
-          "crystalline")
-
 
 def _tower_from_args(args) -> Tower:
     if args.config:
@@ -375,40 +372,59 @@ def _finish(suite: str, checks: list, **extra) -> dict:
     return report
 
 
+# every flag a subcommand may take; each reads only the ones it lists
+_FLAGS = {
+    "--config": dict(default=None, help="key=value tower config"),
+    "--out": dict(default=None, help="write the JSON report here"),
+    "--seed": dict(type=int, default=20290),
+    "--precision": dict(type=int, default=None),
+    "--curve": dict(default=None, help="catalog label"),
+    "--catalog": dict(default=None, help="curve catalog path"),
+    "--mu": dict(default="11"),
+    "--nu": dict(default="1"),
+    "--nmax": dict(type=int, default=40),
+    "--beta": dict(default="pi"),
+    "--threshold": dict(type=int, default=8),
+    "--p": dict(type=int, default=7),
+    "--l": dict(type=int, default=2),
+    "--m": dict(type=int, default=1),
+    "--f": dict(type=int, default=1),
+    "--gammas": dict(default="0,1"),
+    "--indep-order": dict(type=int, default=3),
+}
+
+TOWER_INFO_FLAGS = ("--config", "--precision", "--p", "--l", "--m", "--f",
+                    "--gammas", "--indep-order")
+
+SUITE_FLAGS = {
+    "st-identities": (),
+    "asd": ("--catalog", "--curve", "--precision", "--mu", "--nu", "--nmax"),
+    "gamma": ("--config", "--precision", "--beta", "--threshold"),
+    "pairing": ("--seed", "--precision"),
+    "gm": ("--seed", "--precision"),
+    "strassman": ("--seed",),
+    "crystalline": ("--catalog", "--precision"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="frobjet",
         description="Exact ramified-tower arithmetic and its verification "
                     "suites.")
     sub = ap.add_subparsers(dest="command", required=True)
-
     ti = sub.add_parser("tower-info", help="inspect a tower configuration")
-    _common_flags(ti)
-    ti.add_argument("--p", type=int, default=7)
-    ti.add_argument("--l", type=int, default=2)
-    ti.add_argument("--m", type=int, default=1)
-    ti.add_argument("--f", type=int, default=1)
-    ti.add_argument("--gammas", default="0,1")
-    ti.add_argument("--indep-order", type=int, default=3)
-
+    _add_flags(ti, TOWER_INFO_FLAGS)
     vf = sub.add_parser("verify", help="run a verification suite")
-    vf.add_argument("suite", choices=SUITES)
-    _common_flags(vf)
-    vf.add_argument("--curve", default=None, help="catalog label")
-    vf.add_argument("--catalog", default=None, help="curve catalog path")
-    vf.add_argument("--mu", default="11")
-    vf.add_argument("--nu", default="1")
-    vf.add_argument("--nmax", type=int, default=40)
-    vf.add_argument("--beta", default="pi")
-    vf.add_argument("--threshold", type=int, default=8)
+    suites = vf.add_subparsers(dest="suite", required=True)
+    for name, flags in SUITE_FLAGS.items():
+        _add_flags(suites.add_parser(name), flags)
     return ap
 
 
-def _common_flags(p):
-    p.add_argument("--config", default=None, help="key=value tower config")
-    p.add_argument("--out", default=None, help="write the JSON report here")
-    p.add_argument("--seed", type=int, default=20290)
-    p.add_argument("--precision", type=int, default=None)
+def _add_flags(parser, names):
+    for name in ("--out",) + names:
+        parser.add_argument(name, **_FLAGS[name])
 
 
 _SUITE_FUNCS = {

@@ -1,19 +1,23 @@
-"""Truncated partial jet algebras over a tower.
+"""Sparse truncated series in T and delta_mu T, and the jet algebras.
 
-The ring adjoins to the tower one etale coordinate T together with one
-variable delta_mu T per nonempty word mu of length <= r over n directions,
-D(n, r) variables in total.  Elements are sparse polynomials: a map from
-monomials (tuples of (variable index, exponent), sorted) to tower-element
-numerators, plus one global p-power denominator exponent.  Monomials of
-total degree above the configured bound D are discarded by every operation,
-so results are exact only for output monomials of degree <= D; operations
-state this contract rather than hiding it.
+A series ring adjoins to a coefficient ring one etale coordinate T together
+with one variable delta_mu T per nonempty word mu of length <= r over n
+directions, D(n, r) variables in total.  Elements (``SparseSeries``) are
+sparse polynomials: a map from monomials (tuples of (variable index,
+exponent), sorted) to coefficients, plus one global p-power denominator
+exponent.  Monomials of total degree above the configured bound D are
+discarded by every operation, so results are exact only for output
+monomials of degree <= D; operations state this contract rather than
+hiding it.  Two rings share this class: the jet ring here (tower-element
+coefficients, ``JetElement``) and the exact Serre-Tate ring of
+``frobjet.sertate`` (rational coefficients, pi = p, ``STSeries``).
 
 The prolongation endomorphism for direction i acts on coefficients through
-the tower Frobenius phi^(gamma_i), on T by T -> T^p + pi * delta_i T and on
-delta_mu T by delta_mu T -> (delta_mu T)^p + pi * delta_(i mu) T; the
-derivation is recovered as delta_i = (phi_i - (.)^p) / pi, which makes the
-non-additive derivation axioms hold by construction.
+the ring's Frobenius (phi^(gamma_i) on a tower), on T by
+T -> T^p + pi * delta_i T and on delta_mu T by
+delta_mu T -> (delta_mu T)^p + pi * delta_(i mu) T; the derivation is
+recovered as delta_i = (phi_i - (.)^p) / pi, which makes the non-additive
+derivation axioms hold by construction.
 
 Because phi images of single variables are two-term sums, powers expand by
 plain binomials whose terms carry growing pi-powers; coefficients falling
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (FamilyMismatch, NotTopologicallyNilpotent, OrderOverflow,
                      PrecisionExhausted)
@@ -54,12 +59,13 @@ class JetRingConfig:
 
 
 class SeriesRing:
-    """Variable table and coefficient ring of the series kernel below.
+    """Variable table and coefficient ring of the sparse series below.
 
     Variable v stands for delta_w T with w = ``var_words[v]``; index 0 is
-    T itself, the empty word.  Subclasses supply ``from_int``, ``is_zero``
-    and ``frobenius(i, c)``; pi^j comes from a table built here for
-    j <= D, so a ring is read-only once constructed.
+    T itself, the empty word.  Subclasses set ``series_type`` (their
+    SparseSeries subclass) and supply ``from_int``, ``is_zero`` and
+    ``frobenius(i, c)``; pi^j comes from a table built here for j <= D,
+    so a ring is read-only once constructed.
     """
 
     def __init__(self, p: int, n: int, r: int, D: int, one, pi):
@@ -75,119 +81,131 @@ class SeriesRing:
         """pi^j for 0 <= j <= max(D, 1)."""
         return self._pi_pows[j]
 
+    def element(self, terms, den: int = 0) -> "SparseSeries":
+        return self.series_type(self, terms, den)
 
-class JetRing(SeriesRing):
-    """Jet ring of a JetRingConfig: coefficients are tower elements."""
+    def zero(self) -> "SparseSeries":
+        return self.element({})
 
-    is_zero = staticmethod(TowerElement.is_zero)
+    def one(self) -> "SparseSeries":
+        return self.scalar(self.from_int(1))
 
-    def __init__(self, cfg: JetRingConfig):
-        self.cfg = cfg
-        self.tower = cfg.tower
-        super().__init__(cfg.tower.p, cfg.n, cfg.r, cfg.D, cfg.tower.one(),
-                         cfg.tower.pi())
-        self.nvars = len(self.var_words)
-        self.from_int = cfg.tower.from_int
-        self._frob = [FrobeniusIndex(g) for g in cfg.gammas]
+    def scalar(self, a, den: int = 0) -> "SparseSeries":
+        return self.element({(): a}, den)
 
-    def frobenius(self, i: int, c: TowerElement) -> TowerElement:
-        """phi^(gamma_i) on a coefficient."""
-        return frobenius_apply(self.tower, self._frob[i - 1], c)
+    def variable(self, idx: int) -> "SparseSeries":
+        return self.element({((idx, 1),): self.from_int(1)})
 
-    def zero(self) -> "JetElement":
-        return JetElement(self, {}, 0)
+    def T(self) -> "SparseSeries":
+        return self.variable(0)
 
-    def one(self) -> "JetElement":
-        return JetElement(self, {(): self.tower.one()}, 0)
-
-    def scalar(self, a: TowerElement, den: int = 0) -> "JetElement":
-        return JetElement(self, {(): a}, den)
-
-    def variable(self, idx: int, prec=None) -> "JetElement":
-        return JetElement(
-            self, {((idx, 1),): self.tower.one(prec)}, 0)
-
-    def T(self, prec=None) -> "JetElement":
-        return self.variable(0, prec)
-
-    def delta_var(self, word, prec=None) -> "JetElement":
-        if tuple(word) not in self.word_to_var:
-            raise OrderOverflow(f"word {word} exceeds configured order")
-        return self.variable(self.word_to_var[tuple(word)], prec)
+    def delta_var(self, word) -> "SparseSeries":
+        w = tuple(word)
+        if w not in self.word_to_var:
+            raise OrderOverflow(f"word {w} exceeds order {self.r}")
+        return self.variable(self.word_to_var[w])
 
 
-class JetElement:
-    """Sparse truncated polynomial num / p^den over the jet ring."""
+class SparseSeries:
+    """Sparse truncated polynomial num / p^den over a SeriesRing.
+
+    ``terms`` maps monomials (sorted tuples of (variable, exponent)) of
+    total degree <= D to nonzero coefficients; every operation truncates
+    again.  ``den`` is a global p-power denominator exponent.  int and
+    Fraction scalars enter sums through ``ring.from_int``; any other
+    non-series factor multiplies every coefficient.
+    """
 
     __slots__ = ("ring", "terms", "den")
 
-    def __init__(self, ring: JetRing, terms, den: int = 0):
+    def __init__(self, ring: SeriesRing, terms, den: int = 0):
         self.ring = ring
         self.den = den
+        D, is_zero = ring.D, ring.is_zero
         self.terms = {m: c for m, c in terms.items()
-                      if _degree(m) <= ring.D and not c.is_zero()}
+                      if _degree(m) <= D and not is_zero(c)}
 
-    # -- ring structure ----------------------------------------------------
+    def _coerce(self, other) -> "SparseSeries":
+        if isinstance(other, (int, Fraction)):
+            return self.ring.scalar(self.ring.from_int(other))
+        return other
 
     def _align(self, other):
+        other = self._coerce(other)
         if self.ring is not other.ring:
-            raise FamilyMismatch("jet elements from different rings")
+            raise FamilyMismatch("series from different rings")
         d = max(self.den, other.den)
-        p = self.ring.tower.p
-        a = self if self.den == d else self.scale_int(p ** (d - self.den))
-        b = other if other.den == d else other.scale_int(p ** (d - other.den))
+        p = self.ring.p
+        a = self if self.den == d else self.scale(p ** (d - self.den))
+        b = other if other.den == d else other.scale(p ** (d - other.den))
         return a, b, d
 
-    def scale_int(self, c: int) -> "JetElement":
-        return JetElement(self.ring,
-                          {m: coeff * c for m, coeff in self.terms.items()},
-                          self.den)
-
-    def scale(self, a: TowerElement, den: int = 0) -> "JetElement":
-        return JetElement(self.ring,
-                          {m: coeff * a for m, coeff in self.terms.items()},
+    def scale(self, a, den: int = 0) -> "SparseSeries":
+        return type(self)(self.ring,
+                          {m: c * a for m, c in self.terms.items()},
                           self.den + den)
+
+    scale_int = scale
 
     def __add__(self, other):
         a, b, d = self._align(other)
         t = dict(a.terms)
         for m, c in b.terms.items():
             t[m] = t[m] + c if m in t else c
-        return JetElement(self.ring, t, d)
+        return type(self)(self.ring, t, d)
+
+    __radd__ = __add__
 
     def __neg__(self):
-        return JetElement(self.ring,
+        return type(self)(self.ring,
                           {m: -c for m, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale_int(other)
-        if isinstance(other, TowerElement):
+        if not isinstance(other, SparseSeries):
             return self.scale(other)
         if self.ring is not other.ring:
-            raise FamilyMismatch("jet elements from different rings")
-        return JetElement(self.ring,
+            raise FamilyMismatch("series from different rings")
+        return type(self)(self.ring,
                           series_mul(self.terms, other.terms, self.ring.D),
                           self.den + other.den)
 
-    __rmul__ = __mul__
-
     def __pow__(self, n: int):
-        return series_pow(self, n)
+        """Square-and-multiply through the product above."""
+        if n < 0:
+            raise ValueError(f"negative power {n} of a truncated series")
+        result = self.ring.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return result
 
-    def truncate(self, D: int) -> "JetElement":
-        """Restriction to monomials of total degree <= D (<= configured D)."""
-        return JetElement(
-            self.ring,
-            {m: c for m, c in self.terms.items()
-             if sum(e for _, e in m) <= D},
-            self.den)
+    def is_zero(self) -> bool:
+        return not self.terms
 
-    def coefficient(self, mono) -> TowerElement:
-        return self.terms.get(tuple(sorted(mono)), self.ring.tower.zero())
+    def truncate(self, D: int) -> "SparseSeries":
+        """Restriction to monomials of total degree <= D (<= ring's D)."""
+        return type(self)(self.ring,
+                          {m: c for m, c in self.terms.items()
+                           if _degree(m) <= D},
+                          self.den)
+
+    def coefficient(self, mono):
+        return self.terms.get(tuple(sorted(mono)), self.ring.from_int(0))
+
+
+class JetElement(SparseSeries):
+    """Jet-ring element: tower-element numerators over p^den."""
+
+    __slots__ = ()
+    # bound in this class's own body, not inherited: the span tracer
+    # (perfbench/spans.py) wraps the product per class through __dict__
+    __mul__ = __rmul__ = SparseSeries.__mul__
 
     def integrality_report(self):
         """Per-monomial check that the true coefficient num/p^den is integral."""
@@ -212,10 +230,29 @@ class JetElement:
         return f"JetElement(den={self.den}, monomials={parts[:8]}...)"
 
 
+class JetRing(SeriesRing):
+    """Jet ring of a JetRingConfig: coefficients are tower elements."""
+
+    series_type = JetElement
+    is_zero = staticmethod(TowerElement.is_zero)
+
+    def __init__(self, cfg: JetRingConfig):
+        self.cfg = cfg
+        self.tower = cfg.tower
+        super().__init__(cfg.tower.p, cfg.n, cfg.r, cfg.D, cfg.tower.one(),
+                         cfg.tower.pi())
+        self.nvars = len(self.var_words)
+        self.from_int = cfg.tower.from_int
+        self._frob = [FrobeniusIndex(g) for g in cfg.gammas]
+
+    def frobenius(self, i: int, c: TowerElement) -> TowerElement:
+        """phi^(gamma_i) on a coefficient."""
+        return frobenius_apply(self.tower, self._frob[i - 1], c)
+
+
 # ---------------------------------------------------------------------------
-# the sparse-series kernel, shared with frobjet.sertate: term maps send
-# monomials (sorted tuples of (variable, exponent)) to coefficients of a
-# SeriesRing
+# the kernel on term maps: monomials (sorted tuples of (variable,
+# exponent)) to coefficients of a SeriesRing
 # ---------------------------------------------------------------------------
 
 def _mono_mul(m1, m2):
@@ -246,24 +283,21 @@ def series_mul(t1: dict, t2: dict, D: int) -> dict:
     return out
 
 
-def series_pow(x, n: int):
-    """x^n by square-and-multiply through the class's own product."""
-    result = x.ring.one()
-    base = x
-    while n:
-        if n & 1:
-            result = result * base
-        base = base * base if n > 1 else base
-        n >>= 1
-    return result
+def _mono_str(ring, m):
+    if not m:
+        return "1"
+    names = ring.cfg.variable_names()
+    return "*".join(f"{names[v]}^{e}" if e > 1 else names[v] for v, e in m)
 
 
-def prolong(ring, i: int, terms: dict) -> dict:
-    """Image of a term map under the prolongation for direction i (1-based).
+def phi_endomorphism(ring: SeriesRing, i: int, F: SparseSeries
+                     ) -> SparseSeries:
+    """Prolongation endomorphism for direction i (1-based), on either ring.
 
     Coefficients go through ``ring.frobenius(i, .)``, T to T^p + pi delta_i T
     and delta_mu T to (delta_mu T)^p + pi delta_(i mu) T.  Raises
-    OrderOverflow when a variable's successor word would exceed order r.
+    OrderOverflow when F involves a word of length r already, since the
+    image would need length r + 1.
     """
     if not 1 <= i <= ring.n:
         raise FamilyMismatch(f"direction {i} outside the family")
@@ -295,7 +329,7 @@ def prolong(ring, i: int, terms: dict) -> dict:
         return out
 
     total = {}
-    for mono, coeff in terms.items():
+    for mono, coeff in F.terms.items():
         acc = {(): ring.frobenius(i, coeff)}
         for v, e in mono:
             imgs = image_terms(v, e)
@@ -315,26 +349,10 @@ def prolong(ring, i: int, terms: dict) -> dict:
                 break
         for m, c in acc.items():
             total[m] = total[m] + c if m in total else c
-    return total
+    return ring.element(total, F.den)
 
 
-def _mono_str(ring, m):
-    if not m:
-        return "1"
-    names = ring.cfg.variable_names()
-    return "*".join(f"{names[v]}^{e}" if e > 1 else names[v] for v, e in m)
-
-
-def phi_endomorphism(ring: JetRing, i: int, F: JetElement) -> JetElement:
-    """Prolongation endomorphism for direction i (1-based).
-
-    Raises OrderOverflow when F involves a word of length r already, since
-    the image would need length r + 1.
-    """
-    return JetElement(ring, prolong(ring, i, F.terms), F.den)
-
-
-def phi_word(ring: JetRing, word, F: JetElement) -> JetElement:
+def phi_word(ring: SeriesRing, word, F: SparseSeries) -> SparseSeries:
     """phi_mu = phi_{i_1} o ... o phi_{i_s}: innermost letter acts first."""
     for letter in reversed(tuple(word)):
         F = phi_endomorphism(ring, letter, F)

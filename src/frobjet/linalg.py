@@ -14,12 +14,6 @@ from . import polyutils as pu
 from .errors import PrecisionExhausted
 
 
-def _val(x: int, p: int, K: int) -> int:
-    if x % p ** K == 0:
-        return K
-    return pu.vp(x % p ** K, p)
-
-
 def padic_nullspace(M, p: int, K: int, vmax: int | None = None):
     """Kernel data of an m x n integer matrix taken mod p^K.
 
@@ -42,7 +36,7 @@ def padic_nullspace(M, p: int, K: int, vmax: int | None = None):
         for i in range(r, m):
             for j in range(r, n):
                 if A[i][j]:
-                    v = _val(A[i][j], p, K)
+                    v = pu.vp_capped(A[i][j], p, K)
                     if v < vmax and (best is None or v < best[0]):
                         best = (v, i, j)
         if best is None:

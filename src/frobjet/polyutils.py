@@ -327,6 +327,12 @@ def floor_log(p: int, n: int) -> int:
     return k
 
 
+def vp_capped(x: int, p: int, cap: int) -> int:
+    """v_p(x mod p^cap), read as cap when x = 0 mod p^cap."""
+    x %= p ** cap
+    return cap if x == 0 else vp(x, p)
+
+
 def vp(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
     if n == 0:

@@ -10,8 +10,9 @@ and its phi-twists.  Two exact layers implement this:
 
 ``STSeries``
     truncated series over exact rationals in T and the variables
-    delta_mu T, with the prolongation action T -> T^p + p delta_i T.  Used
-    for the fundamental series, the canonical derivation
+    delta_mu T: the ``frobjet.jets`` series class over ``STRing``, where
+    the prolongations act by T -> T^p + p delta_i T.  Used for the
+    fundamental series, the canonical derivation
     (1 + T^phi_mu) d/d(delta_mu T), and their defining identities.
 
 ``PsiPoly``
@@ -41,7 +42,8 @@ from importlib import resources
 
 from .errors import (BetaTooLarge, DivisionByZero, OrderOverflow,
                      UnknownForm, UnknownRelation)
-from .jets import SeriesRing, _mono_mul, prolong, series_mul, series_pow
+from .jets import (SeriesRing, SparseSeries, _mono_mul, phi_endomorphism,
+                   phi_word)
 from .symbols import subset_det
 from .tower import (Tower, TowerElement, frobenius_word_apply, n_of_pi_from,
                     valuation)
@@ -52,95 +54,16 @@ from .words import word_from_string
 # exact truncated series in T, delta_mu T over Q (pi = p)
 # ---------------------------------------------------------------------------
 
-class STRing(SeriesRing):
-    """Shape of the exact expansion ring: directions n, order r, degree D.
+class STSeries(SparseSeries):
+    """Exact series: Fraction coefficients, den always 0."""
 
-    Coefficients are exact rationals, pi = p, and every Frobenius fixes
-    them.
-    """
-
-    from_int = staticmethod(Fraction)
-    is_zero = staticmethod(operator.not_)
-
-    def __init__(self, p: int, n: int, r: int, D: int):
-        super().__init__(p, n, r, D, Fraction(1), Fraction(p))
-
-    @staticmethod
-    def frobenius(i: int, c: Fraction) -> Fraction:
-        return c
-
-    def zero(self):
-        return STSeries(self, {})
-
-    def one(self):
-        return STSeries(self, {(): Fraction(1)})
-
-    def T(self):
-        return STSeries(self, {((0, 1),): Fraction(1)})
-
-    def delta_var(self, word):
-        w = tuple(word)
-        if w not in self.word_to_var:
-            raise OrderOverflow(f"word {w} exceeds order {self.r}")
-        return STSeries(self, {((self.word_to_var[w], 1),): Fraction(1)})
-
-    def log1p(self):
-        """log(1 + T) = sum (-1)^(m+1) T^m / m, truncated at D."""
-        return STSeries(self, {((0, m),): Fraction((-1) ** (m + 1), m)
-                               for m in range(1, self.D + 1)})
-
-
-class STSeries:
-    """Sparse truncated polynomial with exact Fraction coefficients."""
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: STRing, terms):
-        self.ring = ring
-        D = ring.D
-        self.terms = {m: c for m, c in terms.items()
-                      if c != 0 and sum(e for _, e in m) <= D}
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = STSeries(self.ring, {(): Fraction(other)})
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            t[m] = t.get(m, Fraction(0)) + c
-        return STSeries(self.ring, t)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return STSeries(self.ring, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = STSeries(self.ring, {(): Fraction(other)})
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return STSeries(self.ring,
-                            {m: c * other for m, c in self.terms.items()})
-        return STSeries(self.ring,
-                        series_mul(self.terms, other.terms, self.ring.D))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        return series_pow(self, k)
+    __slots__ = ()
+    # bound in this class's own body, not inherited: the span tracer
+    # (perfbench/spans.py) wraps the product per class through __dict__
+    __mul__ = __rmul__ = SparseSeries.__mul__
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = STSeries(self.ring, {(): Fraction(other)})
-        return self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def coefficient(self, mono) -> Fraction:
-        return self.terms.get(tuple(sorted(mono)), Fraction(0))
+        return self.terms == self._coerce(other).terms
 
     def derivative(self, var: int) -> "STSeries":
         out = {}
@@ -156,10 +79,6 @@ class STSeries:
             key = tuple(sorted(d.items()))
             out[key] = out.get(key, Fraction(0)) + c * e
         return STSeries(self.ring, out)
-
-    def restrict_degree(self, D2: int) -> "STSeries":
-        return STSeries(self.ring, {m: c for m, c in self.terms.items()
-                                    if sum(e for _, e in m) <= D2})
 
     def substitute(self, var: int, value: "STSeries") -> "STSeries":
         """Replace one variable by a series (truncation applies)."""
@@ -177,22 +96,34 @@ class STSeries:
         return f"STSeries({len(self.terms)} terms)"
 
 
-def st_phi(ring: STRing, i: int, F: STSeries) -> STSeries:
-    """Prolongation for direction i: T -> T^p + p delta_i T, coefficients
-    (rationals) fixed."""
-    return STSeries(ring, prolong(ring, i, F.terms))
+class STRing(SeriesRing):
+    """Shape of the exact expansion ring: directions n, order r, degree D.
 
+    Coefficients are exact rationals, pi = p, and every Frobenius fixes
+    them.
+    """
 
-def st_phi_word(ring: STRing, word, F: STSeries) -> STSeries:
-    for letter in reversed(tuple(word)):
-        F = st_phi(ring, letter, F)
-    return F
+    series_type = STSeries
+    from_int = staticmethod(Fraction)
+    is_zero = staticmethod(operator.not_)
+
+    def __init__(self, p: int, n: int, r: int, D: int):
+        super().__init__(p, n, r, D, Fraction(1), Fraction(p))
+
+    @staticmethod
+    def frobenius(i: int, c: Fraction) -> Fraction:
+        return c
+
+    def log1p(self):
+        """log(1 + T) = sum (-1)^(m+1) T^m / m, truncated at D."""
+        return STSeries(self, {((0, m),): Fraction((-1) ** (m + 1), m)
+                               for m in range(1, self.D + 1)})
 
 
 def psi_st_series(ring: STRing, i: int) -> STSeries:
     """The fundamental series (1/p)(phi_i - p) log(1 + T)."""
     L = ring.log1p()
-    return (st_phi(ring, i, L) - Fraction(ring.p) * L) * Fraction(1, ring.p)
+    return (phi_endomorphism(ring, i, L) - Fraction(ring.p) * L) * Fraction(1, ring.p)
 
 
 def psi_series_form(ring: STRing, i: int, sign_exponent_offset: int
@@ -242,7 +173,7 @@ def serre_operator(ring: STRing, mu, F: STSeries) -> STSeries:
     w = tuple(mu)
     if w not in ring.word_to_var:
         raise OrderOverflow(f"word {w} exceeds order {ring.r}")
-    Tphi = st_phi_word(ring, w, ring.T())
+    Tphi = phi_word(ring, w, ring.T())
     return (ring.one() + Tphi) * F.derivative(ring.word_to_var[w])
 
 

@@ -129,7 +129,8 @@ class Tower:
         if nxt != one:
             raise CertificateFailure("zeta^e != 1 after Hensel lifting")
         # reduction table for products: zred2[k] = zeta^k mod g, k <= 2f-2
-        self.zred2 = [self._vec(k) for k in range(2 * f - 1)]
+        # (zeta^e = 1, so 2f - 2 >= e wraps around)
+        self.zred2 = [zpow[k % e] for k in range(2 * f - 1)]
 
     def _mul_by_x(self, vec):
         f, pK = self.f, self.pK
@@ -141,17 +142,6 @@ class Tower:
             for i in range(f):
                 out[i] = (out[i] - carry * self.g[i]) % pK
         return [c % pK for c in out]
-
-    def _vec(self, k):
-        if k < self.f:
-            v = [0] * self.f
-            v[k] = 1
-            return v
-        v = [0] * self.f
-        v[self.f - 1] = 1
-        for _ in range(k - (self.f - 1)):
-            v = self._mul_by_x(v)
-        return v
 
     # -- element constructors ------------------------------------------------
 

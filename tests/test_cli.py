@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from frobjet.cli import main
+from frobjet.cli import SUITE_FLAGS, TOWER_INFO_FLAGS, main
 from frobjet.config import (load_curve_catalog, parse_keyvalue,
                             tower_config_from_text)
 
@@ -155,3 +155,45 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "gm", "--degree", "99999"])
         assert exc.value.code == 2
+
+
+VERIFY_FLAGS = {"--config": "x.cfg", "--seed": "1", "--precision": "9",
+                "--curve": "5a-generic", "--catalog": "x.json", "--mu": "1",
+                "--nu": "2", "--nmax": "3", "--beta": "p", "--threshold": "4"}
+UNREAD = sorted(
+    [(("verify", suite), flag) for suite, read in SUITE_FLAGS.items()
+     for flag in VERIFY_FLAGS if flag not in read]
+    + [(("tower-info",), flag) for flag in VERIFY_FLAGS
+       if flag not in TOWER_INFO_FLAGS])
+
+
+@pytest.mark.parametrize("command, flag", UNREAD,
+                         ids=[" ".join(c) + " " + f for c, f in UNREAD])
+def test_unread_flag_rejected(command, flag):
+    """A flag a subcommand would ignore is a usage error, not a silent
+    run on the defaults."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(command) + [flag, VERIFY_FLAGS[flag]])
+    assert exc.value.code == 2
+
+
+def test_each_subcommand_declares_exactly_what_it_reads():
+    import ast
+    import inspect
+
+    import frobjet.cli as cli
+
+    def read(*fns):
+        return {node.attr for fn in fns
+                for node in ast.walk(ast.parse(inspect.getsource(fn)))
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "args"}
+
+    def declared(flags):
+        return {f[2:].replace("-", "_") for f in flags}
+
+    for suite, fn in cli._SUITE_FUNCS.items():
+        assert read(fn) == declared(cli.SUITE_FLAGS[suite]), suite
+    assert read(cli.cmd_tower_info, cli._tower_from_args) == declared(
+        TOWER_INFO_FLAGS)

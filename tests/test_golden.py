@@ -14,9 +14,9 @@ import pytest
 
 from frobjet.cli import main
 from frobjet.formal import WeierstrassCurve, formal_log, log_jet, psi_series
-from frobjet.jets import JetRing, JetRingConfig, phi_endomorphism
+from frobjet.jets import JetRing, JetRingConfig, phi_endomorphism, phi_word
 from frobjet.sertate import (STRing, psi_series_form, psi_st_series,
-                             serre_operator, st_phi_word)
+                             serre_operator)
 from frobjet.tower import TowerConfig, build_tower
 
 REPORTS = {
@@ -105,7 +105,7 @@ def test_sertate_series():
             got[f"psi_series_form {i} {off}"] = terms_digest(
                 psi_series_form(ring, i, off))
     for mu in ((1,), (2,), (1, 2), (2, 1)):
-        F = st_phi_word(ring, mu[:-1], psi_st_series(ring, mu[-1]))
+        F = phi_word(ring, mu[:-1], psi_st_series(ring, mu[-1]))
         got["serre_operator " + "".join(map(str, mu))] = terms_digest(
             serre_operator(ring, mu, F))
     assert got == ST_SERIES

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from frobjet.errors import (NotTopologicallyNilpotent, OrderOverflow)
+from frobjet.errors import (FamilyMismatch, NotTopologicallyNilpotent,
+                            OrderOverflow)
 from frobjet.jets import (JetElement, JetRing, JetRingConfig, delta_operator,
                           eval_jet, phi_endomorphism, phi_word)
-from frobjet.sertate import STRing, STSeries, st_phi
+from frobjet.sertate import STRing, STSeries
 from frobjet.tower import (FrobeniusIndex, TowerConfig, build_tower,
                            frobenius_word_apply, pi_derivation)
 from frobjet.words import cocycle_weight, lambda_pow
@@ -199,7 +200,8 @@ class TestRemainderIdentity:
 class TestAgreesWithExactSeries:
     def test_phi_matches_st_phi_mod_pK(self):
         """Over the base prime with gamma = 0 the tower Frobenius is trivial
-        and pi = p, so the jet prolongation is st_phi reduced mod p^K."""
+        and pi = p, so the prolongation on the jet ring is the one on the
+        exact ring reduced mod p^K."""
         p, K, D = 5, 6, 10
         tower = build_tower(TowerConfig(p, 2, 0, 1, K))
         jring = JetRing(JetRingConfig(tower, 2, 2, D, (0, 0)))
@@ -217,10 +219,42 @@ class TestAgreesWithExactSeries:
             S = STSeries(sring, {m: Fraction(c) for m, c in terms.items()})
             for i in (1, 2):
                 got = phi_endomorphism(jring, i, F).terms
-                want = st_phi(sring, i, S).terms
+                want = phi_endomorphism(sring, i, S).terms
                 assert want
                 for m in set(got) | set(want):
                     c = want.get(m, Fraction(0))
                     assert c.denominator == 1
                     g = got[m].coeffs[0][0] if m in got else 0
                     assert (g - c.numerator) % p ** K == 0
+
+
+class TestSharedSeriesClass:
+    """Behaviour the jet ring and the exact ring share through one class."""
+
+    @pytest.fixture(params=["jet", "exact"])
+    def any_ring(self, request, ring):
+        return ring if request.param == "jet" else STRing(7, 2, 2, 14)
+
+    def test_int_scalars_and_coefficients(self, any_ring):
+        T = any_ring.T()
+        F = 1 + T * 3 - 1
+        assert F.terms == T.scale(any_ring.from_int(3)).terms
+        assert F.coefficient([(0, 1)]) == any_ring.from_int(3)
+        assert F.coefficient([(0, 2)]) == any_ring.from_int(0)
+        assert (T ** 0).terms == any_ring.one().terms
+
+    def test_truncate(self, any_ring):
+        F = (any_ring.one() + any_ring.T()) ** 5
+        assert sorted(F.truncate(2).terms) == [(), ((0, 1),), ((0, 2),)]
+
+    def test_negative_power_rejected(self, any_ring):
+        # square-and-multiply never terminates on a negative exponent
+        with pytest.raises(ValueError):
+            any_ring.T() ** -1
+
+    def test_rings_do_not_mix(self, any_ring):
+        other = STRing(7, 2, 2, 14)
+        with pytest.raises(FamilyMismatch):
+            any_ring.T() + other.T()
+        with pytest.raises(FamilyMismatch):
+            any_ring.T() * other.T()

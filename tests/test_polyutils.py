@@ -63,3 +63,18 @@ def test_fadic_expand_curve_cubic(a4, a6, n):
     f = [a6, a4, 0, 1]
     a = [rng.randrange(MOD) for _ in range(3 * n + 10)]
     assert pu.fadic_expand(a, f, n, MOD) == repeated_division(a, f, n, MOD)
+
+
+@pytest.mark.parametrize("p, cap", [(3, 1), (5, 4), (7, 6)])
+def test_vp_capped(p, cap):
+    """v_p(x mod p^cap): cap at 0 and at multiples of p^cap, 0 at units,
+    the true valuation in between, also for negative x."""
+    assert pu.vp_capped(0, p, cap) == cap
+    for k in (1, 2, p + 1, -1):
+        assert pu.vp_capped(k * p ** cap, p, cap) == cap
+        assert pu.vp_capped(k * p ** (cap + 3), p, cap) == cap
+    for u in (1, 2, p - 1, p + 1, -1, -(p + 1)):
+        assert pu.vp_capped(u, p, cap) == 0
+    for v in range(cap):
+        assert pu.vp_capped((p + 1) * p ** v, p, cap) == v
+        assert pu.vp_capped(-(p ** v), p, cap) == v

@@ -13,8 +13,9 @@ from frobjet.sertate import (PsiPoly, STRing, STSeries, beta_expansion,
                              load_relation_catalog, period_invariants,
                              psi_series_form, psi_st_series, psipoly_det,
                              serre_operator, st_expansion, st_f_values,
-                             st_f_table, st_phi, verify_identity,
+                             st_f_table, verify_identity,
                              verify_all_identities)
+from frobjet.jets import phi_endomorphism
 from frobjet.symbols import Symbol, sym_eval
 from frobjet.tower import QElement, TowerConfig, build_tower, valuation
 from frobjet.words import word_from_string
@@ -51,14 +52,14 @@ class TestFundamentalSeries:
                               for j in range(1, p)})
         psi = psi_st_series(ring, 1)
         out = psi.substitute(ring.word_to_var[(1,)], sub)
-        assert out.restrict_degree(ring.D - p).is_zero()
+        assert out.truncate(ring.D - p).is_zero()
 
 
 class TestSerreOperator:
     def test_normalization(self, ring):
         psi1 = psi_st_series(ring, 1)
         got = serre_operator(ring, (1,), psi1) - 1
-        assert got.restrict_degree(ring.D - ring.p).is_zero()
+        assert got.truncate(ring.D - ring.p).is_zero()
 
     def test_other_direction_killed(self, ring):
         psi2 = psi_st_series(ring, 2)
@@ -66,15 +67,16 @@ class TestSerreOperator:
 
     def test_twisted_log_chain_rule(self, ring):
         # dcan_i (phi_i log(1+T)) = p * phi_i(dcan log(1+T)) = p * 1
-        L = ring.log1p().restrict_degree(6)
-        got = serre_operator(ring, (1,), st_phi(ring, 1, L))
+        L = ring.log1p().truncate(6)
+        got = serre_operator(ring, (1,), phi_endomorphism(ring, 1, L))
         dcan = (ring.one() + ring.T()) * L.derivative(0)
-        expect = Fraction(ring.p) * st_phi(ring, 1, dcan)
+        expect = Fraction(ring.p) * phi_endomorphism(ring, 1, dcan)
         assert (got - expect).is_zero()
 
     def test_property_two_on_base(self, ring):
-        L = ring.log1p().restrict_degree(6)
-        assert serre_operator(ring, (1,), st_phi(ring, 2, L)).is_zero()
+        L = ring.log1p().truncate(6)
+        assert serre_operator(ring, (1,),
+                              phi_endomorphism(ring, 2, L)).is_zero()
 
     def test_unknown_word(self, ring):
         with pytest.raises(OrderOverflow):

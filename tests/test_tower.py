@@ -82,6 +82,22 @@ class TestBuildTower:
         with pytest.raises(NotEisensteinCompatible):
             build_tower(TowerConfig(7, 7, 1, 1, 10))
 
+    @pytest.mark.parametrize("cfg", [(7, 2, 1, 1, 8), (5, 3, 1, 2, 8),
+                                     (3, 5, 1, 4, 6), (7, 3, 1, 1, 6),
+                                     (11, 3, 1, 2, 6), (13, 5, 1, 4, 4)])
+    def test_zeta_reduction_table(self, cfg):
+        """zred2[k] is x^k mod g by plain long division, also where
+        2f - 2 >= e and the table wraps around zeta^e = 1."""
+        t = build_tower(TowerConfig(*cfg))
+        for k, row in enumerate(t.zred2):
+            rem = [0] * k + [1]
+            for top in range(k, t.f - 1, -1):
+                c = rem[top]
+                for i, gi in enumerate(t.g):
+                    rem[top - t.f + i] -= c * gi
+            want = [c % t.pK for c in rem[:t.f]] + [0] * max(t.f - k - 1, 0)
+            assert row == want[:t.f]
+
 
 class TestConstructors:
     """Precision above K is clamped before the coefficients are reduced, so
