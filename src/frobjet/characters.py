@@ -90,7 +90,7 @@ def _log1p(z: TowerElement) -> QElement:
     def block(b):
         cs = []
         for n in range(b * m + 1, min(b * m + m, N) + 1):
-            v = pu.vp(n, p) if n % p == 0 else 0
+            v = pu.vp(n, p)
             c = pu.modinv(n // p ** v, pk) * p ** (dmax - v)
             cs.append(-c if n % 2 == 0 else c)
         flat = [sum(map(mul, cs, col)) % pk for col in cols]
@@ -137,7 +137,7 @@ def asd_check(log: LogSeries, fvals: dict, mu, nu, Nmax: int,
                 (f_mu_nu, p ** r * N, r)):
             # b-coefficients live in Z_p, so every family member fixes them
             b = log.b[b_index]
-            vN = pu.vp(N, p) if N % p == 0 else 0
+            vN = pu.vp(N, p)
             unit = N // p ** vN
             den = extra_p + vN
             num = coeff * tower.from_int(b) * pu.modinv(unit, p ** tower.K)
@@ -189,27 +189,25 @@ def pairing(ctx: PairingContext, alpha: TowerElement, beta: TowerElement
             + (beta * anu - alpha * bnu) * p ** r)
 
 
-def kernel_dimension(ctx: PairingContext, beta: TowerElement,
-                     basis=None, vmax: int | None = None) -> dict:
+def kernel_dimension(ctx: PairingContext, beta: TowerElement) -> dict:
     """Dimension of {alpha : <alpha, beta> = 0} on the finite tower level.
 
-    The level is a Q_p-space of dimension f*e with basis zeta^i pi^j (the
-    default); the map alpha -> <alpha, beta> is Q_p-linear because the
-    family fixes Q_p.  Row reduction mod p^K with valuation pivoting yields
-    the nullity plus witnesses and a precision certificate.
+    The level is a Q_p-space of dimension f*e with basis zeta^i pi^j; the
+    map alpha -> <alpha, beta> is Q_p-linear because the family fixes Q_p.
+    Row reduction mod p^K with valuation pivoting yields the nullity plus
+    witnesses and a precision certificate.
     """
     t = ctx.tower
-    if basis is None:
-        basis = []
-        for i in range(t.f):
-            for j in range(t.e):
-                c = [[0] * t.e for _ in range(t.f)]
-                c[i][j] = 1
-                basis.append(t.element(c))
+    basis = []
+    for i in range(t.f):
+        for j in range(t.e):
+            c = [[0] * t.e for _ in range(t.f)]
+            c[i][j] = 1
+            basis.append(t.element(c))
     columns = [pairing(ctx, b, beta) for b in basis]
     M = [[col.coeffs[i][j] for col in columns]
          for i in range(t.f) for j in range(t.e)]
-    data = padic_nullspace(M, t.p, t.K, vmax=vmax)
+    data = padic_nullspace(M, t.p, t.K)
     witnesses = []
     for vec in data["kernel"]:
         elt = t.zero()

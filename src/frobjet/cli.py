@@ -15,6 +15,7 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
@@ -33,19 +34,19 @@ from .tower import (INF, FrobeniusIndex, Tower, TowerConfig, build_tower,
                     check_monomial_independence, frobenius_apply, n_of_pi)
 
 
-def _tower_from_args(args) -> Tower:
-    if args.config:
-        cfg = tower_config_from_file(args.config)
-        if args.precision:
-            cfg = TowerConfig(cfg.p, cfg.l, cfg.m, cfg.f, args.precision)
-    else:
-        cfg = TowerConfig(args.p, args.l, args.m, args.f,
-                          args.precision or 12)
+def _tower_from_args(args, default_config: TowerConfig) -> Tower:
+    """The tower of the --config file, else ``default_config``; --precision,
+    when given, replaces K."""
+    cfg = (tower_config_from_file(args.config) if args.config
+           else default_config)
+    if args.precision:
+        cfg = replace(cfg, K=args.precision)
     return build_tower(cfg)
 
 
 def cmd_tower_info(args) -> dict:
-    tower = _tower_from_args(args)
+    tower = _tower_from_args(
+        args, TowerConfig(args.p, args.l, args.m, args.f, 12))
     cfg = tower.config
     gammas = tuple(parse_int(g, "--gammas") for g in args.gammas.split(","))
     pi, zeta = tower.pi(), tower.zeta()
@@ -135,13 +136,8 @@ def suite_asd(args) -> dict:
 
 
 def suite_gamma(args) -> dict:
-    K = args.precision or 12
-    if args.config:
-        cfg = tower_config_from_file(args.config)
-        cfg = TowerConfig(cfg.p, cfg.l, cfg.m, cfg.f, K)
-    else:
-        cfg = TowerConfig(7, 2, 2, 2, K)
-    tower = build_tower(cfg)
+    tower = _tower_from_args(args, TowerConfig(7, 2, 2, 2, 12))
+    cfg = tower.config
     gammas = (0, 1)
     beta = _parse_beta(tower, args.beta)
     table = st_f_table(tower, gammas, beta)

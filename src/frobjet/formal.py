@@ -344,7 +344,7 @@ def l_mu_series(log: LogSeries, mu, ring: JetRing):
                           if all(v != 0 for v, _ in m)}, L.den)
     N = n_of_pi_from(ring.tower.p, ring.tower.e)
     if N >= 0:
-        Lt = L.scale_int(ring.tower.p ** N)
+        Lt = L.scale(ring.tower.p ** N)
     else:
         Lt = JetElement(ring, L.terms, L.den - N)
     Lt = _normalize_integral(Lt)

@@ -90,8 +90,8 @@ class SeriesRing:
     def one(self) -> "SparseSeries":
         return self.scalar(self.from_int(1))
 
-    def scalar(self, a, den: int = 0) -> "SparseSeries":
-        return self.element({(): a}, den)
+    def scalar(self, a) -> "SparseSeries":
+        return self.element({(): a})
 
     def variable(self, idx: int) -> "SparseSeries":
         return self.element({((idx, 1),): self.from_int(1)})
@@ -140,12 +140,9 @@ class SparseSeries:
         b = other if other.den == d else other.scale(p ** (d - other.den))
         return a, b, d
 
-    def scale(self, a, den: int = 0) -> "SparseSeries":
+    def scale(self, a) -> "SparseSeries":
         return type(self)(self.ring,
-                          {m: c * a for m, c in self.terms.items()},
-                          self.den + den)
-
-    scale_int = scale
+                          {m: c * a for m, c in self.terms.items()}, self.den)
 
     def __add__(self, other):
         a, b, d = self._align(other)

@@ -12,17 +12,17 @@ from __future__ import annotations
 
 from . import polyutils as pu
 from .errors import PrecisionExhausted
+from .tower import INF, pi_valuation, valuation
 
 
-def padic_nullspace(M, p: int, K: int, vmax: int | None = None):
+def padic_nullspace(M, p: int, K: int):
     """Kernel data of an m x n integer matrix taken mod p^K.
 
-    Returns a dict with ``rank`` (number of pivots of valuation < vmax),
+    Returns a dict with ``rank`` (number of pivots, each of valuation < K),
     ``pivot_valuations``, ``kernel`` (basis vectors mod p^cert) and
     ``certificate`` (the absolute precision to which kernel membership is
-    guaranteed).  ``vmax`` defaults to K.
+    guaranteed).
     """
-    vmax = K if vmax is None else vmax
     pk = p ** K
     m = len(M)
     n = len(M[0]) if m else 0
@@ -30,14 +30,13 @@ def padic_nullspace(M, p: int, K: int, vmax: int | None = None):
     colperm = list(range(n))
     pivots = []
     r = 0
-    loss = 0
     while r < min(m, n):
         best = None
         for i in range(r, m):
             for j in range(r, n):
                 if A[i][j]:
                     v = pu.vp_capped(A[i][j], p, K)
-                    if v < vmax and (best is None or v < best[0]):
+                    if best is None or v < best[0]:
                         best = (v, i, j)
         if best is None:
             break
@@ -60,7 +59,6 @@ def padic_nullspace(M, p: int, K: int, vmax: int | None = None):
                     "pivot valuation not minimal -- elimination bug")
             A[i] = [(x - q * y) % pk for x, y in zip(A[i], A[r])]
         pivots.append(v)
-        loss = max(loss, v)
         r += 1
     rank = len(pivots)
     cert = K - sum(pivots)
@@ -86,14 +84,11 @@ def tower_matrix_rank(entries, precision: int) -> int:
     """Rank lower bound of a matrix of tower elements, by elimination with
     valuation pivoting in the tower (divisions stay exact because the pivot
     valuation is minimal)."""
-    from .tower import valuation, INF
-
     rows = [list(r) for r in entries]
     if not rows:
         return 0
     ncols = len(rows[0])
     rank = 0
-    col = 0
     used = set()
     while True:
         best = None
@@ -124,14 +119,6 @@ def tower_matrix_rank(entries, precision: int) -> int:
 
 def _tower_divide(a, b):
     """a / b for tower elements with v(a) >= v(b); exact within precision."""
-    from .tower import valuation
-
-    t = a.tower
-    vb = valuation(b)
-    shift = int(vb * t.e)
-    bb = b
-    aa = a
-    for _ in range(shift):
-        bb = bb.divide_by_pi()
-        aa = aa.divide_by_pi()
-    return aa * bb.inverse()
+    for _ in range(pi_valuation(b)):
+        a, b = a.divide_by_pi(), b.divide_by_pi()
+    return a * b.inverse()

@@ -142,11 +142,11 @@ def cyclotomic_prime_power(l: int, m: int) -> list:
     return trim(out)
 
 
-def equal_degree_factor(poly, d: int, p: int, rng=None) -> list:
+def equal_degree_factor(poly, d: int, p: int) -> list:
     """One monic irreducible degree-``d`` factor of a squarefree ``poly``
     over GF(p), all of whose irreducible factors have degree ``d``
-    (Cantor-Zassenhaus splitting)."""
-    rng = rng or random.Random(0xC2)
+    (Cantor-Zassenhaus splitting, seeded so the factor is deterministic)."""
+    rng = random.Random(0xC2)
     poly = fp_monic(poly, p)
     if len(poly) - 1 == d:
         return poly
@@ -164,12 +164,10 @@ def equal_degree_factor(poly, d: int, p: int, rng=None) -> list:
             cand = fp_gcd(poly, h, p)
             if not (1 < len(cand) < len(poly)):
                 continue
+        # cand is monic and, like poly, a product of degree-d factors
         if len(cand) - 1 == d:
-            return fp_monic(cand, p)
-        poly = cand if len(cand) - 1 >= d else trim(
-            pdivmod_monic(poly, cand, p)[0])
-        if len(poly) - 1 == d:
-            return fp_monic(poly, p)
+            return cand
+        poly = cand
 
 
 def hensel_lift_factor(f, g0, p: int, K: int) -> list:

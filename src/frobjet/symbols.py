@@ -57,9 +57,6 @@ class Symbol:
     def letter(cls, tower, gammas, i: int) -> "Symbol":
         return cls(tower, gammas, {(i,): QElement(tower.one(), 0)})
 
-    def order(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     def __add__(self, other):
         self._check(other)
         t = dict(self.terms)

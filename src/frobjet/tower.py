@@ -106,10 +106,7 @@ class Tower:
     def _build_zeta_tables(self):
         p, e, f, K = self.p, self.e, self.f, self.K
         phi_lm = pu.cyclotomic_prime_power(self.config.l, self.config.m)
-        if self.config.m == 0:
-            g0 = [-1 % p, 1]
-        else:
-            g0 = pu.equal_degree_factor(phi_lm, f, p)
+        g0 = pu.equal_degree_factor(phi_lm, f, p)
         # lift the factorization of x^e - 1 (not just of the cyclotomic
         # polynomial) so that zeta^e = 1 holds exactly mod p^K
         xe1 = [0] * (e + 1)
@@ -392,8 +389,6 @@ class TowerElement:
 
     def divide_by_pi(self) -> "TowerElement":
         t = self.tower
-        if t.e == 1:
-            return self.divide_by_p()
         p, f, e = t.p, t.f, t.e
         if any(self.coeffs[i][0] % p for i in range(f)):
             raise PrecisionExhausted("element is not divisible by pi")
@@ -447,15 +442,14 @@ def apply_automorphism(a: TowerElement, tau_exp: int, frob_exp: int
     t = a.tower
     e, f = t.e, t.f
     pk = t.p ** a.prec
-    pb = pow(t.p, frob_exp, e) if e > 1 else 0
+    pb = pow(t.p, frob_exp, e)
     out = [[0] * e for _ in range(f)]
     for i in range(f):
         for j in range(e):
             c = a.coeffs[i][j]
             if c == 0:
                 continue
-            zexp = (pb * i + tau_exp * j) % e if e > 1 else 0
-            red = t.zpow[zexp]
+            red = t.zpow[(pb * i + tau_exp * j) % e]
             for k in range(f):
                 if red[k]:
                     out[k][j] = (out[k][j] + c * red[k]) % pk
@@ -467,7 +461,7 @@ def frobenius_apply(tower: Tower, idx: FrobeniusIndex, a: TowerElement
     """phi^(gamma) = tau^gamma o phi: zeta -> zeta^p, pi -> zeta^gamma pi."""
     if a.tower is not tower:
         raise FamilyMismatch("element does not belong to this tower")
-    return apply_automorphism(a, idx.gamma % tower.e if tower.e > 1 else 0, 1)
+    return apply_automorphism(a, idx.gamma % tower.e, 1)
 
 
 def raise_if_bad_word(gammas, word):
@@ -480,7 +474,7 @@ def frobenius_word_apply(tower: Tower, gammas, word, a: TowerElement
                          ) -> TowerElement:
     """Apply phi_mu for a word mu = (i_1, ..., i_s) over the family."""
     c, s = word_exponents_for(tower.p, gammas, word)
-    return apply_automorphism(a, c % tower.e if tower.e > 1 else 0, s)
+    return apply_automorphism(a, c % tower.e, s)
 
 
 def word_exponents_for(p: int, gammas, word) -> tuple:
@@ -600,8 +594,6 @@ class QElement:
         return self.num.prec - self.den
 
     def __add__(self, other):
-        if isinstance(other, TowerElement):
-            other = QElement(other, 0)
         d = max(self.den, other.den)
         a, b = (x.num if x.den == d else x.num * self.tower.p ** (d - x.den)
                 for x in (self, other))
@@ -611,18 +603,12 @@ class QElement:
         return QElement(-self.num, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, TowerElement):
-            other = QElement(other, 0)
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, TowerElement):
             other = QElement(other, 0)
-        if isinstance(other, int):
-            return QElement(self.num * other, self.den)
         return QElement(self.num * other.num, self.den + other.den)
-
-    __rmul__ = __mul__
 
     def normalized(self) -> "QElement":
         """Cancel p-powers shared by the numerator and the denominator."""
@@ -633,17 +619,6 @@ class QElement:
             except PrecisionExhausted:
                 break
         return q
-
-    def equals(self, other, precision: int | None = None) -> bool:
-        """Agreement at the stated (or best shared) absolute precision."""
-        diff = self - other
-        v = diff.valuation()
-        cert = diff.certified_precision()
-        target = cert if precision is None else min(precision, cert)
-        return v == INF or v >= target
-
-    def to_dict(self):
-        return {"num": self.num.to_dict(), "den": self.den}
 
     def __repr__(self):
         return f"QElement({self.num!r} / p^{self.den})"

@@ -59,6 +59,14 @@ class TestTowerInfo:
         assert rc == 0
         assert json.loads(out.read_text())["config"]["f"] == 2
 
+    def test_dependent_family_reported(self, tmp_path):
+        out = tmp_path / "r.json"
+        rc = main(["tower-info", "--gammas", "0,1,7", "--indep-order", "2",
+                   "--out", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["independence"]["independent"] \
+            is False
+
     def test_invalid_config_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("p=5\nl=3\nm=1\nf=1\nK=10\n")  # f must be 2
@@ -77,6 +85,19 @@ class TestTowerInfo:
                                        ["--p", "7", "--gammas", ""]])
     def test_malformed_flag_exit_code(self, flags):
         assert main(["tower-info"] + flags) == 2
+
+
+@pytest.mark.parametrize("command", [["tower-info"], ["verify", "gamma"]])
+@pytest.mark.parametrize("extra, K", [([], 14), (["--precision", "13"], 13)])
+def test_config_file_precision(command, extra, K, tmp_path):
+    """K comes from the --config file unless --precision is given."""
+    cfg = tmp_path / "tower.cfg"
+    cfg.write_text("p=7\nl=2\nm=1\nf=1\nK=14\n")
+    out = tmp_path / "r.json"
+    assert main(command + ["--config", str(cfg), "--out", str(out)]
+                + extra) == 0
+    config = json.loads(out.read_text())["config"]
+    assert config.get("tower", config)["K"] == K
 
 
 class TestVerify:
@@ -183,9 +204,12 @@ def test_each_subcommand_declares_exactly_what_it_reads():
 
     import frobjet.cli as cli
 
-    def read(*fns):
-        return {node.attr for fn in fns
-                for node in ast.walk(ast.parse(inspect.getsource(fn)))
+    def read(fn):
+        # a subcommand also reads what the shared tower helper reads
+        src = inspect.getsource(fn)
+        if "_tower_from_args(" in src:
+            src += inspect.getsource(cli._tower_from_args)
+        return {node.attr for node in ast.walk(ast.parse(src))
                 if isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name)
                 and node.value.id == "args"}
@@ -195,5 +219,4 @@ def test_each_subcommand_declares_exactly_what_it_reads():
 
     for suite, fn in cli._SUITE_FUNCS.items():
         assert read(fn) == declared(cli.SUITE_FLAGS[suite]), suite
-    assert read(cli.cmd_tower_info, cli._tower_from_args) == declared(
-        TOWER_INFO_FLAGS)
+    assert read(cli.cmd_tower_info) == declared(TOWER_INFO_FLAGS)

@@ -465,8 +465,8 @@ class TestPsiSeries:
         log = gm_log(5, 40, 12)
         scale = 5 ** (-1 + 1)  # p^(N+1) with N = -1 for pi = p
         lj = log_jet(log, ring)
-        num = (phi_word(ring, (1,), lj).scale_int(scale)
-               - lj.scale_int(scale * 5))
+        num = (phi_word(ring, (1,), lj).scale(scale)
+               - lj.scale(scale * 5))
         psi = JetElement(ring, num.terms, num.den + 1)
         rng = random.Random(4)
         for _ in range(5):

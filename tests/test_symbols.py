@@ -3,7 +3,7 @@ import random
 import pytest
 
 from frobjet.errors import FamilyMismatch, MissingClass
-from frobjet.linalg import tower_matrix_rank
+from frobjet.linalg import _tower_divide, tower_matrix_rank
 from frobjet.symbols import (PMatrix, Symbol, gamma_matrix,
                              pmatrix_rank_minors, sym_eval, sym_mul)
 from frobjet.tower import (QElement, TowerConfig, build_tower,
@@ -208,3 +208,14 @@ class TestMinors:
         entries = [[frobenius_word_apply(tower, GAMMAS, w, a)
                     for a in samples] for w in words]
         assert tower_matrix_rank(entries, precision=8) == 2
+
+    def test_non_unit_pivots(self, tower):
+        # every entry is a pi- or pi^3-multiple, so each elimination step
+        # divides pivot and target by pi before inverting a unit
+        rng = random.Random(43)
+        pi = tower.pi()
+        a, b, c, d = (tower.random_unit(rng) for _ in range(4))
+        entries = [[pi * a, pi * b], [pi ** 3 * c, pi ** 3 * d],
+                   [pi ** 3 * a, pi ** 3 * b]]
+        assert tower_matrix_rank(entries, precision=8) == 2
+        assert _tower_divide(pi ** 2 * a, pi * b) * (pi * b) == pi ** 2 * a

@@ -98,6 +98,16 @@ class TestBuildTower:
             want = [c % t.pK for c in rem[:t.f]] + [0] * max(t.f - k - 1, 0)
             assert row == want[:t.f]
 
+    @pytest.mark.parametrize("cfg", [(11, 5, 1, 1, 6), (7, 2, 5, 4, 6)])
+    def test_zeta_factor_after_repeated_splitting(self, cfg):
+        """Phi_e has four degree-f factors mod p here, so equal-degree
+        factoring splits a proper factor again before it reaches degree f."""
+        t = build_tower(TowerConfig(*cfg))
+        assert len(t.g) - 1 == t.f
+        z = t.zeta()
+        assert z ** t.e == t.one()
+        assert not z ** (t.e // cfg[1]) == t.one()
+
 
 class TestConstructors:
     """Precision above K is clamped before the coefficients are reduced, so
@@ -391,6 +401,12 @@ class TestMonomialIndependence:
     def test_duplicate_gammas(self, t7):
         ok, _ = check_monomial_independence(t7, (0, 0), 2)
         assert not ok
+
+    def test_shared_exponent_dependent(self, t7):
+        # 12 and 31 both act as tau^7 o phi^2: 0 + 7*1 = 7 + 7*0
+        ok, wit = check_monomial_independence(t7, (0, 1, 7), 2)
+        assert not ok
+        assert wit["12"] == wit["31"] == {"length": 2, "tau_exponent": 7}
 
     def test_single_generator_free(self, t7):
         ok, _ = check_monomial_independence(t7, (1,), 4)
