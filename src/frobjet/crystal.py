@@ -167,13 +167,13 @@ def kedlaya_frobenius(curve: WeierstrassCurve, K: int,
                     [p * ck * c % P for c in Nk], P)
         if k < k_max:
             Nk = pu.ser_mul(Nk, N, P, len(Nk) + 3 * p)
-    expansions = [pu.fadic_expand([0] * (p * i + p - 1) + H, f, m_top, P)
-                  for i in (0, 1)]
+    expansions = pu.fadic_expand([[0] * (p * i + p - 1) + H for i in (0, 1)],
+                                 f, m_top, P)
     # r of degree <= 2 is a f + b f' with r v = bq f + b, a = r u + bq f' of
     # degree <= 1 (u f + v f' = 1); steps[j] holds (a, b') for r = x^j
     steps = []
     for r in ([1], [0, 1], [0, 0, 1]):
-        (b,), bq = pu.fadic_expand(pu.ser_mul(r, v, P, 5), f, 1, P)
+        [((b,), bq)] = pu.fadic_expand([pu.ser_mul(r, v, P, 5)], f, 1, P)
         a = pu.padd(pu.ser_mul(r, u, P, 4),
                     pu.ser_mul(bq, [a4 % P, 0, 3], P, 4), P)
         if len(a) > 2:

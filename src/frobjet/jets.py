@@ -99,11 +99,15 @@ class SeriesRing:
     def T(self) -> "SparseSeries":
         return self.variable(0)
 
-    def delta_var(self, word) -> "SparseSeries":
+    def var_index(self, word) -> int:
+        """Index of the variable delta_w T; OrderOverflow outside the ring."""
         w = tuple(word)
         if w not in self.word_to_var:
             raise OrderOverflow(f"word {w} exceeds order {self.r}")
-        return self.variable(self.word_to_var[w])
+        return self.word_to_var[w]
+
+    def delta_var(self, word) -> "SparseSeries":
+        return self.variable(self.var_index(word))
 
 
 class SparseSeries:

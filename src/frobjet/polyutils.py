@@ -251,11 +251,15 @@ def ser_mul(a: list, b: list, mod: int, n: int) -> list:
     return [c % mod for c in kron_mul(a, b, mod, n)]
 
 
-def fadic_expand(a: list, f: list, n: int, mod: int):
-    """([d_0, ..., d_(n-1)], Q) with a = sum d_j f^j + Q f^n mod ``mod``, for
-    a monic ``f`` of degree d; each digit has d entries, Q is trimmed.  Divide
-    and conquer (von zur Gathen-Gerhard, Modern Computer Algebra, ch. 9): one
-    division by f^h, h = n // 2, through the inverse of its reversal."""
+def fadic_expand(nums: list, f: list, n: int, mod: int) -> list:
+    """[([d_0, ..., d_(n-1)], Q), ...], one pair per numerator a in ``nums``,
+    with a = sum d_j f^j + Q f^n mod ``mod``, for a monic ``f`` of degree d;
+    each digit has d entries, Q is trimmed.  Divide and conquer (von zur
+    Gathen-Gerhard, Modern Computer Algebra, ch. 9): one division by f^h,
+    h = n // 2, through the inverse of its reversal.  The numerators share
+    the powers of f and these inverses; the longest is expanded first, so
+    every inverse is built once, at the greatest length any numerator needs.
+    """
     d = len(f) - 1
     low = [(j, c % mod) for j, c in enumerate(f[:-1]) if c % mod]
     pows, invs = {1: [c % mod for c in f]}, {}
@@ -290,7 +294,10 @@ def fadic_expand(a: list, f: list, n: int, mod: int):
         hi, Q = expand(q, n - h)
         return expand(r, h)[0] + hi, Q
 
-    return expand([c % mod for c in a], n)
+    out = [None] * len(nums)
+    for k in sorted(range(len(nums)), key=lambda k: -len(nums[k])):
+        out[k] = expand([c % mod for c in nums[k]], n)
+    return out
 
 
 def ser_inv(a: list, mod: int, n: int) -> list:

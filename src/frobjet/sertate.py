@@ -13,7 +13,10 @@ and its phi-twists.  Two exact layers implement this:
     delta_mu T: the ``frobjet.jets`` series class over ``STRing``, where
     the prolongations act by T -> T^p + p delta_i T.  Used for the
     fundamental series, the canonical derivation
-    (1 + T^phi_mu) d/d(delta_mu T), and their defining identities.
+    (1 + T^phi_mu) d/d(delta_mu T), and their defining identities.  The
+    one exception is ``psi_series_form``, the power-series route to Psi_i:
+    it bypasses the sparse STSeries product and runs on integer rows, one
+    per power of delta_i T, building an STSeries only for its result.
 
 ``PsiPoly``
     polynomials over Q in commuting slot variables (the twists Psi_i^phi_mu,
@@ -41,8 +44,8 @@ import re
 from fractions import Fraction
 from importlib import resources
 
-from .errors import (BetaTooLarge, DivisionByZero, OrderOverflow,
-                     UnknownForm, UnknownRelation)
+from .errors import (BetaTooLarge, DivisionByZero, UnknownForm,
+                     UnknownRelation)
 from .jets import (SeriesRing, SparseSeries, _mono_mul, phi_endomorphism,
                    phi_word)
 from .symbols import subset_det
@@ -132,32 +135,54 @@ def psi_series_form(ring: STRing, i: int, sign_exponent_offset: int
     """The explicit series (1/p) sum_n (-1)^(n + off) (p^n/n) z^n with
     z = delta_i(1+T) / (1+T)^p; offset 1 reproduces psi_st_series, offset 0
     is the competing sign convention (kept so the discrepancy is testable).
+
+    z = (delta + c) / (1+T)^p is integral: delta = delta_i T and
+    c = C_p(1, T) = -sum_{0<j<p} (C(p, j)/p) T^j.  So L = lcm(1..D) times
+    the sum is an integer series, held as one row of T-coefficients A_k per
+    power delta^k, truncated at T-degree D - k.  Horner in z runs over the
+    integer weights (-1)^(n + off) p^(n-1) L/n; one step multiplies the
+    rows by delta + c and divides each by (1+T)^p exactly, through
+    b_t = x_t - sum_{j=1..min(p, t)} C(p, j) b_(t-j).  The Fractions A_k/L
+    appear only in the returned series.
     """
     p, D = ring.p, ring.D
-    # delta_i(1+T) = delta_i T + C_p(1, T)
-    cp = {((0, j),): Fraction(-math.comb(p, j), p) for j in range(1, p)}
-    z_num = ring.delta_var((i,)) + STSeries(ring, cp)
-    # (1+T)^(-p) = sum_k (-1)^k C(p+k-1, k) T^k
-    inv = STSeries(ring, {((0, k),) if k else ():
-                          Fraction((-1) ** k * math.comb(p + k - 1, k))
-                          for k in range(D + 1)})
-    z = z_num * inv
-    acc = ring.zero()
-    zk = ring.one()
-    for n in range(1, D + 1):
-        zk = zk * z
-        acc = acc + zk * Fraction((-1) ** (n + sign_exponent_offset)
-                                  * p ** n, n)
-    return acc * Fraction(1, p)
+    v = ring.var_index((i,))
+    L = math.lcm(*range(1, D + 1))
+    c = [-math.comb(p, j) // p for j in range(1, p)]   # c[j - 1] at T^j
+    binom = [math.comb(p, j) for j in range(p + 1)]
+    rows = [[0] * (D + 1)]      # rows[k][a]: L times the T^a delta^k term
+    for n in range(D, 0, -1):
+        # add the weight of z^n, then multiply by z
+        rows[0][0] += ((-1) ** (n + sign_exponent_offset) * p ** (n - 1)
+                       * (L // n))
+        new = []
+        for k in range(min(len(rows), D) + 1):
+            m = D - k
+            # x = A_(k-1) + c A_k to T-degree m, then x / (1+T)^p in place
+            x = rows[k - 1][:m + 1] if k else [0] * (m + 1)
+            if k < len(rows):
+                for a, y in enumerate(rows[k][:m]):
+                    for j, cj in enumerate(c[:m - a], a + 1):
+                        x[j] += cj * y
+            for t in range(1, m + 1):
+                x[t] -= sum(binom[j] * x[t - j]
+                            for j in range(1, min(p, t) + 1))
+            new.append(x)
+        rows = new
+    terms = {}
+    for k, row in enumerate(rows):
+        dk = ((v, k),) if k else ()
+        for a, y in enumerate(row):
+            if y:
+                terms[((0, a),) + dk if a else dk] = Fraction(y, L)
+    return STSeries(ring, terms)
 
 
 def serre_operator(ring: STRing, mu, F: STSeries) -> STSeries:
     """The canonical derivation (1 + T^phi_mu) dF/d(delta_mu T)."""
-    w = tuple(mu)
-    if w not in ring.word_to_var:
-        raise OrderOverflow(f"word {w} exceeds order {ring.r}")
-    Tphi = phi_word(ring, w, ring.T())
-    return (ring.one() + Tphi) * F.derivative(ring.word_to_var[w])
+    v = ring.var_index(mu)
+    Tphi = phi_word(ring, mu, ring.T())
+    return (ring.one() + Tphi) * F.derivative(v)
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,8 @@ class TowerElement:
     def __add__(self, other):
         if isinstance(other, int):
             other = self.tower.from_int(other, self.prec)
+        elif not isinstance(other, TowerElement):
+            return NotImplemented
         self._check(other)
         prec = min(self.prec, other.prec)
         pk = self.tower.p ** prec
@@ -307,9 +309,13 @@ class TowerElement:
     def __sub__(self, other):
         if isinstance(other, int):
             other = self.tower.from_int(other, self.prec)
+        elif not isinstance(other, TowerElement):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
@@ -319,6 +325,8 @@ class TowerElement:
             return _element(
                 t, [[(other * a) % pk for a in row] for row in self.coeffs],
                 self.prec)
+        if not isinstance(other, TowerElement):
+            return NotImplemented
         self._check(other)
         prec = min(self.prec, other.prec)
         pk = t.p ** prec
@@ -594,6 +602,8 @@ class QElement:
         return self.num.prec - self.den
 
     def __add__(self, other):
+        if not isinstance(other, QElement):
+            return NotImplemented
         d = max(self.den, other.den)
         a, b = (x.num if x.den == d else x.num * self.tower.p ** (d - x.den)
                 for x in (self, other))
@@ -603,11 +613,15 @@ class QElement:
         return QElement(-self.num, self.den)
 
     def __sub__(self, other):
+        if not isinstance(other, QElement):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, TowerElement):
             other = QElement(other, 0)
+        elif not isinstance(other, QElement):
+            return NotImplemented
         return QElement(self.num * other.num, self.den + other.den)
 
     def normalized(self) -> "QElement":

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobjet import polyutils as pu
 
@@ -47,22 +48,60 @@ FADIC_CASES = sorted({(d, n, length) for d in (1, 2, 3, 4)
 
 @pytest.mark.parametrize("d, n, length", FADIC_CASES)
 def test_fadic_expand_matches_repeated_division(d, n, length):
+    """One numerator alone, and the same one between a shorter and a longer
+    numerator that share its powers of f and inverses."""
     rng = random.Random(d * 10000 + n * 100 + length)
     for mod in (7, 5 ** 9, MOD):
         f = [rng.randrange(mod) for _ in range(d)] + [1]
-        a = [rng.randrange(-mod, mod) for _ in range(length)]
-        assert pu.fadic_expand(a, f, n, mod) == repeated_division(a, f, n, mod)
+        nums = [[rng.randrange(-mod, mod) for _ in range(k)]
+                for k in (length, length // 2, length + d + 3)]
+        want = [repeated_division(a, f, n, mod) for a in nums]
+        assert pu.fadic_expand(nums[:1], f, n, mod) == want[:1]
+        assert pu.fadic_expand(nums, f, n, mod) == want
 
 
 @pytest.mark.parametrize("a4, a6", [(2, 5), (0, 3), (4, 0)])
 @pytest.mark.parametrize("n", [0, 1, 8, 9, 126])
 def test_fadic_expand_curve_cubic(a4, a6, n):
-    """The monic cubic of the curves, over the Kedlaya modulus, with an
-    input a little longer than f^n as in the reduction."""
+    """The monic cubic of the curves, over the Kedlaya modulus, with two
+    inputs a little longer than f^n, p apart, as the two Kedlaya columns."""
     rng = random.Random(n)
     f = [a6, a4, 0, 1]
     a = [rng.randrange(MOD) for _ in range(3 * n + 10)]
-    assert pu.fadic_expand(a, f, n, MOD) == repeated_division(a, f, n, MOD)
+    nums = [a, [0] * 7 + a]
+    assert pu.fadic_expand(nums, f, n, MOD) == [
+        repeated_division(x, f, n, MOD) for x in nums]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 40),
+       st.lists(st.integers(0, 200), min_size=1, max_size=4),
+       st.integers(0, 2 ** 32))
+def test_fadic_expand_shares_inverses(d, n, lengths, seed):
+    """Several numerators in one call equal one call each, in input order,
+    and invert no more reversed powers of f than the longest alone."""
+    rng = random.Random(seed)
+    mod = 5 ** 9
+    f = [rng.randrange(mod) for _ in range(d)] + [1]
+    nums = [[rng.randrange(-mod, mod) for _ in range(k)] for k in lengths]
+    calls = []
+    inv = pu.ser_inv
+
+    def counting(*args):
+        calls.append(args)
+        return inv(*args)
+
+    pu.ser_inv = counting
+    try:
+        together = pu.fadic_expand(nums, f, n, mod)
+        shared = len(calls)
+        del calls[:]
+        pu.fadic_expand([max(nums, key=len)], f, n, mod)
+        alone = len(calls)
+    finally:
+        pu.ser_inv = inv
+    assert together == [pu.fadic_expand([a], f, n, mod)[0] for a in nums]
+    assert shared == alone
 
 
 @pytest.mark.parametrize("p, cap", [(3, 1), (5, 4), (7, 6)])

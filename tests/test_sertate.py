@@ -19,6 +19,7 @@ from frobjet.jets import phi_endomorphism
 from frobjet.symbols import Symbol, sym_eval
 from frobjet.tower import QElement, TowerConfig, build_tower, valuation
 from frobjet.words import word_from_string
+from sertate_oracle import psi_series_form_sparse
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +54,36 @@ class TestFundamentalSeries:
         psi = psi_st_series(ring, 1)
         out = psi.substitute(ring.word_to_var[(1,)], sub)
         assert out.truncate(ring.D - p).is_zero()
+
+
+def _oracle_cases():
+    """(p, D) on a two-direction ring of order 2: D at 1, 2, p - 1, p, 12 and
+    24 for p in {2, 3, 5, 7}, plus (7, 30) in one direction and sign; then
+    a one-direction ring and the third direction of a three-direction one."""
+    for p in (2, 3, 5, 7):
+        for D in sorted({1, 2, p - 1, p, 12, 24}):
+            for i in (1, 2):
+                for off in (0, 1):
+                    yield (p, 2, 2, D), i, off
+    yield (7, 2, 2, 30), 1, 1
+    for off in (0, 1):
+        yield (5, 1, 1, 10), 1, off
+        yield (5, 3, 1, 8), 3, off
+
+
+class TestSeriesFormOracle:
+    """The integer-row series form against the sparse Fraction route."""
+
+    @pytest.mark.parametrize("shape,i,off", list(_oracle_cases()), ids=str)
+    def test_matches_sparse_route(self, shape, i, off):
+        ring = STRing(*shape)
+        assert (psi_series_form(ring, i, off).terms
+                == psi_series_form_sparse(ring, i, off).terms)
+
+    @pytest.mark.parametrize("i", [0, 3])
+    def test_direction_outside_ring(self, i):
+        with pytest.raises(OrderOverflow):
+            psi_series_form(STRing(5, 2, 2, 6), i, 1)
 
 
 class TestSerreOperator:

@@ -1,4 +1,5 @@
 import functools
+import operator
 import random
 from fractions import Fraction
 
@@ -7,9 +8,9 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from frobjet import polyutils as pu
-from frobjet.errors import (NotAUnit, NotEisensteinCompatible,
-                            PrecisionExhausted, PrecisionTooLow,
-                            UnreducedCoefficients)
+from frobjet.errors import (FamilyMismatch, NotAUnit,
+                            NotEisensteinCompatible, PrecisionExhausted,
+                            PrecisionTooLow, UnreducedCoefficients)
 from frobjet.tower import (INF, FrobeniusIndex, QElement, TowerConfig,
                            TowerElement, apply_automorphism, build_tower,
                            check_monomial_independence, frobenius_apply,
@@ -207,6 +208,47 @@ class TestQElementAdd:
         for s in (QElement(x, 1) + QElement(y, 3),
                   QElement(y, 3) + QElement(x, 1)):
             assert s.den == 3 and s.num == x * 25 + y
+
+
+class TestForeignOperands:
+    """TowerElement against every operand kind, on both sides of * + -:
+    a cell computes, raises FamilyMismatch or raises TypeError."""
+
+    OPS = {"*": operator.mul, "+": operator.add, "-": operator.sub}
+
+    @pytest.fixture(scope="class")
+    def tower(self):
+        return build_tower(TowerConfig(7, 2, 2, 2, 14))
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    @pytest.mark.parametrize("kind", ["int", "Fraction", "str", "QElement",
+                                      "other-tower"])
+    def test_matrix(self, tower, t7, kind, op):
+        a = tower.one() * 3
+        other = {"int": 3, "Fraction": Fraction(1, 2), "str": "a",
+                 "QElement": QElement(tower.one(), 1),
+                 "other-tower": t7.one()}[kind]
+        fn = self.OPS[op]
+        # (a op other, other op a)
+        want = {"int": (None, None),
+                "Fraction": (TypeError, TypeError),
+                "str": (TypeError, TypeError),
+                "QElement": (TypeError, None if op == "*" else TypeError),
+                "other-tower": (FamilyMismatch, FamilyMismatch)}[kind]
+        for (left, right), exc in zip(((a, other), (other, a)), want):
+            if exc is None:
+                fn(left, right)
+            else:
+                with pytest.raises(exc):
+                    fn(left, right)
+
+    def test_int_cells_compute(self, tower):
+        a = tower.one() * 3
+        assert a * 2 == 2 * a == tower.from_int(6, tower.K)
+        assert a + 2 == 2 + a == tower.from_int(5, tower.K)
+        assert a - 2 == tower.one() and 2 - a == -tower.one()
+        q = QElement(tower.one(), 1) * a
+        assert q.den == 1 and q.num == a
 
 
 class TestFrobenius:
