@@ -31,8 +31,8 @@ from .errors import (BetaTooLarge, DistinctWordsRequired, LogDivergence,
 from .formal import LogSeries
 from .linalg import padic_nullspace
 from .tower import (INF, FrobeniusIndex, QElement, Tower, TowerElement,
-                    frobenius_apply, frobenius_word_apply, n_of_pi_from,
-                    pi_valuation, raise_if_bad_word, valuation)
+                    frobenius_apply, n_of_pi_from, pi_valuation,
+                    primary_class, raise_if_bad_word, valuation)
 
 
 def gm_character_eval(tower: Tower, idx: FrobeniusIndex, x: TowerElement
@@ -175,18 +175,14 @@ class PairingContext:
 
 def pairing(ctx: PairingContext, alpha: TowerElement, beta: TowerElement
             ) -> TowerElement:
-    """<alpha, beta> for the context's word pair; bilinear over Q_p and
-    antisymmetric both in the arguments and in the words."""
-    t = ctx.tower
-    p = t.p
-    r, s = len(ctx.mu), len(ctx.nu)
-    amu = frobenius_word_apply(t, ctx.gammas, ctx.mu, alpha)
-    anu = frobenius_word_apply(t, ctx.gammas, ctx.nu, alpha)
-    bmu = frobenius_word_apply(t, ctx.gammas, ctx.mu, beta)
-    bnu = frobenius_word_apply(t, ctx.gammas, ctx.nu, beta)
-    return (bnu * amu - bmu * anu
-            + (alpha * bmu - beta * amu) * p ** s
-            + (beta * anu - alpha * bnu) * p ** r)
+    """<alpha, beta> = f_mu(alpha) f_nu(beta) - f_nu(alpha) f_mu(beta) for
+    the context's word pair, with f_mu(x) = phi_mu(x) - p^|mu| x; bilinear
+    over Q_p and antisymmetric both in the arguments and in the words."""
+    def f(word, x):
+        return primary_class(ctx.tower, ctx.gammas, word, x)
+
+    return (f(ctx.mu, alpha) * f(ctx.nu, beta)
+            - f(ctx.nu, alpha) * f(ctx.mu, beta))
 
 
 def kernel_dimension(ctx: PairingContext, beta: TowerElement) -> dict:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (FamilyMismatch, NotTopologicallyNilpotent, OrderOverflow,
                      PrecisionExhausted)
@@ -63,9 +62,9 @@ class SeriesRing:
 
     Variable v stands for delta_w T with w = ``var_words[v]``; index 0 is
     T itself, the empty word.  Subclasses set ``series_type`` (their
-    SparseSeries subclass) and supply ``from_int``, ``is_zero`` and
-    ``frobenius(i, c)``; pi^j comes from a table built here for j <= D,
-    so a ring is read-only once constructed.
+    SparseSeries subclass) and ``scalar_types`` (what ``from_int`` takes),
+    and supply ``from_int``, ``is_zero`` and ``frobenius(i, c)``; pi^j
+    comes from a table built here for j <= D, so a ring is read-only.
     """
 
     def __init__(self, p: int, n: int, r: int, D: int, one, pi):
@@ -103,7 +102,10 @@ class SeriesRing:
         """Index of the variable delta_w T; OrderOverflow outside the ring."""
         w = tuple(word)
         if w not in self.word_to_var:
-            raise OrderOverflow(f"word {w} exceeds order {self.r}")
+            bad = [i for i in w if not 1 <= i <= self.n]
+            raise OrderOverflow(
+                f"direction {bad[0]} in word {w} is outside 1..{self.n}"
+                if bad else f"word {w} exceeds order {self.r}")
         return self.word_to_var[w]
 
     def delta_var(self, word) -> "SparseSeries":
@@ -115,9 +117,9 @@ class SparseSeries:
 
     ``terms`` maps monomials (sorted tuples of (variable, exponent)) of
     total degree <= D to nonzero coefficients; every operation truncates
-    again.  ``den`` is a global p-power denominator exponent.  int and
-    Fraction scalars enter sums through ``ring.from_int``; any other
-    non-series factor multiplies every coefficient.
+    again.  ``den`` is a global p-power denominator exponent.  Sums take
+    the ring's ``scalar_types`` through ``ring.from_int`` and refuse other
+    operands; any non-series factor multiplies every coefficient.
     """
 
     __slots__ = ("ring", "terms", "den")
@@ -129,27 +131,26 @@ class SparseSeries:
         self.terms = {m: c for m, c in terms.items()
                       if _degree(m) <= D and not is_zero(c)}
 
-    def _coerce(self, other) -> "SparseSeries":
-        if isinstance(other, (int, Fraction)):
+    def _coerce(self, other):
+        """``other`` as a series, or None when its type is foreign here."""
+        if isinstance(other, self.ring.scalar_types):
             return self.ring.scalar(self.ring.from_int(other))
-        return other
-
-    def _align(self, other):
-        other = self._coerce(other)
-        if self.ring is not other.ring:
-            raise FamilyMismatch("series from different rings")
-        d = max(self.den, other.den)
-        p = self.ring.p
-        a = self if self.den == d else self.scale(p ** (d - self.den))
-        b = other if other.den == d else other.scale(p ** (d - other.den))
-        return a, b, d
+        return other if isinstance(other, SparseSeries) else None
 
     def scale(self, a) -> "SparseSeries":
         return type(self)(self.ring,
                           {m: c * a for m, c in self.terms.items()}, self.den)
 
     def __add__(self, other):
-        a, b, d = self._align(other)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        if self.ring is not other.ring:
+            raise FamilyMismatch("series from different rings")
+        d = max(self.den, other.den)
+        p = self.ring.p
+        a = self if self.den == d else self.scale(p ** (d - self.den))
+        b = other if other.den == d else other.scale(p ** (d - other.den))
         t = dict(a.terms)
         for m, c in b.terms.items():
             t[m] = t[m] + c if m in t else c
@@ -162,7 +163,8 @@ class SparseSeries:
                           {m: -c for m, c in self.terms.items()}, self.den)
 
     def __sub__(self, other):
-        return self + (-other)
+        other = self._coerce(other)
+        return NotImplemented if other is None else self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, SparseSeries):
@@ -235,6 +237,7 @@ class JetRing(SeriesRing):
     """Jet ring of a JetRingConfig: coefficients are tower elements."""
 
     series_type = JetElement
+    scalar_types = int
     is_zero = staticmethod(TowerElement.is_zero)
 
     def __init__(self, cfg: JetRingConfig):

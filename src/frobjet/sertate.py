@@ -48,9 +48,9 @@ from .errors import (BetaTooLarge, DivisionByZero, UnknownForm,
                      UnknownRelation)
 from .jets import (SeriesRing, SparseSeries, _mono_mul, phi_endomorphism,
                    phi_word)
-from .symbols import subset_det
+from .symbols import gamma_rows, subset_det
 from .tower import (Tower, TowerElement, frobenius_word_apply, n_of_pi_from,
-                    valuation)
+                    primary_class, valuation)
 from .words import word_from_string
 
 
@@ -67,7 +67,8 @@ class STSeries(SparseSeries):
     __mul__ = __rmul__ = SparseSeries.__mul__
 
     def __eq__(self, other):
-        return self.terms == self._coerce(other).terms
+        other = self._coerce(other)
+        return NotImplemented if other is None else self.terms == other.terms
 
     def derivative(self, var: int) -> "STSeries":
         out = {}
@@ -108,6 +109,7 @@ class STRing(SeriesRing):
     """
 
     series_type = STSeries
+    scalar_types = (int, Fraction)
     from_int = staticmethod(Fraction)
     is_zero = staticmethod(operator.not_)
 
@@ -207,6 +209,8 @@ class PsiPoly:
         return cls({(c_exp, p_exp, ((name, 1),)): Fraction(value)})
 
     def __add__(self, other):
+        if not isinstance(other, PsiPoly):
+            return NotImplemented
         t = dict(self.terms)
         for m, c in other.terms.items():
             t[m] = t.get(m, Fraction(0)) + c
@@ -216,9 +220,13 @@ class PsiPoly:
         return PsiPoly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, PsiPoly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
+        if not isinstance(other, PsiPoly):
+            return NotImplemented
         out = {}
         for (c1, p1, v1), a1 in self.terms.items():
             for (c2, p2, v2), a2 in other.terms.items():
@@ -232,13 +240,14 @@ class PsiPoly:
     def c_degrees(self):
         return sorted({m[0] for m in self.terms})
 
-    def twist(self, j: int) -> "PsiPoly":
-        """Apply phi_j: slot words get j prepended; c and p are fixed."""
+    def twist(self, word: str) -> "PsiPoly":
+        """Apply phi_word: slot words get ``word`` prepended ("" is the
+        identity); c and p are fixed."""
         out = {}
         for (ce, pe, vars_), a in self.terms.items():
             nv = []
             for (kind, i, w), e in vars_:
-                nv.append(((kind, i, str(j) + w), e))
+                nv.append(((kind, i, word + w), e))
             m = (ce, pe, tuple(sorted(nv)))
             out[m] = out.get(m, Fraction(0)) + a
         return PsiPoly(out)
@@ -395,10 +404,7 @@ def verify_identity(relation_id: str, catalog: dict | None = None) -> dict:
         for coeff_str, factors in terms:
             term = _parse_coeff(coeff_str)
             for form_id, twist in factors:
-                val = expander(form_id)
-                for ch in reversed(twist):
-                    val = val.twist(int(ch))
-                term = term * val
+                term = term * expander(form_id).twist(twist)
             degs = term.c_degrees()
             c_degs.update(degs if degs else [0])
             total = total + term
@@ -430,33 +436,9 @@ def gamma_symbol_rows_beta() -> list:
     """Rows of the 6 x 7 symbol matrix over parameter slots (c = 1, the
     common row factor p^(N+1) stripped): six character symbols against the
     basis (11, 22, 12, 21, 1, 2, empty)."""
-    def row(mu, nu):
-        ft_nu = beta_expansion(f"b_{nu}")
-        ft_mu = beta_expansion(f"b_{mu}")
-        sec = beta_expansion(f"b_{mu},{nu}")
-        cols = {mu: ft_nu, nu: -ft_mu, "": sec}
-        return [cols.get(w, PsiPoly()) for w in
-                ("11", "22", "12", "21", "1", "2", "")]
-
-    r1 = row("1", "2")
-    rows = [r1,
-            [c.twist(1) for c in _shift_row(r1, 1)],
-            [c.twist(2) for c in _shift_row(r1, 2)],
-            row("11", "1"), row("22", "2"), row("11", "22")]
-    return rows
-
-
-def _shift_row(row, j):
-    """Multiply a degree-1 symbol row by phi_j on the left: the coefficient
-    at word w moves to word jw."""
-    basis = ("11", "22", "12", "21", "1", "2", "")
-    out = [PsiPoly() for _ in basis]
-    for w, c in zip(basis, row):
-        if c.is_zero():
-            continue
-        target = str(j) + w
-        out[basis.index(target)] = c
-    return out
+    b = beta_expansion
+    return gamma_rows(lambda mu, j: b(f"b_{mu}").twist(j),
+                      lambda mu, nu, j: b(f"b_{mu},{nu}").twist(j), PsiPoly())
 
 
 def psipoly_det(rows) -> PsiPoly:
@@ -483,13 +465,11 @@ def st_f_values(tower: Tower, gammas, beta: TowerElement, mu, nu=None):
     p^(N(pi)+1) where the symbol normalization requires it; see st_f_table.
     """
     check_beta(tower, beta)
-    mu = tuple(mu)
-    bmu = frobenius_word_apply(tower, gammas, mu, beta)
+    fmu = primary_class(tower, gammas, mu, beta)
     if nu is None:
-        return bmu - beta * tower.p ** len(mu)
-    nu = tuple(nu)
-    bnu = frobenius_word_apply(tower, gammas, nu, beta)
-    return bmu * tower.p ** len(nu) - bnu * tower.p ** len(mu)
+        return fmu
+    fnu = primary_class(tower, gammas, nu, beta)
+    return fmu * tower.p ** len(nu) - fnu * tower.p ** len(mu)
 
 
 def st_f_table(tower: Tower, gammas, beta: TowerElement) -> dict:

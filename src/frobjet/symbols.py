@@ -11,11 +11,12 @@ Evaluation sends a symbol to the additive operator  alpha |-> sum
 lambda_mu phi_mu(alpha); it is a ring homomorphism on denominator-free
 symbols.
 
-The module also assembles the 6 x 7 coefficient matrix of the six canonical
-order-2 character symbols (rows ordered: psi_{1,2}, phi_1 psi_{1,2},
-phi_2 psi_{1,2}, psi_{11,1}, psi_{22,2}, psi_{11,22}; columns ordered by the
-basis phi_1^2, phi_2^2, phi_1 phi_2, phi_2 phi_1, phi_1, phi_2, 1) together
-with exact minor computations at working precision.
+The module also lays out, once for tower values and for sertate's parameter
+slots, the 6 x 7 coefficient matrix of the six canonical order-2 character
+symbols (rows: psi_{1,2}, phi_1 psi_{1,2}, phi_2 psi_{1,2}, psi_{11,1},
+psi_{22,2}, psi_{11,22}; columns: the basis phi_1^2, phi_2^2, phi_1 phi_2,
+phi_2 phi_1, phi_1, phi_2, 1), and takes every k x k minor exactly, from
+one subset DP per row set.
 """
 
 from __future__ import annotations
@@ -133,36 +134,60 @@ class PMatrix:
                           QElement(self.entries[0][0].tower.one(), 0))
 
 
-def subset_det(rows, one):
-    """Determinant of a square matrix via subset dynamic programming (Laplace).
+def subset_minors(rows, one) -> dict:
+    """Every k x k minor of a k x n matrix (k <= n), keyed by column mask.
 
-    ``prev[mask]`` accumulates the signed sum over assignments of the first
-    rows to the column set ``mask``; adding column ``col`` for the next row
-    flips the sign once per already-used column above ``col``.  Zero entries
-    are multiplied like any other: a QElement zero still caps the certified
-    precision of the products through it.
+    Subset DP (Laplace): ``prev[mask]`` is the signed sum over assignments
+    of the rows so far to the columns in ``mask``; adding column ``col``
+    flips the sign once per used column above it, so only the relative
+    order of the columns counts.  Zero entries are multiplied like any
+    other: a QElement zero still caps the certified precision of the
+    products through it.
     """
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise CertificateFailure("determinant of a non-square matrix")
+    n = len(rows[0]) if rows else 0
     prev = {0: one}
-    for i in range(n):
+    for row in rows:
         cur = {}
         for mask, val in prev.items():
             for col in range(n):
                 if mask & (1 << col):
                     continue
-                sign = -1 if bin(mask >> (col + 1)).count("1") % 2 else 1
-                term = val * rows[i][col]
-                if sign < 0:
+                term = val * row[col]
+                if bin(mask >> (col + 1)).count("1") % 2:
                     term = -term
                 newmask = mask | (1 << col)
                 cur[newmask] = cur[newmask] + term if newmask in cur else term
         prev = cur
-    return prev[(1 << n) - 1]
+    return prev
+
+
+def subset_det(rows, one):
+    """Determinant of a square matrix, the one minor of subset_minors."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise CertificateFailure("determinant of a non-square matrix")
+    return subset_minors(rows, one)[(1 << n) - 1]
 
 
 _GAMMA_BASIS = ("11", "22", "12", "21", "1", "2", "")
+
+
+def gamma_rows(primary, secondary, zero, variant: str = "gamma") -> list:
+    """The six symbol rows on _GAMMA_BASIS over any coefficient ring.
+
+    Row psi_{mu,nu} holds primary(nu) at mu, -primary(mu) at nu and
+    secondary(mu, nu) at the empty word.  Rows two and three are phi_j
+    psi_{1,2}: each coefficient moves from w to jw and is read with twist
+    j ("" for none).  Gamma-prime swaps the last row for psi_{12,1}.
+    """
+    def row(mu, nu, j=""):
+        cols = {j + mu: primary(nu, j), j + nu: -primary(mu, j),
+                j: secondary(mu, nu, j)}
+        return [cols.get(w, zero) for w in _GAMMA_BASIS]
+
+    last = ("12", "1") if variant == "gamma_prime" else ("11", "22")
+    return [row("1", "2"), row("1", "2", "1"), row("1", "2", "2"),
+            row("11", "1"), row("22", "2"), row(*last)]
 
 
 def gamma_matrix(fvals: dict, tower: Tower, precision: int,
@@ -174,36 +199,18 @@ def gamma_matrix(fvals: dict, tower: Tower, precision: int,
     gamma-prime variant), the secondary classes "f_1,2", "f_11,1", "f_22,2",
     "f_11,22" ("f_12,1" for gamma-prime) and the twists "ft_1@1", "ft_2@1",
     "f_1,2@1", "ft_1@2", "ft_2@2", "f_1,2@2" used by rows two and three.
+    The first key read and absent raises MissingClass.
     """
-    need = {
-        "gamma": ["ft_1", "ft_2", "ft_11", "ft_22", "f_1,2", "f_11,1",
-                  "f_22,2", "f_11,22", "ft_1@1", "ft_2@1", "f_1,2@1",
-                  "ft_1@2", "ft_2@2", "f_1,2@2"],
-        "gamma_prime": ["ft_1", "ft_12", "f_12,1"],
-        "gamma_tilde": [],
-    }
-    for key in need["gamma"] + (need[variant] if variant != "gamma" else []):
+    def q(key, j):
+        key += "@" + j if j else ""
         if key not in fvals:
             raise MissingClass(key)
-
-    def q(key):
         v = fvals[key]
         return v if isinstance(v, QElement) else QElement(v, 0)
 
-    def nq(key):
-        return -q(key)
-
-    zero = QElement(tower.zero(), 0)
-    rows = [
-        [zero, zero, zero, zero, q("ft_2"), nq("ft_1"), q("f_1,2")],
-        [q("ft_2@1"), zero, nq("ft_1@1"), zero, q("f_1,2@1"), zero, zero],
-        [zero, nq("ft_1@2"), zero, q("ft_2@2"), zero, q("f_1,2@2"), zero],
-        [q("ft_1"), zero, zero, zero, nq("ft_11"), zero, q("f_11,1")],
-        [zero, q("ft_2"), zero, zero, zero, nq("ft_22"), q("f_22,2")],
-        [q("ft_22"), nq("ft_11"), zero, zero, zero, zero, q("f_11,22")],
-    ]
-    if variant == "gamma_prime":
-        rows[5] = [zero, zero, q("ft_1"), zero, nq("ft_12"), zero, q("f_12,1")]
+    rows = gamma_rows(lambda mu, j: q(f"ft_{mu}", j),
+                      lambda mu, nu, j: q(f"f_{mu},{nu}", j),
+                      QElement(tower.zero(), 0), variant)
     mat = PMatrix(rows, precision)
     if variant == "gamma_tilde":
         return mat.submatrix([0, 3, 4, 5], [0, 1, 4, 5, 6])
@@ -222,12 +229,13 @@ def pmatrix_rank_minors(M: PMatrix, k: int):
 
     if k > min(M.rows, M.cols):
         raise ValueError("minor size exceeds matrix dimensions")
+    one = QElement(M.entries[0][0].tower.one(), 0)
     reports = []
     rank_lb = 0
     for rows in combinations(range(M.rows), k):
+        minors = subset_minors([M.entries[i] for i in rows], one)
         for cols in combinations(range(M.cols), k):
-            d = M.submatrix(rows, cols).det()
-            v = d.valuation()
+            v = minors[sum(1 << j for j in cols)].valuation()
             vanishing = (v == INF) or v >= M.precision
             if not vanishing:
                 rank_lb = k

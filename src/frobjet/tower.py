@@ -485,6 +485,13 @@ def frobenius_word_apply(tower: Tower, gammas, word, a: TowerElement
     return apply_automorphism(a, c % tower.e, s)
 
 
+def primary_class(tower: Tower, gammas, word, a: TowerElement
+                  ) -> TowerElement:
+    """f_mu(a) = phi_mu(a) - p^|mu| a; no check on the valuation of a."""
+    return (frobenius_word_apply(tower, gammas, word, a)
+            - a * tower.p ** len(word))
+
+
 def word_exponents_for(p: int, gammas, word) -> tuple:
     """(tau-exponent, phi-exponent) of phi_{i_1} o ... o phi_{i_s}.
 

@@ -20,6 +20,7 @@ from frobjet.formal import WeierstrassCurve, formal_log
 from frobjet.tower import (INF, FrobeniusIndex, QElement, TowerConfig,
                            TowerElement, build_tower, valuation)
 
+from symbols_oracle import six_product_pairing
 from tower_oracle import schoolbook_mul, sequential_log1p
 
 
@@ -280,6 +281,46 @@ class TestPairing:
         n = rng.randrange(1, 50)
         assert pairing(ctx, a + b * n, c) == (
             pairing(ctx, a, c) + pairing(ctx, b, c) * n)
+
+
+class TestPairingAgainstSixProducts:
+    """The 2 x 2 determinant of primary classes against the six-product
+    expansion, on random arguments at mixed precisions."""
+
+    WORDS = [((1, 1), (2, 1)), ((2, 1), (1, 1)), ((1,), (2, 2)),
+             ((2, 2), (1,)), ((1, 2), (1,)), ((2,), (1,))]
+
+    @pytest.mark.parametrize("cfg", [(7, 2, 1, 1, 14), (7, 2, 3, 2, 12),
+                                     (5, 2, 2, 1, 20)])
+    def test_random_pairs(self, cfg):
+        t = build_tower(TowerConfig(*cfg))
+        rng = random.Random(sum(cfg))
+        for mu, nu in self.WORDS:
+            ctx = PairingContext(t, (0, 1), mu, nu)
+            for _ in range(3):
+                a = t.random_element(rng, rng.randrange(2, t.K + 1))
+                b = t.random_element(rng, rng.randrange(2, t.K + 1))
+                for x, y in ((a, b), (b, a), (a, a)):
+                    got = pairing(ctx, x, y)
+                    want = six_product_pairing(ctx, x, y)
+                    assert (got.coeffs, got.prec) == (want.coeffs,
+                                                      want.prec)
+
+    def test_two_tower_products(self, t7, monkeypatch):
+        ctx = PairingContext(t7, (0, 1), (1, 1), (2, 1))
+        rng = random.Random(9)
+        a, b = t7.random_element(rng), t7.random_element(rng)
+        calls = []
+        mul = TowerElement.__mul__
+
+        def counting(self, other):
+            if isinstance(other, TowerElement):
+                calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(TowerElement, "__mul__", counting)
+        pairing(ctx, a, b)
+        assert len(calls) == 2
 
 
 class TestKernelDimension:

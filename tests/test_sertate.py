@@ -1,13 +1,14 @@
 import itertools
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from frobjet.errors import (BetaTooLarge, DivisionByZero, OrderOverflow,
-                            UnknownForm, UnknownRelation)
+from frobjet.errors import (BetaTooLarge, DivisionByZero, FamilyMismatch,
+                            OrderOverflow, UnknownForm, UnknownRelation)
 from frobjet.sertate import (PsiPoly, STRing, STSeries, beta_expansion,
                              gamma_symbol_rows_beta, invert_period_invariants,
                              load_relation_catalog, period_invariants,
@@ -15,7 +16,7 @@ from frobjet.sertate import (PsiPoly, STRing, STSeries, beta_expansion,
                              serre_operator, st_expansion, st_f_values,
                              st_f_table, verify_identity,
                              verify_all_identities)
-from frobjet.jets import phi_endomorphism
+from frobjet.jets import JetRing, JetRingConfig, phi_endomorphism
 from frobjet.symbols import Symbol, sym_eval
 from frobjet.tower import QElement, TowerConfig, build_tower, valuation
 from frobjet.words import word_from_string
@@ -84,6 +85,17 @@ class TestSeriesFormOracle:
     def test_direction_outside_ring(self, i):
         with pytest.raises(OrderOverflow):
             psi_series_form(STRing(5, 2, 2, 6), i, 1)
+
+    @pytest.mark.parametrize("word", [(0,), (3,), (1, 3)])
+    def test_direction_outside_ring_message(self, word):
+        bad = [i for i in word if i not in (1, 2)][0]
+        with pytest.raises(OrderOverflow,
+                           match=rf"direction {bad} .* outside 1\.\.2"):
+            STRing(5, 2, 2, 6).var_index(word)
+
+    def test_word_too_long_message(self):
+        with pytest.raises(OrderOverflow, match="exceeds order 2"):
+            STRing(5, 2, 2, 6).var_index((1, 2, 1))
 
 
 class TestSerreOperator:
@@ -312,3 +324,70 @@ class TestPeriodInvariants:
                  "psi_2@1": Fraction(1), "psi_2@2": Fraction(1)}
         with pytest.raises(DivisionByZero):
             period_invariants(5, slots)
+
+
+class TestForeignOperands:
+    """Both series rings and PsiPoly against each other, int, Fraction and
+    str, on both sides of * + -: a cell computes, raises FamilyMismatch or
+    raises TypeError, and never AttributeError."""
+
+    OPS = {"*": operator.mul, "+": operator.add, "-": operator.sub}
+    # series kinds and the number types their rings take as scalars
+    SERIES = {"jet": ("int",), "other-jet": ("int",),
+              "st": ("int", "Fraction")}
+    KINDS = ["jet", "other-jet", "st", "psi", "int", "Fraction", "str"]
+
+    @pytest.fixture(scope="class")
+    def operands(self):
+        t = build_tower(TowerConfig(5, 2, 0, 1, 6))
+
+        def jet():
+            return JetRing(JetRingConfig(t, 2, 2, 6, (0, 0))).T() + 1
+
+        return {"jet": jet(), "other-jet": jet(),
+                "st": STRing(5, 2, 2, 6).T() + 1,
+                "psi": PsiPoly.slot(("beta", 0, "1")) + PsiPoly.const(2),
+                "int": 3, "Fraction": Fraction(1, 2), "str": "a"}
+
+    def expected(self, left, op, right):
+        if left in self.SERIES and right in self.SERIES:
+            return None if left == right else FamilyMismatch
+        if left == right == "psi":
+            return None
+        if right in self.SERIES.get(left, ()):
+            return None
+        if left in self.SERIES.get(right, ()):
+            return TypeError if op == "-" else None
+        return TypeError
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    @pytest.mark.parametrize("left", KINDS)
+    def test_matrix(self, operands, left, op):
+        wrong = []
+        for right in self.KINDS:
+            if not {left, right} & {"jet", "other-jet", "st", "psi"}:
+                continue
+            try:
+                self.OPS[op](operands[left], operands[right])
+                got = None
+            except FamilyMismatch:
+                got = FamilyMismatch
+            except TypeError:
+                got = TypeError
+            except Exception as exc:        # AttributeError among others
+                got = type(exc)
+            if got is not self.expected(left, op, right):
+                wrong.append((right, got))
+        assert not wrong
+
+    def test_computed_cells(self, operands):
+        st, psi = operands["st"], operands["psi"]
+        assert (st + Fraction(1, 2) - 1).coefficient(()) == Fraction(1, 2)
+        assert (2 * st - st - st).is_zero()
+        assert (psi * psi - psi * psi).is_zero()
+        jet = operands["jet"]
+        assert (jet - 1).coefficient(()).is_zero()
+
+    def test_series_equality_with_foreign_operand(self, operands):
+        assert operands["st"] != "a"
+        assert STRing(5, 2, 2, 6).one() == 1

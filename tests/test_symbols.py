@@ -1,14 +1,20 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from frobjet.errors import FamilyMismatch, MissingClass
+from frobjet.errors import CertificateFailure, FamilyMismatch, MissingClass
 from frobjet.linalg import _tower_divide, tower_matrix_rank
+from frobjet.sertate import st_f_table
 from frobjet.symbols import (PMatrix, Symbol, gamma_matrix,
-                             pmatrix_rank_minors, sym_eval, sym_mul)
-from frobjet.tower import (QElement, TowerConfig, build_tower,
+                             pmatrix_rank_minors, subset_det, subset_minors,
+                             sym_eval, sym_mul)
+from frobjet.tower import (INF, QElement, TowerConfig, build_tower,
                            frobenius_word_apply)
 from frobjet.words import words_up_to
+
+from symbols_oracle import leibniz_det
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +169,13 @@ class TestGammaMatrix:
         assert row[4].num == tower.from_int(-3)
         assert row[6].num == tower.from_int(5)
 
+    def test_gamma_prime_skips_last_gamma_row(self, tower):
+        table = self._zero_table(tower)
+        del table["f_11,22"]
+        gamma_matrix(table, tower, precision=8, variant="gamma_prime")
+        with pytest.raises(MissingClass, match="f_11,22"):
+            gamma_matrix(table, tower, precision=8)
+
     def test_gamma_tilde_shape(self, tower):
         mat = gamma_matrix(self._zero_table(tower), tower, precision=8,
                            variant="gamma_tilde")
@@ -219,3 +232,104 @@ class TestMinors:
                    [pi ** 3 * a, pi ** 3 * b]]
         assert tower_matrix_rank(entries, precision=8) == 2
         assert _tower_divide(pi ** 2 * a, pi * b) * (pi * b) == pi ** 2 * a
+
+
+# the four towers (p, l, m, f, K) of the ramified-characters benchmark
+BENCH_TOWERS = [(7, 2, 1, 1, 16), (7, 2, 2, 2, 14), (7, 2, 3, 2, 30),
+                (5, 2, 2, 1, 40)]
+
+
+def bench_gamma(cfg):
+    """gamma_matrix at beta = pi^k, the least k with v(pi^k) > 1/(p-1)."""
+    t = build_tower(TowerConfig(*cfg))
+    beta = t.pi() ** (t.e // (t.p - 1) + 1)
+    return gamma_matrix(st_f_table(t, (0, 1), beta), t, precision=t.K - 6)
+
+
+def random_matrix(tower, rng, k, n):
+    """QElements with zero entries, mixed precisions and denominators."""
+    def entry():
+        prec = rng.randrange(3, tower.K + 1)
+        num = (tower.zero(prec) if rng.random() < 0.25
+               else tower.random_element(rng, prec))
+        return QElement(num, rng.randrange(3))
+    return [[entry() for _ in range(n)] for _ in range(k)]
+
+
+def same_q(a, b):
+    return (a.num.coeffs, a.num.prec, a.den) == (b.num.coeffs, b.num.prec,
+                                                  b.den)
+
+
+def leibniz_minors(M, k):
+    """Every k x k minor of a PMatrix by the Leibniz sum, keyed (rows, cols)."""
+    return {(rows, cols): leibniz_det([[M.entries[i][j] for j in cols]
+                                       for i in rows])
+            for rows in combinations(range(M.rows), k)
+            for cols in combinations(range(M.cols), k)}
+
+
+def oracle_reports(M, minors):
+    """pmatrix_rank_minors' reports, from the oracle's minors."""
+    out = []
+    for (rows, cols), d in minors.items():
+        v = d.valuation()
+        out.append({"rows": list(rows), "cols": list(cols),
+                    "valuation": None if v == INF else str(Fraction(v)),
+                    "vanishing": v == INF or v >= M.precision})
+    return out
+
+
+class TestMinorsAgainstLeibniz:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(6, 7), (3, 5), (4, 4)])
+    def test_subset_minors_random(self, tower, seed, shape):
+        k, n = shape
+        M = PMatrix(random_matrix(tower, random.Random(seed), k, n), 6)
+        one = QElement(tower.one(), 0)
+        got = subset_minors(M.entries, one)
+        want = leibniz_minors(M, k)
+        assert len(got) == len(want)
+        for (_, cols), d in want.items():
+            assert same_q(got[sum(1 << j for j in cols)], d), cols
+        if k == n:
+            assert same_q(subset_det(M.entries, one), *want.values())
+
+    @pytest.mark.parametrize("shape", [(6, 7, 6), (6, 6, 5), (5, 7, 3)])
+    def test_rank_reports_random(self, tower, shape):
+        rows, cols, k = shape
+        M = PMatrix(random_matrix(tower, random.Random(rows + cols + k),
+                                  rows, cols), 6)
+        assert pmatrix_rank_minors(M, k)[1] == oracle_reports(
+            M, leibniz_minors(M, k))
+
+    @pytest.mark.parametrize("cfg", BENCH_TOWERS)
+    def test_benchmark_towers(self, cfg):
+        M = bench_gamma(cfg)
+        want = leibniz_minors(M, 6)
+        got = subset_minors(M.entries, QElement(M.entries[0][0].tower.one()))
+        for (_, cols), d in want.items():
+            assert same_q(got[sum(1 << j for j in cols)], d), cols
+        assert pmatrix_rank_minors(M, 6)[1] == oracle_reports(M, want)
+
+    def test_det_of_non_square_rejected(self, tower):
+        rows = random_matrix(tower, random.Random(6), 2, 3)
+        with pytest.raises(CertificateFailure):
+            subset_det(rows, QElement(tower.one(), 0))
+
+
+def test_gamma_minors_product_count(monkeypatch):
+    """One subset DP for the 6 x 7 gamma matrix: sum over i < 6 of
+    C(7, i) (7 - i) = 441 products, against 7 * 6 * 2^5 = 1,344 for seven
+    separate 6 x 6 determinants."""
+    M = bench_gamma(BENCH_TOWERS[0])
+    calls = []
+    mul = QElement.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(QElement, "__mul__", counting)
+    pmatrix_rank_minors(M, 6)
+    assert len(calls) <= 441
