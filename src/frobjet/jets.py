@@ -118,8 +118,8 @@ class SparseSeries:
     ``terms`` maps monomials (sorted tuples of (variable, exponent)) of
     total degree <= D to nonzero coefficients; every operation truncates
     again.  ``den`` is a global p-power denominator exponent.  Sums take
-    the ring's ``scalar_types`` through ``ring.from_int`` and refuse other
-    operands; any non-series factor multiplies every coefficient.
+    the ring's ``scalar_types`` through ``ring.from_int``, a factor of those
+    types multiplies every coefficient, and other operands are refused.
     """
 
     __slots__ = ("ring", "terms", "den")
@@ -167,8 +167,10 @@ class SparseSeries:
         return NotImplemented if other is None else self + (-other)
 
     def __mul__(self, other):
-        if not isinstance(other, SparseSeries):
+        if isinstance(other, self.ring.scalar_types):
             return self.scale(other)
+        if not isinstance(other, SparseSeries):
+            return NotImplemented
         if self.ring is not other.ring:
             raise FamilyMismatch("series from different rings")
         return type(self)(self.ring,

@@ -6,9 +6,14 @@ All modular routines keep coefficients reduced into ``[0, mod)``.
 
 Power series of large degree (needed for curve logarithms up to degree
 several thousand) are multiplied through Kronecker substitution: coefficient
-lists are packed into one big integer with a fixed limb width, multiplied with
-CPython's native big-int arithmetic, and unpacked.  That keeps the series
-layer pure Python while staying far below the acceptance-suite time budgets.
+lists are packed into big integers with a fixed limb width, multiplied with
+CPython's native big-int arithmetic, and unpacked.  A limb holds the exact
+bound (mod - 1)^2 * min(len a, len b) of a product coefficient, in whole
+bytes.  From ``KS2_MIN_TERMS`` terms in the shorter operand on, ``kron_mul``
+evaluates at the two points 2^s and -2^s, so that two products of half the
+width replace one (Harvey's KS2); shorter products take one evaluation, at
+2^(8w) for a limb of w bytes.  That keeps the series layer pure Python while
+staying far below the acceptance-suite time budgets.
 """
 
 from __future__ import annotations
@@ -210,33 +215,81 @@ def hensel_lift_factor(f, g0, p: int, K: int) -> list:
 # ---------------------------------------------------------------------------
 
 def _limb_bytes(mod: int, nterms: int) -> int:
-    prodmax = (mod - 1) * (mod - 1) * max(nterms, 1)
-    width = (prodmax.bit_length() + 7) // 8 + 1
-    return max(width, 4)
+    """Bytes that hold every coefficient of a product of two lists of
+    residues mod ``mod``, the shorter of length ``nterms``: each is a sum of
+    at most ``nterms`` products, so at most (mod - 1)^2 * nterms."""
+    return max((((mod - 1) ** 2 * nterms).bit_length() + 7) // 8, 1)
+
+
+# shorter operand length from which kron_mul evaluates at +-2^s; below it
+# the extra packing and unpacking cost more than the halved multiply saves
+KS2_MIN_TERMS = 32
+
+
+def _pack(a: list, mod: int, w: int) -> int:
+    """sum (a_i mod ``mod``) * 2^(8 w i): the residues in w-byte limbs."""
+    return int.from_bytes(
+        b"".join([(c % mod).to_bytes(w, "little") for c in a]), "little")
+
+
+def _unpack(x: int, w: int, size: int, count: int) -> list:
+    """The first ``count`` w-byte limbs of ``x`` < 2^(8 w size)."""
+    raw = x.to_bytes(w * size, "little")
+    fb = int.from_bytes     # looked up once, not once per limb
+    return [fb(raw[k:k + w], "little")
+            for k in range(0, count * w, w)]
+
+
+def _pack_pm(a: list, mod: int, w: int) -> tuple:
+    """(A(2^s), A(-2^s)) with s = 4w bits, A the polynomial of the residues
+    of ``a``: A(+-2^s) = A_even(2^2s) +- 2^s A_odd(2^2s), each half packed
+    in w-byte limbs."""
+    even = _pack(a[0::2], mod, w)
+    odd = _pack(a[1::2], mod, w) << 4 * w
+    return even + odd, even - odd
 
 
 def kron_mul(a: list, b: list, mod: int, n: int) -> list:
     """First ``n`` coefficients of the product of the residues mod ``mod`` of
     two nonempty coefficient lists, as exact integers; inputs are not cut.
 
-    Kronecker substitution: each list is packed into one big integer with
-    limbs wide enough that no product coefficient spills into the next, and
-    the limbs of the native product are read back.  Callers reduce.
+    Kronecker substitution: a coefficient of the product is at most
+    (mod - 1)^2 * min(len a, len b), so a limb of ``_limb_bytes`` bytes
+    holds it exactly.  Below ``KS2_MIN_TERMS`` terms in the shorter list,
+    each list is packed into one big integer, its polynomial at 2^(8w) for
+    that limb width w, and the limbs of the one native product are read
+    back.  From ``KS2_MIN_TERMS`` on, each polynomial is evaluated at 2^s
+    and at -2^s with s = 4w bits (Harvey's KS2, arXiv:0712.4046): two
+    products of half the width, whose half sum holds the even coefficients
+    and whose half difference, shifted down s + 1 bits, the odd ones, in
+    the same w-byte limbs.  Only product coefficients are read back, so a
+    residue need not fit in s bits.  ``a is b`` packs once and squares.
+    Callers reduce.
     """
-    w = _limb_bytes(mod, min(len(a), len(b)))
-    abig = int.from_bytes(
-        b"".join([(c % mod).to_bytes(w, "little") for c in a]), "little")
-    bbig = int.from_bytes(
-        b"".join([(c % mod).to_bytes(w, "little") for c in b]), "little")
-    raw = (abig * bbig).to_bytes(w * (len(a) + len(b)), "little")
-    return [int.from_bytes(raw[k:k + w], "little")
-            for k in range(0, min(len(a) + len(b) - 1, n) * w, w)]
+    la, lb = len(a), len(b)
+    square = a is b
+    w = _limb_bytes(mod, min(la, lb))
+    size = min(la + lb - 1, n)
+    if min(la, lb) < KS2_MIN_TERMS:
+        abig = _pack(a, mod, w)
+        bbig = abig if square else _pack(b, mod, w)
+        return _unpack(abig * bbig, w, la + lb, size)
+    ap, am = _pack_pm(a, mod, w)
+    bp, bm = (ap, am) if square else _pack_pm(b, mod, w)
+    pp, pm = ap * bp, am * bm
+    half = (la + 1) // 2 + (lb + 1) // 2
+    out = [0] * size
+    out[0::2] = _unpack((pp + pm) >> 1, w, half, (size + 1) // 2)
+    out[1::2] = _unpack((pp - pm) >> (4 * w + 1), w, half, size // 2)
+    return out
 
 
 def ser_mul(a: list, b: list, mod: int, n: int) -> list:
-    """Truncated product of dense coefficient lists modulo ``mod``."""
+    """Truncated product of dense coefficient lists modulo ``mod``; a
+    square (``a is b``) stays one list through the cut, so it packs once."""
+    square = a is b
     a = a[:n]
-    b = b[:n]
+    b = a if square else b[:n]
     if not a or not b:
         return []
     if min(len(a), len(b)) < 8:

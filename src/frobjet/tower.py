@@ -157,6 +157,8 @@ class Tower:
         return self.from_int(1, prec)
 
     def from_int(self, n: int, prec=None) -> "TowerElement":
+        if not isinstance(n, int):
+            raise TypeError(f"from_int takes an int, not {type(n).__name__}")
         prec = self._prec(prec)
         c = [[0] * self.e for _ in range(self.f)]
         c[0][0] = n % (self.p ** prec)

@@ -1,0 +1,34 @@
+"""Slow oracle for the Kronecker product.
+
+``kron_mul_one_point`` is ``polyutils.kron_mul`` as it ran before the
+two-point evaluation: both lists packed at 2^(8w) with a limb of one spare
+byte over the product bound and at least 4 bytes, and one native product.
+It is kept here only so that the tests can compare the fast path against it
+coefficient by coefficient.
+"""
+
+from __future__ import annotations
+
+
+def _limb_bytes(mod: int, nterms: int) -> int:
+    prodmax = (mod - 1) * (mod - 1) * max(nterms, 1)
+    width = (prodmax.bit_length() + 7) // 8 + 1
+    return max(width, 4)
+
+
+def kron_mul_one_point(a: list, b: list, mod: int, n: int) -> list:
+    """First ``n`` coefficients of the product of the residues mod ``mod`` of
+    two nonempty coefficient lists, as exact integers; inputs are not cut.
+
+    Kronecker substitution: each list is packed into one big integer with
+    limbs wide enough that no product coefficient spills into the next, and
+    the limbs of the native product are read back.  Callers reduce.
+    """
+    w = _limb_bytes(mod, min(len(a), len(b)))
+    abig = int.from_bytes(
+        b"".join([(c % mod).to_bytes(w, "little") for c in a]), "little")
+    bbig = int.from_bytes(
+        b"".join([(c % mod).to_bytes(w, "little") for c in b]), "little")
+    raw = (abig * bbig).to_bytes(w * (len(a) + len(b)), "little")
+    return [int.from_bytes(raw[k:k + w], "little")
+            for k in range(0, min(len(a) + len(b) - 1, n) * w, w)]

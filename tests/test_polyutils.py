@@ -4,8 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobjet import polyutils as pu
+from polyutils_oracle import kron_mul_one_point
 
 MOD = 11 ** 19
+# the moduli of the benchmark's long series and towers
+BENCH_MODS = (11 ** 10, 11 ** 19, 7 ** 30, 5 ** 40)
+KS2 = pu.KS2_MIN_TERMS
 
 
 def double_loop(a, b, mod, n):
@@ -29,6 +33,114 @@ def test_ser_mul_both_branches(la, lb, cut):
     b = [rng.randrange(MOD) for _ in range(lb)]
     n = la + lb - 1 - cut * (la + lb) // 8
     assert pu.ser_mul(a, b, MOD, n) == double_loop(a, b, MOD, n)
+
+
+@pytest.mark.parametrize("mod", BENCH_MODS)
+@pytest.mark.parametrize("la, lb", [
+    (KS2 - 1, KS2 - 1), (KS2 - 1, 3 * KS2), (KS2, KS2), (KS2, 3 * KS2 + 1),
+    (2 * KS2 + 1, 2 * KS2 + 1)])
+def test_kron_mul_worst_case_limb(mod, la, lb):
+    """All-(mod - 1) operands: the middle coefficients reach the bound
+    (mod - 1)^2 * min(la, lb) that the limb is sized to, on the one-point
+    path and the two-point path, and the limb has no spare byte."""
+    a, b = [mod - 1] * la, [mod - 1] * lb
+    bound = (mod - 1) ** 2 * min(la, lb)
+    w = pu._limb_bytes(mod, min(la, lb))
+    assert 256 ** (w - 1) <= bound < 256 ** w
+
+    def exact(la, lb):
+        # coefficient k sums the pairs i + j = k, i < la, j < lb
+        return [(mod - 1) ** 2 * (min(k, la - 1) - max(0, k - lb + 1) + 1)
+                for k in range(la + lb - 1)]
+
+    got = pu.kron_mul(a, b, mod, la + lb - 1)
+    assert max(got) == bound
+    assert got == exact(la, lb)
+    assert pu.kron_mul(a, a, mod, 2 * la) == exact(la, la)
+
+
+def test_limb_bytes_mod_one():
+    assert pu._limb_bytes(1, 1) == pu._limb_bytes(1, 500) == 1
+
+
+SHAPES = st.one_of(
+    st.tuples(st.integers(1, 2 * KS2 + 8), st.integers(1, 2 * KS2 + 8)),
+    st.sampled_from([(16, 150), (150, 16), (30, 120), (120, 30),
+                     (KS2 - 1, KS2), (KS2, KS2 - 1)]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 2, 2 ** 64, 2 ** 64 + 1]), SHAPES,
+       st.sampled_from(["small", "below", "at", "above"]), st.booleans(),
+       st.data())
+def test_kron_mul_matches_oracle(mod, shape, where, square, data):
+    """kron_mul and ser_mul against the one-point oracle and the double
+    loop: both sides of the two-point threshold, lopsided shapes, negative
+    and unreduced inputs, n below, at and above the full product length,
+    and ``a is b``."""
+    la, lb = (shape[0], shape[0]) if square else shape
+    entries = st.integers(-3 * mod - 3, 3 * mod + 3)
+    a = data.draw(st.lists(entries, min_size=la, max_size=la))
+    b = a if square else data.draw(st.lists(entries, min_size=lb,
+                                            max_size=lb))
+    full = la + lb - 1
+    n = {"small": data.draw(st.integers(0, 3)),
+         "below": data.draw(st.integers(max(full - 8, 0), full - 1)),
+         "at": full, "above": full + data.draw(st.integers(1, 8))}[where]
+    want = double_loop(a, b, mod, n)
+    got = pu.kron_mul(a, b, mod, n)
+    assert got == kron_mul_one_point(a, b, mod, n)
+    assert [c % mod for c in got] == want
+    assert pu.ser_mul(a, b, mod, n) == want
+
+
+def test_kron_mul_longest_log_product():
+    """The longest product of the log-congruence benchmark, 2,421 terms
+    mod 11^10, and its square, against the one-point oracle."""
+    rng = random.Random(2421)
+    mod = 11 ** 10
+    a = [rng.randrange(mod) for _ in range(2421)]
+    b = [rng.randrange(-mod, 2 * mod) for _ in range(2421)]
+    for x, y in ((a, b), (a, a)):
+        assert pu.kron_mul(x, y, mod, 4841) == kron_mul_one_point(
+            x, y, mod, 4841)
+    assert pu.ser_mul(b, b, mod, 2421) == [
+        c % mod for c in kron_mul_one_point(b, b, mod, 2421)]
+
+
+class CountingInt(int):
+    """An int whose products are logged as squares (``x * x`` on one
+    object) or not."""
+
+    log = []
+
+    def __mul__(self, other):
+        self.log.append(other is self)
+        return int(self) * int(other)
+
+
+@pytest.mark.parametrize("length", [KS2, 3 * KS2])
+def test_ser_mul_square_packs_once(monkeypatch, length):
+    """A square at or above the two-point threshold packs its operand once
+    and makes two squarings; a product of two lists packs each once and
+    makes two products."""
+    calls = []
+    pack_pm = pu._pack_pm
+
+    def counting(a, mod, w):
+        calls.append(len(a))
+        return tuple(CountingInt(x) for x in pack_pm(a, mod, w))
+
+    monkeypatch.setattr(pu, "_pack_pm", counting)
+    monkeypatch.setattr(CountingInt, "log", [])
+    rng = random.Random(length)
+    a = [rng.randrange(MOD) for _ in range(length)]
+    assert pu.ser_mul(a, a, MOD, 2 * length) == double_loop(
+        a, a, MOD, 2 * length)
+    assert calls == [length] and CountingInt.log == [True, True]
+    del calls[:], CountingInt.log[:]
+    pu.ser_mul(a, list(a), MOD, 2 * length)
+    assert calls == [length, length] and CountingInt.log == [False, False]
 
 
 def repeated_division(a, f, n, mod):

@@ -327,15 +327,20 @@ class TestPeriodInvariants:
 
 
 class TestForeignOperands:
-    """Both series rings and PsiPoly against each other, int, Fraction and
-    str, on both sides of * + -: a cell computes, raises FamilyMismatch or
-    raises TypeError, and never AttributeError."""
+    """Both series rings and PsiPoly against each other, int, Fraction,
+    float and str, on both sides of * + -: a cell computes, raises
+    FamilyMismatch or raises TypeError, and never AttributeError.  The zero
+    series of the Serre-Tate ring checks the operand's type too, although
+    its product has no coefficient to touch it."""
 
     OPS = {"*": operator.mul, "+": operator.add, "-": operator.sub}
-    # series kinds and the number types their rings take as scalars
+    # series kinds, their rings and the number types those take as scalars
     SERIES = {"jet": ("int",), "other-jet": ("int",),
-              "st": ("int", "Fraction")}
-    KINDS = ["jet", "other-jet", "st", "psi", "int", "Fraction", "str"]
+              "st": ("int", "Fraction"), "st-zero": ("int", "Fraction")}
+    RING = {"jet": "jet", "other-jet": "other-jet", "st": "st",
+            "st-zero": "st"}
+    KINDS = ["jet", "other-jet", "st", "st-zero", "psi", "int", "Fraction",
+             "float", "str"]
 
     @pytest.fixture(scope="class")
     def operands(self):
@@ -344,14 +349,17 @@ class TestForeignOperands:
         def jet():
             return JetRing(JetRingConfig(t, 2, 2, 6, (0, 0))).T() + 1
 
-        return {"jet": jet(), "other-jet": jet(),
-                "st": STRing(5, 2, 2, 6).T() + 1,
+        st = STRing(5, 2, 2, 6)
+        return {"jet": jet(), "other-jet": jet(), "st": st.T() + 1,
+                "st-zero": st.zero(),
                 "psi": PsiPoly.slot(("beta", 0, "1")) + PsiPoly.const(2),
-                "int": 3, "Fraction": Fraction(1, 2), "str": "a"}
+                "int": 3, "Fraction": Fraction(1, 2), "float": 2.5,
+                "str": "a"}
 
     def expected(self, left, op, right):
         if left in self.SERIES and right in self.SERIES:
-            return None if left == right else FamilyMismatch
+            return (None if self.RING[left] == self.RING[right]
+                    else FamilyMismatch)
         if left == right == "psi":
             return None
         if right in self.SERIES.get(left, ()):
@@ -365,7 +373,7 @@ class TestForeignOperands:
     def test_matrix(self, operands, left, op):
         wrong = []
         for right in self.KINDS:
-            if not {left, right} & {"jet", "other-jet", "st", "psi"}:
+            if not {left, right} & {*self.SERIES, "psi"}:
                 continue
             try:
                 self.OPS[op](operands[left], operands[right])

@@ -128,6 +128,11 @@ class TestConstructors:
         assert a.is_zero() and a == t4.zero()
         assert valuation(a) == INF
 
+    @pytest.mark.parametrize("n", [Fraction(1, 2), Fraction(3), 2.0, "1"])
+    def test_from_int_refuses_non_int(self, t4, n):
+        with pytest.raises(TypeError):
+            t4.from_int(n)
+
     def test_element(self, t4):
         a = t4.element([[7 ** 4, 7 ** 5 + 3]], 6)
         self.assert_reduced(a)
