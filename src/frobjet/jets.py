@@ -311,7 +311,9 @@ def phi_endomorphism(ring: SeriesRing, i: int, F: SparseSeries
     images = {}
 
     def image_terms(v: int, e: int):
-        # [(degree, scalar, mono)] for (image of variable v)^e
+        # [(degree, scalar, mono)] for (image of variable v)^e, only the
+        # terms C(e, j) pi^j of degree p (e - j) + j <= D, which need
+        # j >= (p e - D) / (p - 1)
         if (v, e) in images:
             return images[(v, e)]
         iw = (i,) + ring.var_words[v]
@@ -320,7 +322,7 @@ def phi_endomorphism(ring: SeriesRing, i: int, F: SparseSeries
             raise OrderOverflow(
                 f"word {iw} exceeds the configured order r = {ring.r}")
         out = []
-        for j in range(e + 1):
+        for j in range(max(-(-(p * e - D) // (p - 1)), 0), e + 1):
             scalar = ring.from_int(math.comb(e, j)) * ring.pi_pow(j)
             if ring.is_zero(scalar):
                 continue

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from math import gcd
 
-from .errors import CertificateFailure
+from .errors import CertificateFailure, DivisionByZero
 
 
 def trim(a: list) -> list:
@@ -48,7 +48,7 @@ def psub(a, b, mod):
 def pdivmod_monic(a, b, mod):
     """Divide by a monic polynomial ``b``; returns (quotient, remainder)."""
     if not b:
-        raise ZeroDivisionError("division by zero polynomial")
+        raise DivisionByZero("division by zero polynomial")
     if b[-1] % mod != 1:
         raise CertificateFailure("divisor must be monic")
     a = [c % mod for c in a]
@@ -353,14 +353,27 @@ def fadic_expand(nums: list, f: list, n: int, mod: int) -> list:
     return out
 
 
+def newton_lengths(n: int) -> list:
+    """The lengths ceil(n / 2^j) > 1 in increasing order, the schedule of a
+    Newton lift from length 1 to ``n``: each length is at most twice the one
+    before, the last is ``n``, and there are as many as doubling from 1
+    takes, each no longer than the doubled length at the same step
+    (ceil(n / 2^(K - i)) <= min(2^i, n) for n <= 2^K).  Empty for n <= 1.
+    """
+    out = []
+    while n > 1:
+        out.append(n)
+        n = (n + 1) // 2
+    return out[::-1]
+
+
 def ser_inv(a: list, mod: int, n: int) -> list:
-    """Inverse of a series with unit constant term, to length ``n``."""
+    """Inverse of a series with unit constant term, to length ``n``: Newton
+    x <- x (2 - a x) on the lengths of ``newton_lengths``."""
     c0 = a[0] % mod
     inv0 = modinv(c0, mod)
     x = [inv0]
-    k = 1
-    while k < n:
-        k = min(2 * k, n)
+    for k in newton_lengths(n):
         ax = ser_mul(a[:k], x, mod, k)
         two_minus = [(-c) % mod for c in ax]
         two_minus[0] = (two_minus[0] + 2) % mod
@@ -372,7 +385,7 @@ def modinv(a: int, mod: int) -> int:
     try:
         return pow(a, -1, mod)
     except ValueError:
-        raise ZeroDivisionError(
+        raise DivisionByZero(
             f"{a % mod} not invertible mod {mod}") from None
 
 

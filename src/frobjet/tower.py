@@ -338,8 +338,10 @@ class TowerElement:
                 t, [[self.coeffs[0][0] * other.coeffs[0][0] % pk]], prec)
         # rows e - 1 zeros apart: zeta^k pi^j of the product is flat[k w + j]
         w, p, gap = 2 * e - 1, t.p, (0,) * (e - 1)
-        a, b = ([c for row in x.coeffs for c in row + gap]
-                for x in (self, other))
+        a = [c for row in self.coeffs for c in row + gap]
+        # a square passes one list twice, so kron_mul packs it once
+        b = a if other is self else [c for row in other.coeffs
+                                     for c in row + gap]
         flat = pu.kron_mul(a, b, pk, (2 * f - 1) * w)
         rows = [[flat[s + j] + p * flat[s + e + j] for j in range(e - 1)]
                 + [flat[s + e - 1]] for s in range(0, (2 * f - 1) * w, w)]
@@ -387,10 +389,9 @@ class TowerElement:
             term = term * (-nilp)
             geo = geo + term
         x = x * geo
-        # Newton: x <- x (2 - a x), doubling certified digits
-        k = 1
-        while k < self.prec:
-            k = min(2 * k, self.prec)
+        # Newton: x <- x (2 - a x), from k to the next certified precision
+        # of pu.newton_lengths(prec), at most 2k
+        for k in pu.newton_lengths(self.prec):
             ax = self.at_precision(k) * _element(t, x.coeffs, k)
             x = _element(t, x.coeffs, k) * (2 - ax)
         return x.at_precision(self.prec)

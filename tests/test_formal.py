@@ -254,6 +254,40 @@ class TestFormalLog:
         with pytest.raises(CertificateFailure):
             formal_log(C7, 200, 10)
 
+    @pytest.mark.parametrize("n", list(range(1, 65)) + [501, 981, 2421])
+    def test_certificate_square_and_cube(self, monkeypatch, n):
+        """The certificate's W^2 and W^3, built from the last Newton step,
+        equal the direct products of the returned W."""
+        curve, mod = WeierstrassCurve(11, 3, 5), 11 ** 10
+        calls = []
+        one_minus = formal._one_minus
+
+        def recording(x, y, c4, c6, m, mod_):
+            calls.append((x, y, m))
+            return one_minus(x, y, c4, c6, m, mod_)
+
+        monkeypatch.setattr(formal, "_one_minus", recording)
+        W, W2 = formal._curve_w_half(curve, n, mod)
+        x, y, m = calls[-1]
+        assert m == n and x is W2
+        assert W2 == pu.ser_mul(W, W, mod, n)
+        assert y == pu.ser_mul(W2, W, mod, max(n - 3, 0))
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 2421])
+    def test_one_full_length_square(self, monkeypatch, n):
+        """Only the last Newton step squares W at the full length n; the
+        certificate's products are of length n - m at most."""
+        lengths = []
+        ser_mul = pu.ser_mul
+
+        def recording(a, b, mod, k):
+            lengths.append(k)
+            return ser_mul(a, b, mod, k)
+
+        monkeypatch.setattr(pu, "ser_mul", recording)
+        formal._curve_w_half(C7, n, 7 ** 10)
+        assert lengths.count(n) == 1
+
     def test_w_series_exact_length(self):
         mod = 7 ** 10
         for n in range(1, 12):

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -9,9 +10,11 @@ from frobjet.errors import (FamilyMismatch, NotTopologicallyNilpotent,
 from frobjet.jets import (JetElement, JetRing, JetRingConfig, delta_operator,
                           eval_jet, phi_endomorphism, phi_word)
 from frobjet.sertate import STRing, STSeries
-from frobjet.tower import (FrobeniusIndex, TowerConfig, build_tower,
-                           frobenius_word_apply, pi_derivation)
+from frobjet.tower import (FrobeniusIndex, TowerConfig, TowerElement,
+                           build_tower, frobenius_word_apply, pi_derivation)
 from frobjet.words import cocycle_weight, lambda_pow
+
+from jets_oracle import full_phi_endomorphism
 
 
 @pytest.fixture(scope="module")
@@ -258,3 +261,66 @@ class TestSharedSeriesClass:
             any_ring.T() + other.T()
         with pytest.raises(FamilyMismatch):
             any_ring.T() * other.T()
+
+
+@functools.cache
+def log_jet_ring(p):
+    """The base-p jet ring of the benchmark's log-congruence workload and
+    the logarithm of y^2 = x^3 + x + 3 as a jet on it."""
+    from frobjet.formal import WeierstrassCurve, formal_log, log_jet
+    tower = build_tower(TowerConfig(p, 2, 0, 1, 10))
+    ring = JetRing(JetRingConfig(tower, 1, 2, 36, (0,)))
+    return ring, log_jet(formal_log(WeierstrassCurve(p, 1, 3), 40, 10), ring)
+
+
+def listed(F):
+    """Terms in order, tower coefficients as (coeffs, prec)."""
+    return F.den, [(m, (c.coeffs, c.prec) if isinstance(c, TowerElement)
+                    else c) for m, c in F.terms.items()]
+
+
+class TestImageTermsCut:
+    """phi_endomorphism builds only the image terms C(e, j) pi^j of degree
+    p (e - j) + j <= D; the full construction is the oracle."""
+
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    def test_benchmark_jet_rings(self, p):
+        ring, lj = log_jet_ring(p)
+        rng = random.Random(p)
+        t = ring.tower
+        mixed = (lj * lj + ring.delta_var((1,)).scale(t.random_element(rng))
+                 * ring.T() ** 3 + ring.delta_var((1,)) ** 4)
+        for F in (lj, lj * lj, mixed):
+            assert listed(phi_endomorphism(ring, 1, F)) == listed(
+                full_phi_endomorphism(ring, 1, F))
+
+    @pytest.mark.parametrize("D", [1, 5, 12])
+    def test_exact_ring(self, D):
+        ring = STRing(5, 2, 2, D)
+        F = (ring.one() + ring.T()) ** D + ring.delta_var((2,)) ** 2
+        for i in (1, 2):
+            assert listed(phi_endomorphism(ring, i, F)) == listed(
+                full_phi_endomorphism(ring, i, F))
+
+    def test_builds_only_terms_under_D(self):
+        """One from_int per image term of degree <= D: on the p = 11 ring,
+        36 for the log jet, where building all e + 1 terms made 338."""
+        ring, lj = log_jet_ring(11)
+        p, D = 11, 36
+        exponents = {e for mono in lj.terms for _, e in mono}
+        fits = sum(1 for e in exponents for j in range(e + 1)
+                   if p * (e - j) + j <= D)
+        calls = []
+        from_int = ring.from_int
+
+        def counting(n, prec=None):
+            calls.append(n)
+            return from_int(n, prec)
+
+        ring.from_int = counting
+        try:
+            phi_endomorphism(ring, 1, lj)
+        finally:
+            del ring.from_int
+        assert len(calls) == fits == 36
+

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobjet import polyutils as pu
-from polyutils_oracle import kron_mul_one_point
+from frobjet.errors import DivisionByZero, FrobjetError
+from polyutils_oracle import doubling_ser_inv, kron_mul_one_point
 
 MOD = 11 ** 19
 # the moduli of the benchmark's long series and towers
@@ -229,3 +230,45 @@ def test_vp_capped(p, cap):
     for v in range(cap):
         assert pu.vp_capped((p + 1) * p ** v, p, cap) == v
         assert pu.vp_capped(-(p ** v), p, cap) == v
+
+
+def test_newton_lengths_properties():
+    """ceil(n / 2^j) > 1 in increasing order: each length at most twice the
+    one before, the last n, as many steps as doubling from 1 and none
+    longer than the doubled length min(2^(i+1), n) at the same step."""
+    for n in range(5001):
+        lengths = pu.newton_lengths(n)
+        if n <= 1:
+            assert lengths == []
+            continue
+        assert lengths[-1] == n
+        assert len(lengths) == (n - 1).bit_length()
+        assert all(k > 1 for k in lengths)
+        assert all(a < b <= 2 * a for a, b in zip([1] + lengths, lengths))
+        assert all(k <= min(2 ** (i + 1), n) for i, k in enumerate(lengths))
+
+
+@pytest.mark.parametrize("mod", (7, 11 ** 10, 5 ** 40))
+def test_ser_inv_matches_doubling_oracle(mod):
+    """The newton_lengths schedule gives the doubling lift's inverse list
+    for list, at every length up to 70 and at the benchmark's long ones."""
+    rng = random.Random(mod)
+    a = [rng.randrange(mod) for _ in range(2421)]
+    a[0] = rng.randrange(1, 7)
+    for n in list(range(71)) + [501, 981, 2421]:
+        assert pu.ser_inv(a, mod, n) == doubling_ser_inv(a, mod, n)
+
+
+class TestTypedErrors:
+    def test_modinv_of_non_unit(self):
+        with pytest.raises(DivisionByZero) as err:
+            pu.modinv(14, 7 ** 3)
+        assert isinstance(err.value, FrobjetError)
+        assert isinstance(err.value, ZeroDivisionError)
+
+    def test_division_by_zero_polynomial(self):
+        with pytest.raises(DivisionByZero) as err:
+            pu.pdivmod_monic([1, 2, 3], [], 7)
+        assert isinstance(err.value, FrobjetError)
+        assert isinstance(err.value, ZeroDivisionError)
+

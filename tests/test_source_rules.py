@@ -9,6 +9,10 @@ The series kernels ``formal.py`` and ``polyutils.py`` and Kedlaya's
 reduction in ``crystal.py`` work over Z/p^k only; their exact-``Fraction``
 oracles live in ``tests/``, so these modules import nothing from
 :mod:`fractions`.
+
+A Newton lift runs on ``polyutils.newton_lengths``, so no ``while`` loop
+steps a length by ``k = min(2 * k, n)``: that schedule overshoots to a power
+of two before its last step.
 """
 
 import ast
@@ -101,3 +105,45 @@ def test_fraction_rule_allows_other_imports():
     assert fraction_imports(ast.parse(
         "import math\nfrom decimal import Decimal\n"
         "from .fractions import x")) == []
+
+
+def doubling_loops(tree: ast.AST) -> list:
+    """Lines of ``min(2 * k, ...)`` (or ``k * 2``) inside a ``while`` loop."""
+    found = set()
+    for loop in ast.walk(tree):
+        if not isinstance(loop, ast.While):
+            continue
+        for node in ast.walk(loop):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "min" and any(
+                        isinstance(arg, ast.BinOp)
+                        and isinstance(arg.op, ast.Mult)
+                        and {type(arg.left), type(arg.right)}
+                        == {ast.Constant, ast.Name}
+                        and 2 in (getattr(arg.left, "value", None),
+                                  getattr(arg.right, "value", None))
+                        for arg in node.args)):
+                found.add((node.lineno, "length doubled by min(2 * k, ...)"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_doubling_newton_loop(path):
+    assert doubling_loops(ast.parse(path.read_text(), str(path))) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "while k < n:\n    k = min(2 * k, n)",
+    "while k < self.prec:\n    k = min(2 * k, self.prec)",
+    "while m < n:\n    m2 = min(2 * m, n)\n    m = m2",
+    "while k < n:\n    if k:\n        k = min(k * 2, n)"])
+def test_doubling_rule_catches(snippet):
+    assert doubling_loops(ast.parse(snippet))
+
+
+def test_doubling_rule_allows_schedule_and_other_min():
+    assert doubling_loops(ast.parse(
+        "for k in newton_lengths(n):\n    x = f(x, k)\n"
+        "while n > 1:\n    n = (n + 1) // 2\n"
+        "while x:\n    y = min(3 * x, n)\n    x = min(2, x - 1)")) == []
+

@@ -18,7 +18,7 @@ from frobjet.tower import (INF, FrobeniusIndex, QElement, TowerConfig,
                            pi_derivation, pi_valuation, valuation,
                            word_exponents_for)
 
-from tower_oracle import schoolbook_mul
+from tower_oracle import doubling_inverse, schoolbook_mul
 
 
 @pytest.fixture(scope="module")
@@ -622,9 +622,53 @@ class TestSchoolbookOracle:
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(data=st.data())
+    def test_square(self, cfg, data):
+        a = draw_operand(data, bench_tower(cfg))
+        got, want = a * a, schoolbook_mul(a, a)
+        assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
     def test_valuation(self, cfg, data):
         t = bench_tower(cfg)
         a = draw_operand(data, t)
         vals = [Fraction(pu.vp(c, t.p)) + Fraction(j, t.e)
                 for row in a.coeffs for j, c in enumerate(row) if c]
         assert valuation(a) == (min(vals) if vals else INF)
+
+
+@pytest.mark.parametrize("cfg", ORACLE_TOWERS, ids=str)
+def test_inverse_matches_doubling_oracle(cfg):
+    """The newton_lengths schedule gives the doubling lift's inverse,
+    coefficient list and precision, at every precision 1..K."""
+    t = bench_tower(cfg)
+    rng = random.Random(sum(cfg))
+    for prec in range(1, t.K + 1):
+        for _ in range(3):
+            u = t.random_unit(rng, prec)
+            got, want = u.inverse(), doubling_inverse(u)
+            assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+
+
+def test_square_packs_once(monkeypatch):
+    """A square flattens one list and passes it twice, so kron_mul packs
+    it once; a product of two elements packs each."""
+    t = bench_tower((7, 2, 3, 2, 30))
+    calls = []
+    pack = pu._pack
+
+    def counting(a, mod, w):
+        calls.append(len(a))
+        return pack(a, mod, w)
+
+    monkeypatch.setattr(pu, "_pack", counting)
+    rng = random.Random(30)
+    x, y = t.random_element(rng), t.random_element(rng)
+    sq = x * x
+    assert len(calls) == 1
+    want = schoolbook_mul(x, x)
+    assert (sq.coeffs, sq.prec) == (want.coeffs, want.prec)
+    del calls[:]
+    x * y
+    assert len(calls) == 2
+

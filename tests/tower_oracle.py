@@ -1,19 +1,22 @@
-"""Slow oracles for the tower multiply and the character logarithm.
+"""Slow oracles for the tower multiply, inverse and character logarithm.
 
 ``schoolbook_mul`` is ``TowerElement.__mul__`` and ``sequential_log1p`` is
 ``characters._log1p`` as they ran before the packed multiply and the
 Paterson-Stockmeyer evaluation.  The multiply loops over every pair of
 entries, scaling by p where pi^(j1 + j2) wraps past pi^e, and reduces the
 zeta-rows k >= f through ``zred2``.  The logarithm multiplies by z once per
-term and stops at the first power that is zero mod p^prec.  They are kept
-here only so that the tests can compare the fast paths against them.
+term and stops at the first power that is zero mod p^prec.
+``doubling_inverse`` is ``TowerElement.inverse`` as it ran before the
+``newton_lengths`` schedule: its Newton lift doubles the certified
+precision k until it reaches the element's.  They are kept here only so
+that the tests can compare the fast paths against them.
 """
 
 from __future__ import annotations
 
 from frobjet import polyutils as pu
-from frobjet.errors import LogDivergence
-from frobjet.tower import INF, QElement, TowerElement, valuation
+from frobjet.errors import LogDivergence, NotAUnit
+from frobjet.tower import INF, QElement, TowerElement, _element, valuation
 
 
 def schoolbook_mul(self, other):
@@ -63,40 +66,6 @@ def schoolbook_mul(self, other):
                     if rowk[j]:
                         out[i][j] = (out[i][j] + ri * rowk[j]) % pk
     return TowerElement(t, out, prec)
-def __mul__(self, other):
-    if isinstance(other, TowerElement):
-        other = QElement(other, 0)
-    if isinstance(other, int):
-        return QElement(self.num * other, self.den)
-    return QElement(self.num * other.num, self.den + other.den)
-
-__rmul__ = __mul__
-
-def normalized(self) -> "QElement":
-    """Cancel p-powers shared by the numerator and the denominator."""
-    q = self
-    while q.den > 0:
-        try:
-            q = QElement(q.num.divide_by_p(), q.den - 1)
-        except PrecisionExhausted:
-            break
-    return q
-
-def equals(self, other, precision: int | None = None) -> bool:
-    """Agreement at the stated (or best shared) absolute precision."""
-    diff = self - other
-    v = diff.valuation()
-    cert = diff.certified_precision()
-    target = cert if precision is None else min(precision, cert)
-    return v == INF or v >= target
-
-def to_dict(self):
-    return {"num": self.num.to_dict(), "den": self.den}
-
-def __repr__(self):
-    return f"QElement({self.num!r} / p^{self.den})"
-
-
 def sequential_log1p(z: TowerElement) -> QElement:
     """log(1 + z) = sum (-1)^(n+1) z^n / n as num / p^dmax, v(z) > 0.
 
@@ -124,3 +93,31 @@ def sequential_log1p(z: TowerElement) -> QElement:
         acc = acc + zn * c
     return QElement(acc, dmax)
 
+
+def doubling_inverse(self):
+    """Inverse of a unit, by residue inversion plus Newton lifting."""
+    if valuation(self) != 0:
+        raise NotAUnit("inverse requires valuation 0")
+    t = self.tower
+    p, f, e = t.p, t.f, t.e
+    # invert mod p: W-part first, then the nilpotent pi-part
+    w0 = [self.coeffs[i][0] % p for i in range(f)]
+    s, _ = pu.fp_ext_bezout(pu.trim(w0), [c % p for c in t.g], p)
+    inv_w = [[0] * e for _ in range(f)]
+    for i, c in enumerate(s[:f]):
+        inv_w[i][0] = c
+    x = _element(t, inv_w, 1)
+    nilp = (self.at_precision(1) * x) - 1
+    geo = t.one(1)
+    term = t.one(1)
+    for _ in range(e - 1):
+        term = term * (-nilp)
+        geo = geo + term
+    x = x * geo
+    # Newton: x <- x (2 - a x), doubling certified digits
+    k = 1
+    while k < self.prec:
+        k = min(2 * k, self.prec)
+        ax = self.at_precision(k) * _element(t, x.coeffs, k)
+        x = _element(t, x.coeffs, k) * (2 - ax)
+    return x.at_precision(self.prec)
