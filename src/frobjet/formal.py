@@ -6,11 +6,11 @@ the auxiliary series w(t) (= -1/y) solves w = t^3 + a4 t w^2 + a6 w^3.
 With a1 = a3 = 0, [-1](t) = -t, so w is odd: w(t) = t^3 W(t^2), where
 W(s) = 1 + a4 s^2 W^2 + a6 s^3 W^3 is solved by Newton iteration at half
 the length, on the lengths ceil(n / 2^j) of ``polyutils.newton_lengths``,
-so that the last step lands on n exactly; its squares and cubes give the
-final certificate.  The invariant differential dx/(2y) expands as
-(t w' - w)/(2w) dt, whose coefficient (W + s W')/W is a series in s = t^2
-with leading coefficient 1.  The logarithm l(T) = sum b_m/m T^m stores
-only the integral numerators b_m, and is odd: b_m = 0 for every even m.
+so that the last step lands on n exactly.  The invariant differential
+dx/(2y) expands as (t w' - w)/(2w) dt, whose coefficient (W + s W')/W is
+a series in s = t^2 with leading coefficient 1.  The logarithm
+l(T) = sum b_m/m T^m stores only the integral numerators b_m, and is odd:
+b_m = 0 for every even m.
 
 The group law F(T1, T2) comes from the chord construction: the slope
 lambda = (w(t2) - w(t1))/(t2 - t1) is a polynomial identity (no division),
@@ -94,15 +94,6 @@ def _one_minus(x: list, y: list, c4: int, c6: int, n: int, mod: int) -> list:
     return out
 
 
-def _plus_shifted(x: list, c: int, y: list, m: int, n: int,
-                  mod: int) -> list:
-    """x + c s^m y mod (s^n, mod), a list of length n."""
-    out = x + [0] * (n - len(x))
-    for i, v in enumerate(y):
-        out[m + i] = (out[m + i] + c * v) % mod
-    return out
-
-
 def _curve_w_half(curve: WeierstrassCurve, n: int, mod: int) -> tuple:
     """(W, W^2) to length ``n`` >= 1, where W = 1 + a4 s^2 W^2 + a6 s^3 W^3.
 
@@ -110,32 +101,28 @@ def _curve_w_half(curve: WeierstrassCurve, n: int, mod: int) -> tuple:
     m to the next of ``pu.newton_lengths(n)``, at most 2m.  V = 1/G'(W) is
     carried along: one Newton update V += V (1 - G'V) per step brings it
     to length m, which is enough for the correction W -= V G(W) from m to
-    m2 <= 2m because G(W) = O(s^m).  The certificate G(W) = 0 mod s^n
-    takes W^2 and W^3 from the last step, from m to n <= 2m with the
-    correction s^m d: mod s^n, (W + s^m d)^2 = W^2 + 2 s^m W d and
-    (W + s^m d)^3 = W^3 + 3 s^m W^2 d.
+    m2 <= 2m because G(W) = O(s^m).  The certificate squares and cubes
+    the returned W again, so it does not trust the products of the last
+    step that it checks.
     """
     a4, a6 = curve.a4 % mod, curve.a6 % mod
-    # W = 1 + O(s), W^2 mod s^1, W^3 mod s^0 and no correction yet
-    W, V, W2, W3, d, m = [1], [1], [1], [], [], 1
+
+    def residual(W, m):
+        W2 = pu.ser_mul(W, W, mod, m)
+        W3 = pu.ser_mul(W2, W, mod, max(m - 3, 0))
+        one = _one_minus(W2, W3, -a4, -a6, m, mod)
+        return [(c - d) % mod for c, d in zip(W + [0] * m, one)], W2
+
+    W, V, m = [1], [1], 1
     for m2 in pu.newton_lengths(n):
-        W2 = pu.ser_mul(W, W, mod, m2)
-        W3 = pu.ser_mul(W2, W, mod, max(m2 - 3, 0))
-        one = _one_minus(W2, W3, -a4, -a6, m2, mod)
-        G = [(c - x) % mod for c, x in zip(W + [0] * m2, one)]
+        G, W2 = residual(W, m2)
         h = len(V)  # E = G'V = 1 + O(s^h)
         E = pu.ser_mul(_one_minus(W, W2, 2 * a4, 3 * a6, m, mod), V, mod, m)
         V = V + pu.ser_mul(V, [(-c) % mod for c in E[h:]], mod, m - h)
-        d = [(-c) % mod for c in pu.ser_mul(V, G[m:m2], mod, m2 - m)]
-        W, m = W + d, m2
-    m = n - len(d)  # the last step lifted W from length m to n
-    # W2, W3 are still the W before that step squared and cubed; W d mod
-    # s^(n-m) reads only W[:n-m], which that step left as it was
-    W3 = _plus_shifted(W3, 3, pu.ser_mul(W2, d, mod, max(n - 3 - m, 0)),
-                       m, max(n - 3, 0), mod)
-    W2 = _plus_shifted(W2, 2, pu.ser_mul(W, d, mod, n - m), m, n, mod)
-    one = _one_minus(W2, W3, -a4, -a6, n, mod)
-    if any((c - x) % mod for c, x in zip(W, one)):
+        W = W + [(-c) % mod for c in pu.ser_mul(V, G[m:m2], mod, m2 - m)]
+        m = m2
+    G, W2 = residual(W, n)
+    if any(G):
         raise CertificateFailure(
             "Newton iteration for W(s) failed to converge")
     return W, W2

@@ -1,17 +1,13 @@
-"""Slow oracles for the Kronecker product and the series inverse.
+"""Slow oracle for the Kronecker product.
 
 ``kron_mul_one_point`` is ``polyutils.kron_mul`` as it ran before the
 two-point evaluation: both lists packed at 2^(8w) with a limb of one spare
 byte over the product bound and at least 4 bytes, and one native product.
-``doubling_ser_inv`` is ``polyutils.ser_inv`` as it ran before the
-``newton_lengths`` schedule: its Newton lift doubles the length k until it
-reaches n.  They are kept here only so that the tests can compare the fast
-paths against them coefficient by coefficient.
+It is kept here only so that the tests can compare the fast path against it
+coefficient by coefficient.
 """
 
 from __future__ import annotations
-
-from frobjet.polyutils import modinv, ser_mul
 
 
 def _limb_bytes(mod: int, nterms: int) -> int:
@@ -36,18 +32,3 @@ def kron_mul_one_point(a: list, b: list, mod: int, n: int) -> list:
     raw = (abig * bbig).to_bytes(w * (len(a) + len(b)), "little")
     return [int.from_bytes(raw[k:k + w], "little")
             for k in range(0, min(len(a) + len(b) - 1, n) * w, w)]
-
-
-def doubling_ser_inv(a: list, mod: int, n: int) -> list:
-    """Inverse of a series with unit constant term, to length ``n``."""
-    c0 = a[0] % mod
-    inv0 = modinv(c0, mod)
-    x = [inv0]
-    k = 1
-    while k < n:
-        k = min(2 * k, n)
-        ax = ser_mul(a[:k], x, mod, k)
-        two_minus = [(-c) % mod for c in ax]
-        two_minus[0] = (two_minus[0] + 2) % mod
-        x = ser_mul(x, two_minus, mod, k)
-    return x[:n]

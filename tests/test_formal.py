@@ -254,39 +254,41 @@ class TestFormalLog:
         with pytest.raises(CertificateFailure):
             formal_log(C7, 200, 10)
 
-    @pytest.mark.parametrize("n", list(range(1, 65)) + [501, 981, 2421])
-    def test_certificate_square_and_cube(self, monkeypatch, n):
-        """The certificate's W^2 and W^3, built from the last Newton step,
-        equal the direct products of the returned W."""
+    @pytest.mark.parametrize("where", ["m-2", "m-1", "n-3"])
+    @pytest.mark.parametrize("n", [100, 2421])
+    def test_certificate_catches_bad_last_square(self, monkeypatch, n, where):
+        """An error in one upper coefficient of the last Newton step's W^2
+        (W of length m squared to length n) moves W off the solution; the
+        certificate squares the returned W again and must see it."""
         curve, mod = WeierstrassCurve(11, 3, 5), 11 ** 10
-        calls = []
-        one_minus = formal._one_minus
+        ser_mul = pu.ser_mul
 
-        def recording(x, y, c4, c6, m, mod_):
-            calls.append((x, y, m))
-            return one_minus(x, y, c4, c6, m, mod_)
+        def bad_last_square(a, b, mod_, k):
+            out = ser_mul(a, b, mod_, k)
+            if a is b and len(a) < k == n:
+                i = {"m-2": len(a) - 2, "m-1": len(a) - 1, "n-3": n - 3}[where]
+                out[i] = (out[i] + 1) % mod_
+            return out
 
-        monkeypatch.setattr(formal, "_one_minus", recording)
-        W, W2 = formal._curve_w_half(curve, n, mod)
-        x, y, m = calls[-1]
-        assert m == n and x is W2
-        assert W2 == pu.ser_mul(W, W, mod, n)
-        assert y == pu.ser_mul(W2, W, mod, max(n - 3, 0))
+        monkeypatch.setattr(pu, "ser_mul", bad_last_square)
+        with pytest.raises(CertificateFailure):
+            formal._curve_w_half(curve, n, mod)
 
     @pytest.mark.parametrize("n", [2, 3, 64, 65, 2421])
-    def test_one_full_length_square(self, monkeypatch, n):
-        """Only the last Newton step squares W at the full length n; the
-        certificate's products are of length n - m at most."""
+    def test_squares_follow_newton_lengths(self, monkeypatch, n):
+        """W is squared once per Newton step, on the lengths of
+        newton_lengths(n), and once more at length n by the certificate."""
         lengths = []
         ser_mul = pu.ser_mul
 
         def recording(a, b, mod, k):
-            lengths.append(k)
+            if a is b:
+                lengths.append(k)
             return ser_mul(a, b, mod, k)
 
         monkeypatch.setattr(pu, "ser_mul", recording)
         formal._curve_w_half(C7, n, 7 ** 10)
-        assert lengths.count(n) == 1
+        assert lengths == pu.newton_lengths(n) + [n]
 
     def test_w_series_exact_length(self):
         mod = 7 ** 10

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from frobjet import polyutils as pu
 from frobjet.errors import DivisionByZero, FrobjetError
-from polyutils_oracle import doubling_ser_inv, kron_mul_one_point
+from polyutils_oracle import kron_mul_one_point
 
 MOD = 11 ** 19
 # the moduli of the benchmark's long series and towers
@@ -249,14 +249,18 @@ def test_newton_lengths_properties():
 
 
 @pytest.mark.parametrize("mod", (7, 11 ** 10, 5 ** 40))
-def test_ser_inv_matches_doubling_oracle(mod):
-    """The newton_lengths schedule gives the doubling lift's inverse list
-    for list, at every length up to 70 and at the benchmark's long ones."""
+def test_ser_inv_at_every_length(mod):
+    """a * a^-1 = 1 mod s^n at every length up to 70 and at the benchmark's
+    long ones, the product taken by the one-point oracle."""
     rng = random.Random(mod)
     a = [rng.randrange(mod) for _ in range(2421)]
     a[0] = rng.randrange(1, 7)
-    for n in list(range(71)) + [501, 981, 2421]:
-        assert pu.ser_inv(a, mod, n) == doubling_ser_inv(a, mod, n)
+    assert pu.ser_inv(a, mod, 0) == []
+    for n in list(range(1, 71)) + [501, 981, 2421]:
+        inv = pu.ser_inv(a, mod, n)
+        assert len(inv) == n
+        prod = kron_mul_one_point(a[:n], inv, mod, n)
+        assert [c % mod for c in prod] == [1] + [0] * (n - 1)
 
 
 class TestTypedErrors:
@@ -271,4 +275,3 @@ class TestTypedErrors:
             pu.pdivmod_monic([1, 2, 3], [], 7)
         assert isinstance(err.value, FrobjetError)
         assert isinstance(err.value, ZeroDivisionError)
-

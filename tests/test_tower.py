@@ -18,7 +18,7 @@ from frobjet.tower import (INF, FrobeniusIndex, QElement, TowerConfig,
                            pi_derivation, pi_valuation, valuation,
                            word_exponents_for)
 
-from tower_oracle import doubling_inverse, schoolbook_mul
+from tower_oracle import schoolbook_mul
 
 
 @pytest.fixture(scope="module")
@@ -638,16 +638,17 @@ class TestSchoolbookOracle:
 
 
 @pytest.mark.parametrize("cfg", ORACLE_TOWERS, ids=str)
-def test_inverse_matches_doubling_oracle(cfg):
-    """The newton_lengths schedule gives the doubling lift's inverse,
-    coefficient list and precision, at every precision 1..K."""
+def test_inverse_at_every_precision(cfg):
+    """u * u^-1 = 1 at every precision 1..K, the product taken by the
+    schoolbook oracle."""
     t = bench_tower(cfg)
     rng = random.Random(sum(cfg))
     for prec in range(1, t.K + 1):
         for _ in range(3):
             u = t.random_unit(rng, prec)
-            got, want = u.inverse(), doubling_inverse(u)
-            assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+            got = schoolbook_mul(u, u.inverse())
+            one = t.one(prec)
+            assert (got.coeffs, got.prec) == (one.coeffs, one.prec)
 
 
 def test_square_packs_once(monkeypatch):
@@ -671,4 +672,3 @@ def test_square_packs_once(monkeypatch):
     del calls[:]
     x * y
     assert len(calls) == 2
-

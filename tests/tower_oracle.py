@@ -1,22 +1,19 @@
-"""Slow oracles for the tower multiply, inverse and character logarithm.
+"""Slow oracles for the tower multiply and the character logarithm.
 
 ``schoolbook_mul`` is ``TowerElement.__mul__`` and ``sequential_log1p`` is
 ``characters._log1p`` as they ran before the packed multiply and the
 Paterson-Stockmeyer evaluation.  The multiply loops over every pair of
 entries, scaling by p where pi^(j1 + j2) wraps past pi^e, and reduces the
 zeta-rows k >= f through ``zred2``.  The logarithm multiplies by z once per
-term and stops at the first power that is zero mod p^prec.
-``doubling_inverse`` is ``TowerElement.inverse`` as it ran before the
-``newton_lengths`` schedule: its Newton lift doubles the certified
-precision k until it reaches the element's.  They are kept here only so
-that the tests can compare the fast paths against them.
+term and stops at the first power that is zero mod p^prec.  They are kept
+here only so that the tests can compare the fast paths against them.
 """
 
 from __future__ import annotations
 
 from frobjet import polyutils as pu
-from frobjet.errors import LogDivergence, NotAUnit
-from frobjet.tower import INF, QElement, TowerElement, _element, valuation
+from frobjet.errors import LogDivergence
+from frobjet.tower import INF, QElement, TowerElement, valuation
 
 
 def schoolbook_mul(self, other):
@@ -66,6 +63,8 @@ def schoolbook_mul(self, other):
                     if rowk[j]:
                         out[i][j] = (out[i][j] + ri * rowk[j]) % pk
     return TowerElement(t, out, prec)
+
+
 def sequential_log1p(z: TowerElement) -> QElement:
     """log(1 + z) = sum (-1)^(n+1) z^n / n as num / p^dmax, v(z) > 0.
 
@@ -92,32 +91,3 @@ def sequential_log1p(z: TowerElement) -> QElement:
             c = -c
         acc = acc + zn * c
     return QElement(acc, dmax)
-
-
-def doubling_inverse(self):
-    """Inverse of a unit, by residue inversion plus Newton lifting."""
-    if valuation(self) != 0:
-        raise NotAUnit("inverse requires valuation 0")
-    t = self.tower
-    p, f, e = t.p, t.f, t.e
-    # invert mod p: W-part first, then the nilpotent pi-part
-    w0 = [self.coeffs[i][0] % p for i in range(f)]
-    s, _ = pu.fp_ext_bezout(pu.trim(w0), [c % p for c in t.g], p)
-    inv_w = [[0] * e for _ in range(f)]
-    for i, c in enumerate(s[:f]):
-        inv_w[i][0] = c
-    x = _element(t, inv_w, 1)
-    nilp = (self.at_precision(1) * x) - 1
-    geo = t.one(1)
-    term = t.one(1)
-    for _ in range(e - 1):
-        term = term * (-nilp)
-        geo = geo + term
-    x = x * geo
-    # Newton: x <- x (2 - a x), doubling certified digits
-    k = 1
-    while k < self.prec:
-        k = min(2 * k, self.prec)
-        ax = self.at_precision(k) * _element(t, x.coeffs, k)
-        x = _element(t, x.coeffs, k) * (2 - ax)
-    return x.at_precision(self.prec)
