@@ -28,7 +28,7 @@ from operator import mul
 from . import polyutils as pu
 from .errors import (BetaTooLarge, DistinctWordsRequired, LogDivergence,
                      NotAUnit, SeriesTooShort, ZeroSeries)
-from .formal import LogSeries
+from .formal import LogSeries, gm_log, scaled_log_coefficients
 from .linalg import padic_nullspace
 from .tower import (INF, FrobeniusIndex, QElement, Tower, TowerElement,
                     frobenius_apply, n_of_pi_from, pi_valuation,
@@ -73,12 +73,11 @@ def _log1p(z: TowerElement) -> QElement:
     if u == 0:
         raise LogDivergence("log(1 + z) needs v(z) > 0")
     tower, prec = z.tower, z.prec
-    p, f, e = tower.p, tower.f, tower.e
+    p, e = tower.p, tower.e
     nmax = e * (prec + 2) + 1
     dmax = pu.floor_log(p, nmax)
     if u == INF:
         return QElement(tower.zero(prec), dmax)
-    pk = p ** prec
     N = -(-e * prec // u) - 1
     m = isqrt(N)
     powers = [z]
@@ -86,16 +85,13 @@ def _log1p(z: TowerElement) -> QElement:
         powers.append(powers[-1] * z)
     # cols[s] = slot s of z, z^2, ..., z^m in the flattened f x e matrix
     cols = list(zip(*(sum(x.coeffs, ()) for x in powers)))
+    # c[n] = p^dmax (-1)^(n+1) / n mod p^prec
+    c = scaled_log_coefficients(gm_log(p, N, prec), N, dmax, p ** prec)
 
     def block(b):
-        cs = []
-        for n in range(b * m + 1, min(b * m + m, N) + 1):
-            v = pu.vp(n, p)
-            c = pu.modinv(n // p ** v, pk) * p ** (dmax - v)
-            cs.append(-c if n % 2 == 0 else c)
-        flat = [sum(map(mul, cs, col)) % pk for col in cols]
-        return TowerElement(tower, [flat[i:i + e] for i in range(0, f * e, e)],
-                            prec)
+        cs = c[b * m + 1:b * m + m + 1]
+        return _from_flat(tower, [sum(map(mul, cs, col)) for col in cols],
+                          prec)
 
     blocks = -(-N // m)
     acc = block(blocks - 1)
@@ -194,24 +190,20 @@ def kernel_dimension(ctx: PairingContext, beta: TowerElement) -> dict:
     witnesses and a precision certificate.
     """
     t = ctx.tower
-    basis = []
-    for i in range(t.f):
-        for j in range(t.e):
-            c = [[0] * t.e for _ in range(t.f)]
-            c[i][j] = 1
-            basis.append(t.element(c))
-    columns = [pairing(ctx, b, beta) for b in basis]
-    M = [[col.coeffs[i][j] for col in columns]
-         for i in range(t.f) for j in range(t.e)]
-    data = padic_nullspace(M, t.p, t.K)
-    witnesses = []
-    for vec in data["kernel"]:
-        elt = t.zero()
-        for coeff, b in zip(vec, basis):
-            elt = elt + b * coeff
-        witnesses.append(elt)
-    data["witnesses"] = witnesses
+    n = t.f * t.e
+    basis = [_from_flat(t, [int(k == j) for k in range(n)]) for j in range(n)]
+    # row i e + j holds the zeta^i pi^j coefficients of <b, beta>
+    columns = [sum(pairing(ctx, b, beta).coeffs, ()) for b in basis]
+    data = padic_nullspace(list(zip(*columns)), t.p, t.K)
+    # a kernel vector is its witness's coordinate vector in the same basis
+    data["witnesses"] = [_from_flat(t, vec) for vec in data["kernel"]]
     return data
+
+
+def _from_flat(tower: Tower, flat, prec=None) -> TowerElement:
+    """The element whose zeta^i pi^j coefficient is flat[i e + j] mod p^prec."""
+    e = tower.e
+    return tower.element([flat[i:i + e] for i in range(0, len(flat), e)], prec)
 
 
 def reciprocity_check(ctx: PairingContext, alpha: TowerElement,

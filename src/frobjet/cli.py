@@ -39,7 +39,7 @@ def _tower_from_args(args, default_config: TowerConfig) -> Tower:
     when given, replaces K."""
     cfg = (tower_config_from_file(args.config) if args.config
            else default_config)
-    if args.precision:
+    if args.precision is not None:
         cfg = replace(cfg, K=args.precision)
     return build_tower(cfg)
 
@@ -49,6 +49,9 @@ def cmd_tower_info(args) -> dict:
         args, TowerConfig(args.p, args.l, args.m, args.f, 12))
     cfg = tower.config
     gammas = tuple(parse_int(g, "--gammas") for g in args.gammas.split(","))
+    if args.indep_order < 0:
+        raise ConfigError(
+            f"--indep-order must be at least 0, not {args.indep_order}")
     pi, zeta = tower.pi(), tower.zeta()
     table = {}
     for g in gammas:
@@ -100,7 +103,7 @@ def suite_asd(args) -> dict:
     catalog = load_curve_catalog(args.catalog)
     labels = ([args.curve] if args.curve else
               ["5a-generic", "7a-generic", "11a-generic"])
-    K = args.precision or 12
+    K = 12 if args.precision is None else args.precision
     mu = _word(args.mu, "--mu")
     nu = _word(args.nu, "--nu")
     nmax = args.nmax
@@ -138,6 +141,10 @@ def suite_asd(args) -> dict:
 def suite_gamma(args) -> dict:
     tower = _tower_from_args(args, TowerConfig(7, 2, 2, 2, 12))
     cfg = tower.config
+    if not 1 <= args.threshold <= cfg.K:
+        # 0 would make every minor vanish, and above K no entry has the digits
+        raise ConfigError(
+            f"--threshold must lie in 1..{cfg.K}, not {args.threshold}")
     gammas = (0, 1)
     beta = _parse_beta(tower, args.beta)
     table = st_f_table(tower, gammas, beta)
@@ -162,7 +169,7 @@ def suite_gamma(args) -> dict:
 
 def suite_pairing(args) -> dict:
     rng = random.Random(args.seed)
-    K = args.precision or 12
+    K = 12 if args.precision is None else args.precision
     tower = build_tower(TowerConfig(7, 2, 1, 1, K))
     gammas = (0, 1)
     ctx = PairingContext(tower, gammas, (1, 1), (2, 1))
@@ -212,7 +219,7 @@ def suite_pairing(args) -> dict:
 
 def suite_gm(args) -> dict:
     rng = random.Random(args.seed)
-    K = args.precision or 16
+    K = 16 if args.precision is None else args.precision
     tower = build_tower(TowerConfig(7, 2, 1, 1, K))
     idx = FrobeniusIndex(1)
     target = K - 4
@@ -314,7 +321,7 @@ def _poly_mul_int(a, b):
 
 def suite_crystalline(args) -> dict:
     catalog = load_curve_catalog(args.catalog)
-    K = args.precision or 10
+    K = 10 if args.precision is None else args.precision
     checks = []
     for curve in catalog:
         try:

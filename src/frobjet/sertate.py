@@ -243,26 +243,20 @@ class PsiPoly:
     def twist(self, word: str) -> "PsiPoly":
         """Apply phi_word: slot words get ``word`` prepended ("" is the
         identity); c and p are fixed."""
-        out = {}
-        for (ce, pe, vars_), a in self.terms.items():
-            nv = []
-            for (kind, i, w), e in vars_:
-                nv.append(((kind, i, word + w), e))
-            m = (ce, pe, tuple(sorted(nv)))
-            out[m] = out.get(m, Fraction(0)) + a
-        return PsiPoly(out)
+        return self._rename(lambda kind, i, w: (kind, i, word + w))
 
     def swap12(self) -> "PsiPoly":
         """Exchange the two directions everywhere (indices and words)."""
-        flip = {"1": "2", "2": "1"}
+        flip = str.maketrans("12", "21")
+        return self._rename(lambda kind, i, w: (kind, {1: 2, 2: 1}.get(i, i),
+                                                w.translate(flip)))
+
+    def _rename(self, slot) -> "PsiPoly":
+        """Send every slot (kind, i, w) to ``slot(kind, i, w)``; c and p are
+        fixed, and monomials that meet are summed."""
         out = {}
         for (ce, pe, vars_), a in self.terms.items():
-            nv = []
-            for (kind, i, w), e in vars_:
-                ni = {1: 2, 2: 1}.get(i, i)
-                nw = "".join(flip.get(ch, ch) for ch in w)
-                nv.append(((kind, ni, nw), e))
-            m = (ce, pe, tuple(sorted(nv)))
+            m = (ce, pe, tuple(sorted((slot(*v), e) for v, e in vars_)))
             out[m] = out.get(m, Fraction(0)) + a
         return PsiPoly(out)
 
@@ -503,6 +497,12 @@ def st_f_table(tower: Tower, gammas, beta: TowerElement) -> dict:
 # period invariants
 # ---------------------------------------------------------------------------
 
+def _safe_div(num, den, what):
+    if den == 0:
+        raise DivisionByZero(f"vanishing denominator {what}")
+    return num / den
+
+
 def period_invariants(p: int, slots: dict) -> dict:
     """Ratios of the expansion slots and the four projective invariants.
 
@@ -523,17 +523,13 @@ def period_invariants(p: int, slots: dict) -> dict:
         for j in (1, 2):
             t[(i, j)] = get(f"psi_{i}@{j}") / psi1
 
-    def safe_div(num, den, what):
-        if den == 0:
-            raise DivisionByZero(f"vanishing denominator in {what}")
-        return num / den
-
-    tau = safe_div(t[(1, 1)] + p - p * t0, t0 * t[(1, 1)], "tau")
-    tau_prime = safe_div(t[(2, 1)] + p - p * t0, t0 * t[(2, 1)], "tau_prime")
-    tau_dprime = safe_div(t0 * (t[(2, 2)] + p * t0 - p), t[(2, 2)],
-                          "tau_dprime")
-    tau_tprime = safe_div(t0 * (t[(1, 2)] + p * t0 - p), t[(1, 2)],
-                          "tau_tprime")
+    tau = _safe_div(t[(1, 1)] + p - p * t0, t0 * t[(1, 1)], "in tau")
+    tau_prime = _safe_div(t[(2, 1)] + p - p * t0, t0 * t[(2, 1)],
+                          "in tau_prime")
+    tau_dprime = _safe_div(t0 * (t[(2, 2)] + p * t0 - p), t[(2, 2)],
+                           "in tau_dprime")
+    tau_tprime = _safe_div(t0 * (t[(1, 2)] + p * t0 - p), t[(1, 2)],
+                           "in tau_tprime")
     return {
         "t0": t0, "t11": t[(1, 1)], "t12": t[(1, 2)],
         "t21": t[(2, 1)], "t22": t[(2, 2)],
@@ -546,13 +542,10 @@ def invert_period_invariants(p: int, t0: Fraction, tau: Fraction,
                              tau_prime: Fraction, tau_dprime: Fraction,
                              tau_tprime: Fraction) -> dict:
     """Solve the four invariant equations back for the slot ratios."""
-    def safe(num, den, what):
-        if den == 0:
-            raise DivisionByZero(f"vanishing denominator inverting {what}")
-        return num / den
-
-    t11 = safe(p * (1 - t0), t0 * tau - 1, "tau")
-    t21 = safe(p * (1 - t0), t0 * tau_prime - 1, "tau_prime")
-    t22 = safe(p * t0 * (t0 - 1), tau_dprime - t0, "tau_dprime")
-    t12 = safe(p * t0 * (t0 - 1), tau_tprime - t0, "tau_tprime")
+    t11 = _safe_div(p * (1 - t0), t0 * tau - 1, "inverting tau")
+    t21 = _safe_div(p * (1 - t0), t0 * tau_prime - 1, "inverting tau_prime")
+    t22 = _safe_div(p * t0 * (t0 - 1), tau_dprime - t0,
+                    "inverting tau_dprime")
+    t12 = _safe_div(p * t0 * (t0 - 1), tau_tprime - t0,
+                    "inverting tau_tprime")
     return {"t11": t11, "t12": t12, "t21": t21, "t22": t22}

@@ -375,23 +375,17 @@ class TowerElement:
             raise NotAUnit("inverse requires valuation 0")
         t = self.tower
         p, f, e = t.p, t.f, t.e
-        # invert mod p: W-part first, then the nilpotent pi-part
+        # the inverse of the W-part's residue in F_p[zeta] starts the lift
         w0 = [self.coeffs[i][0] % p for i in range(f)]
         s, _ = pu.fp_ext_bezout(pu.trim(w0), [c % p for c in t.g], p)
         inv_w = [[0] * e for _ in range(f)]
         for i, c in enumerate(s[:f]):
             inv_w[i][0] = c
         x = _element(t, inv_w, 1)
-        nilp = (self.at_precision(1) * x) - 1
-        geo = t.one(1)
-        term = t.one(1)
-        for _ in range(e - 1):
-            term = term * (-nilp)
-            geo = geo + term
-        x = x * geo
-        # Newton: x <- x (2 - a x), from k to the next certified precision
-        # of pu.newton_lengths(prec), at most 2k
-        for k in pu.newton_lengths(self.prec):
+        # Newton: x <- x (2 - a x).  At precision 1, v_pi(1 - a x) >= 1
+        # doubles each step, so ceil(log2 e) steps invert a mod p; then each
+        # step lifts from k to the next length of pu.newton_lengths(prec)
+        for k in [1] * (e - 1).bit_length() + pu.newton_lengths(self.prec):
             ax = self.at_precision(k) * _element(t, x.coeffs, k)
             x = _element(t, x.coeffs, k) * (2 - ax)
         return x.at_precision(self.prec)
@@ -565,26 +559,18 @@ def check_monomial_independence(tower: Tower, gammas, r: int):
     """
     if len(set(gammas)) != len(gammas):
         return False, {"duplicate_gammas": list(gammas)}
-    n = len(gammas)
+    from .words import word_to_string, words_up_to  # words imports tower
     witness = {}
     seen = {}
     ok = True
-    for word in _all_words(n, r):
+    for word in words_up_to(len(gammas), r):
         c, s = word_exponents_for(tower.p, gammas, word)
         key = (s, c)
-        witness["".join(map(str, word))] = {"length": s, "tau_exponent": c}
+        witness[word_to_string(word)] = {"length": s, "tau_exponent": c}
         if key in seen and seen[key] != word:
             ok = False
         seen.setdefault(key, word)
     return ok, witness
-
-
-def _all_words(n, r):
-    from itertools import product
-    yield ()
-    for s in range(1, r + 1):
-        for word in product(range(1, n + 1), repeat=s):
-            yield word
 
 
 # ---------------------------------------------------------------------------

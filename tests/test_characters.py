@@ -342,6 +342,34 @@ class TestKernelDimension:
         kd = kernel_dimension(ctx, t7.zero())
         assert kd["dimension"] == t7.f * t7.e
 
+    def test_products_only_inside_pairing(self, monkeypatch):
+        """A witness is built from its kernel vector: every product of the
+        full rational-beta kernel at f e = 16 is one the pairings make."""
+        t = build_tower(TowerConfig(7, 2, 3, 2, 30))
+        ctx = PairingContext(t, (0, 0), (1, 1), (2, 2))
+        calls, depth = {"all": 0, "pairing": 0}, []
+        mul, pair = TowerElement.__mul__, characters.pairing
+
+        def counting_mul(self, other):
+            calls["all"] += 1
+            calls["pairing"] += bool(depth)
+            return mul(self, other)
+
+        def counting_pairing(*args):
+            depth.append(1)
+            try:
+                return pair(*args)
+            finally:
+                depth.pop()
+
+        monkeypatch.setattr(TowerElement, "__mul__", counting_mul)
+        monkeypatch.setattr(characters, "pairing", counting_pairing)
+        kd = kernel_dimension(ctx, t.from_int(7 * 3))
+        assert kd["dimension"] == len(kd["witnesses"]) == 16
+        assert calls["all"] == calls["pairing"] > 0
+        for vec, w in zip(kd["kernel"], kd["witnesses"]):
+            assert list(sum(w.coeffs, ())) == vec
+
     def test_nonzero_beta_kernel_at_least_one(self, t7):
         ctx = PairingContext(t7, (0, 1), (1, 1), (2, 1))
         rng = random.Random(7)

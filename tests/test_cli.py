@@ -100,6 +100,19 @@ def test_config_file_precision(command, extra, K, tmp_path):
     assert config.get("tower", config)["K"] == K
 
 
+PRECISION_COMMANDS = [["tower-info"]] + [
+    ["verify", suite] for suite, flags in SUITE_FLAGS.items()
+    if "--precision" in flags]
+
+
+@pytest.mark.parametrize("command", PRECISION_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("precision", ["0", "-2"])
+def test_precision_below_one_exit_code(command, precision, capsys):
+    """--precision 0 is a precision, not a request for the default K."""
+    assert main(command + ["--precision", precision]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestVerify:
     def test_st_identities(self, tmp_path):
         out = tmp_path / "st.json"
@@ -157,6 +170,24 @@ class TestVerify:
         assert main(["verify", "asd", "--curve", "5a-generic",
                      "--nmax", nmax]) == 2
         assert "--nmax" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", ["0", "-5", "13", "40"])
+    def test_threshold_outside_precision_exit_code(self, threshold, capsys):
+        # 0 or less makes vanishing vacuous; above K no entry has the digits
+        assert main(["verify", "gamma", "--threshold", threshold]) == 2
+        assert "--threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", ["1", "12"])
+    def test_threshold_inside_precision_runs(self, threshold, tmp_path):
+        out = tmp_path / "g.json"
+        assert main(["verify", "gamma", "--threshold", threshold,
+                     "--out", str(out)]) in (0, 1)
+        assert json.loads(out.read_text())["config"]["threshold"] == int(
+            threshold)
+
+    def test_indep_order_below_zero_exit_code(self, capsys):
+        assert main(["tower-info", "--indep-order", "-1"]) == 2
+        assert "--indep-order" in capsys.readouterr().err
 
     def test_malformed_catalog_exit_code(self, tmp_path):
         cat = tmp_path / "curves.json"

@@ -13,6 +13,10 @@ oracles live in ``tests/``, so these modules import nothing from
 A Newton lift runs on ``polyutils.newton_lengths``, so no ``while`` loop
 steps a length by ``k = min(2 * k, n)``: that schedule overshoots to a power
 of two before its last step.
+
+``cli.py`` never takes an integer flag as a truth value (``args.precision or
+12``, ``if args.precision:``): 0 is a value the user gave, and it must reach
+the range checks instead of turning into the default.
 """
 
 import ast
@@ -20,10 +24,14 @@ from pathlib import Path
 
 import pytest
 
+from frobjet.cli import _FLAGS
+
 FLOAT_MATH = {"log", "log2", "log10", "sqrt", "exp"}
 SERIES_KERNELS = ("crystal.py", "formal.py", "polyutils.py")
 SOURCES = sorted(
     (Path(__file__).resolve().parents[1] / "src" / "frobjet").glob("*.py"))
+INT_FLAGS = {name[2:].replace("-", "_") for name, kw in _FLAGS.items()
+             if kw.get("type") is int}
 
 
 def violations(tree: ast.AST) -> list:
@@ -147,3 +155,50 @@ def test_doubling_rule_allows_schedule_and_other_min():
         "while n > 1:\n    n = (n + 1) // 2\n"
         "while x:\n    y = min(3 * x, n)\n    x = min(2, x - 1)")) == []
 
+
+def int_flag_truth_tests(tree: ast.AST) -> list:
+    """Lines where ``args.<flag>`` of an integer flag is a truth value: an
+    operand of ``or``/``and``/``not`` or the test of ``if``, ``while``, a
+    conditional expression or a comprehension filter."""
+    tested = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BoolOp):
+            tested.extend(node.values)
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            tested.append(node.operand)
+        elif isinstance(node, (ast.If, ast.While, ast.IfExp)):
+            tested.append(node.test)
+        elif isinstance(node, ast.comprehension):
+            tested.extend(node.ifs)
+    return sorted((node.lineno, f"truth value of args.{node.attr}")
+                  for node in tested
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "args" and node.attr in INT_FLAGS)
+
+
+def test_int_flags_declared():
+    assert {"precision", "threshold", "nmax", "seed"} <= INT_FLAGS
+
+
+def test_cli_tests_no_int_flag_for_truth():
+    path = next(path for path in SOURCES if path.name == "cli.py")
+    assert int_flag_truth_tests(ast.parse(path.read_text(), str(path))) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "K = args.precision or 12", "if args.precision:\n    pass",
+    "ok = args.threshold and x", "ok = not args.nmax",
+    "K = args.precision if args.precision else 12",
+    "while args.seed:\n    pass", "x = [k for k in y if args.indep_order]"])
+def test_int_flag_rule_catches(snippet):
+    assert int_flag_truth_tests(ast.parse(snippet))
+
+
+def test_int_flag_rule_allows_none_tests_and_other_flags():
+    assert int_flag_truth_tests(ast.parse(
+        "K = 12 if args.precision is None else args.precision\n"
+        "if args.precision is not None:\n    pass\n"
+        "path = args.config or default\n"
+        "if args.catalog:\n    pass\n"
+        "K = other.precision or 12")) == []

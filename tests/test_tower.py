@@ -672,3 +672,26 @@ def test_square_packs_once(monkeypatch):
     del calls[:]
     x * y
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("cfg", BENCH_TOWERS, ids=str)
+def test_inverse_mod_p_by_newton(cfg, monkeypatch):
+    """Mod p the inverse takes ceil(log2 e) Newton steps of two products
+    each, where a geometric series in the nilpotent part took e + 1."""
+    t = bench_tower(cfg)
+    u = t.random_unit(random.Random(sum(cfg)))
+    at_one = []
+    mul = TowerElement.__mul__
+
+    def counting(self, other):
+        if isinstance(other, TowerElement) and min(self.prec,
+                                                   other.prec) == 1:
+            at_one.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(TowerElement, "__mul__", counting)
+    inv = u.inverse()
+    assert len(at_one) == 2 * (t.e - 1).bit_length()
+    got = schoolbook_mul(u, inv)
+    assert (got.coeffs, got.prec) == (t.one().coeffs, t.K)
+
