@@ -220,9 +220,12 @@ def suite_pairing(args) -> dict:
 def suite_gm(args) -> dict:
     rng = random.Random(args.seed)
     K = 16 if args.precision is None else args.precision
+    target = K - 4
+    if target < 1:
+        # additivity is checked to K - 4 digits: below K = 5 it tests nothing
+        raise ConfigError(f"--precision must be at least 5 for gm, not {K}")
     tower = build_tower(TowerConfig(7, 2, 1, 1, K))
     idx = FrobeniusIndex(1)
-    target = K - 4
     checks = []
     ok_add = True
     worst = None

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from . import polyutils as pu
 from .errors import PrecisionExhausted
-from .tower import INF, pi_valuation, valuation
 
 
 def padic_nullspace(M, p: int, K: int):
@@ -78,47 +77,3 @@ def padic_nullspace(M, p: int, K: int):
         kernel.append([x % pc for x in vec])
     return {"rank": rank, "pivot_valuations": pivots, "kernel": kernel,
             "certificate": cert, "dimension": n - rank}
-
-
-def tower_matrix_rank(entries, precision: int) -> int:
-    """Rank lower bound of a matrix of tower elements, by elimination with
-    valuation pivoting in the tower (divisions stay exact because the pivot
-    valuation is minimal)."""
-    rows = [list(r) for r in entries]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    used = set()
-    while True:
-        best = None
-        for i in range(len(rows)):
-            if i in used:
-                continue
-            for j in range(ncols):
-                v = valuation(rows[i][j])
-                if v == INF or v >= precision:
-                    continue
-                if best is None or v < best[0]:
-                    best = (v, i, j)
-        if best is None:
-            return rank
-        v, bi, bj = best
-        pivot = rows[bi][bj]
-        used.add(bi)
-        rank += 1
-        for i in range(len(rows)):
-            if i in used:
-                continue
-            target = rows[i][bj]
-            if valuation(target) == INF:
-                continue
-            factor = _tower_divide(target, pivot)
-            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[bi])]
-
-
-def _tower_divide(a, b):
-    """a / b for tower elements with v(a) >= v(b); exact within precision."""
-    for _ in range(pi_valuation(b)):
-        a, b = a.divide_by_pi(), b.divide_by_pi()
-    return a * b.inverse()

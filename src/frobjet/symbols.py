@@ -140,9 +140,10 @@ def subset_minors(rows, one) -> dict:
     Subset DP (Laplace): ``prev[mask]`` is the signed sum over assignments
     of the rows so far to the columns in ``mask``; adding column ``col``
     flips the sign once per used column above it, so only the relative
-    order of the columns counts.  Zero entries are multiplied like any
-    other: a QElement zero still caps the certified precision of the
-    products through it.
+    order of the columns counts.  Over the tower a product with a zero
+    entry costs nothing (``TowerElement.__mul__`` returns zero without a
+    multiply), yet that zero is at the minimum precision, so a QElement zero
+    still caps the certified precision of the products through it.
     """
     n = len(rows[0]) if rows else 0
     prev = {0: one}

@@ -16,11 +16,19 @@ polynomial g of zeta is the Hensel lift mod p^K of an irreducible factor of
 the e-th cyclotomic polynomial mod p; products of zeta-powers reduce through
 precomputed tables.
 
-A product is one big-integer multiply (``polyutils.kron_mul``): each matrix
-is flattened with e - 1 zeros between its zeta-rows, so that no pi-degree
-j1 + j2 <= 2e - 2 spills into the next row; then pi^(e+j) folds to p pi^j,
-the zeta-rows k >= f reduce through ``zred2``, and everything is reduced
-once mod p^prec.  At f = e = 1 a product is one integer product.
+A product is one big-integer multiply (Kronecker substitution, one
+evaluation point): each matrix is flattened with e - 1 zeros between its
+zeta-rows, so that no pi-degree j1 + j2 <= 2e - 2 spills into the next row,
+and packed by ``polyutils._pack`` into limbs wide enough for any product
+coefficient at that modulus (a table per precision on the Tower); the limbs
+of the one native product are read back, pi^(e+j) folds to p pi^j, the
+zeta-rows k >= f reduce through ``zred2``, and everything is reduced once mod
+p^prec.  Each element keeps its last packed integer in one slot keyed by the
+modulus p^k, so an operand used again at the same precision (a square, the
+base of a power, a matrix entry) is packed once; at another precision it is
+packed again.  A product with an operand that packs to 0 is zero at the
+minimum precision without a multiply.  At f = e = 1 a product is one
+integer product.
 
 Frobenius family
 ----------------
@@ -38,7 +46,9 @@ Precision accounting
 Binary operations certify min(prec_a, prec_b); division by pi or p costs one
 digit.  Zero tests mean "congruent to 0 mod p^prec", never exact vanishing.
 Elements are immutable; a built Tower is read-only, so everything can be
-shared freely between threads.
+shared freely between threads.  The packed slot is filled lazily, but its
+value depends only on the coefficients and the modulus it is keyed by, so a
+racing fill writes an equal value.
 """
 
 from __future__ import annotations
@@ -101,6 +111,10 @@ class Tower:
         self.config = config
         self.p, self.e, self.f, self.K = p, e, f, K
         self.pK = p ** K
+        # per precision k: p^k and the limb bytes that hold any coefficient
+        # of a product of two gapped f x (2e - 1) operands mod p^k
+        self._mul_moduli = [(p ** k, pu._limb_bytes(p ** k, f * (2 * e - 1)))
+                            for k in range(K + 1)]
         self._build_zeta_tables()
 
     def _build_zeta_tables(self):
@@ -242,7 +256,7 @@ class TowerElement:
     residues in [0, p^prec); :meth:`Tower.element` reduces any integers.
     """
 
-    __slots__ = ("tower", "coeffs", "prec")
+    __slots__ = ("tower", "coeffs", "prec", "_packed")
 
     def __init__(self, tower: Tower, coeffs, prec: int):
         prec = tower._prec(prec)
@@ -253,6 +267,7 @@ class TowerElement:
             raise UnreducedCoefficients(
                 f"need {tower.f} x {tower.e} residues mod p^{prec}")
         self.tower, self.prec, self.coeffs = tower, prec, rows
+        self._packed = None
 
     # -- helpers ---------------------------------------------------------
 
@@ -320,6 +335,17 @@ class TowerElement:
             return NotImplemented
         return (-self) + other
 
+    def _packed_at(self, pk: int, w: int) -> int:
+        """The zeta-rows, e - 1 zeros apart, as residues mod ``pk`` in
+        w-byte limbs; kept in the slot until asked for at another modulus."""
+        packed = self._packed
+        if packed is None or packed[0] != pk:
+            gap = (0,) * (self.tower.e - 1)
+            packed = (pk, pu._pack([c for row in self.coeffs
+                                    for c in row + gap], pk, w))
+            self._packed = packed
+        return packed[1]
+
     def __mul__(self, other):
         t = self.tower
         if isinstance(other, int):
@@ -331,18 +357,18 @@ class TowerElement:
             return NotImplemented
         self._check(other)
         prec = min(self.prec, other.prec)
-        pk = t.p ** prec
+        pk, limb = t._mul_moduli[prec]
         f, e = t.f, t.e
         if f * e == 1:
             return _element(
                 t, [[self.coeffs[0][0] * other.coeffs[0][0] % pk]], prec)
-        # rows e - 1 zeros apart: zeta^k pi^j of the product is flat[k w + j]
-        w, p, gap = 2 * e - 1, t.p, (0,) * (e - 1)
-        a = [c for row in self.coeffs for c in row + gap]
-        # a square passes one list twice, so kron_mul packs it once
-        b = a if other is self else [c for row in other.coeffs
-                                     for c in row + gap]
-        flat = pu.kron_mul(a, b, pk, (2 * f - 1) * w)
+        abig = self._packed_at(pk, limb)
+        bbig = abig if other is self else other._packed_at(pk, limb)
+        if not abig or not bbig:
+            return t.zero(prec)
+        # zeta^k pi^j of the product is flat[k w + j]
+        w, p = 2 * e - 1, t.p
+        flat = pu._unpack(abig * bbig, limb, 2 * f * w, (2 * f - 1) * w)
         rows = [[flat[s + j] + p * flat[s + e + j] for j in range(e - 1)]
                 + [flat[s + e - 1]] for s in range(0, (2 * f - 1) * w, w)]
         out = rows[:f]
@@ -430,6 +456,7 @@ def _element(tower: Tower, rows, prec: int) -> TowerElement:
     """Unchecked constructor: rows reduced mod p^prec, 1 <= prec <= K."""
     a = object.__new__(TowerElement)
     a.tower, a.prec, a.coeffs = tower, prec, tuple(map(tuple, rows))
+    a._packed = None
     return a
 
 

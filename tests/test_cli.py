@@ -185,6 +185,20 @@ class TestVerify:
         assert json.loads(out.read_text())["config"]["threshold"] == int(
             threshold)
 
+    @pytest.mark.parametrize("precision", ["1", "2", "3", "4"])
+    def test_gm_precision_below_five_exit_code(self, precision, capsys):
+        # additivity is checked to K - 4 digits: K <= 4 would test nothing
+        assert main(["verify", "gm", "--precision", precision]) == 2
+        assert "at least 5" in capsys.readouterr().err
+
+    def test_gm_precision_five_checks_one_digit(self, tmp_path):
+        out = tmp_path / "gm.json"
+        assert main(["verify", "gm", "--precision", "5", "--out",
+                     str(out)]) == 0
+        check = json.loads(out.read_text())["checks"][0]
+        assert check["name"] == "gm:additivity"
+        assert check["detail"]["precision"] == 1
+
     def test_indep_order_below_zero_exit_code(self, capsys):
         assert main(["tower-info", "--indep-order", "-1"]) == 2
         assert "--indep-order" in capsys.readouterr().err

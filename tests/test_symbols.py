@@ -5,7 +5,6 @@ from itertools import combinations
 import pytest
 
 from frobjet.errors import CertificateFailure, FamilyMismatch, MissingClass
-from frobjet.linalg import _tower_divide, tower_matrix_rank
 from frobjet.sertate import st_f_table
 from frobjet.symbols import (PMatrix, Symbol, gamma_matrix,
                              pmatrix_rank_minors, subset_det, subset_minors,
@@ -198,40 +197,6 @@ class TestMinors:
         zero = QElement(tower.zero())
         m = PMatrix([[zero, one], [one, zero]], 10)
         assert m.det().num == tower.from_int(-1)
-
-    def test_word_evaluations_full_rank(self):
-        # monomially independent words act independently on random samples;
-        # the finite-level surrogate needs the words to restrict to distinct
-        # automorphisms of the level, which holds for length <= 1 when the
-        # unramified part is nontrivial
-        t = build_tower(TowerConfig(5, 3, 1, 2, 12))
-        rng = random.Random(41)
-        words = words_up_to(2, 1)
-        samples = [t.random_element(rng) for _ in words]
-        entries = [[frobenius_word_apply(t, GAMMAS, w, a)
-                    for a in samples] for w in words]
-        assert tower_matrix_rank(entries, precision=8) == len(words)
-
-    def test_word_evaluations_collapse_on_trivial_level(self, tower):
-        # on a level where phi^(0) restricts to the identity the evaluation
-        # matrix genuinely drops rank: the surrogate must see that too
-        rng = random.Random(42)
-        words = words_up_to(2, 1)
-        samples = [tower.random_element(rng) for _ in words]
-        entries = [[frobenius_word_apply(tower, GAMMAS, w, a)
-                    for a in samples] for w in words]
-        assert tower_matrix_rank(entries, precision=8) == 2
-
-    def test_non_unit_pivots(self, tower):
-        # every entry is a pi- or pi^3-multiple, so each elimination step
-        # divides pivot and target by pi before inverting a unit
-        rng = random.Random(43)
-        pi = tower.pi()
-        a, b, c, d = (tower.random_unit(rng) for _ in range(4))
-        entries = [[pi * a, pi * b], [pi ** 3 * c, pi ** 3 * d],
-                   [pi ** 3 * a, pi ** 3 * b]]
-        assert tower_matrix_rank(entries, precision=8) == 2
-        assert _tower_divide(pi ** 2 * a, pi * b) * (pi * b) == pi ** 2 * a
 
 
 # the four towers (p, l, m, f, K) of the ramified-characters benchmark

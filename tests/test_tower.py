@@ -629,6 +629,20 @@ class TestSchoolbookOracle:
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(data=st.data())
+    def test_reused_operand(self, cfg, data):
+        """One operand object in products at the drawn precisions of the
+        others, in turn: what it packed at one modulus is not read at
+        another."""
+        t = bench_tower(cfg)
+        a = draw_operand(data, t)
+        for _ in range(4):
+            b = draw_operand(data, t)
+            for x, y in ((a, b), (b, a), (a, a), (a, t.one())):
+                got, want = x * y, schoolbook_mul(x, y)
+                assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data())
     def test_valuation(self, cfg, data):
         t = bench_tower(cfg)
         a = draw_operand(data, t)
@@ -651,27 +665,112 @@ def test_inverse_at_every_precision(cfg):
             assert (got.coeffs, got.prec) == (one.coeffs, one.prec)
 
 
-def test_square_packs_once(monkeypatch):
-    """A square flattens one list and passes it twice, so kron_mul packs
-    it once; a product of two elements packs each."""
-    t = bench_tower((7, 2, 3, 2, 30))
+def gapped(x):
+    """The flat list that the product packs for ``x``."""
+    gap = (0,) * (x.tower.e - 1)
+    return [c for row in x.coeffs for c in row + gap]
+
+
+@pytest.fixture
+def packs(monkeypatch):
+    """Every list that pu._pack packs, with its modulus, in call order."""
     calls = []
     pack = pu._pack
 
     def counting(a, mod, w):
-        calls.append(len(a))
+        calls.append((list(a), mod))
         return pack(a, mod, w)
 
     monkeypatch.setattr(pu, "_pack", counting)
+    return calls
+
+
+def assert_oracle(got, a, b):
+    want = schoolbook_mul(a, b)
+    assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+
+
+def test_square_packs_once(packs):
+    """A square packs its one operand once; a product of two elements that
+    were never multiplied packs each."""
+    t = bench_tower((7, 2, 3, 2, 30))
     rng = random.Random(30)
+    x, y, z = (t.random_element(rng) for _ in range(3))
+    assert_oracle(x * x, x, x)
+    assert packs == [(gapped(x), t.pK)]
+    del packs[:]
+    assert_oracle(y * z, y, z)
+    assert packs == [(gapped(y), t.pK), (gapped(z), t.pK)]
+
+
+def test_power_packs_base_once(packs):
+    """x^13 squares x, x^3, x^6 and multiplies by x twice: the base is
+    packed once, and each of the five operands once."""
+    t = bench_tower((7, 2, 3, 2, 30))
+    x = t.random_element(random.Random(13))
+    got = x ** 13
+    want = functools.reduce(schoolbook_mul, [x] * 13)
+    assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
+    lists = [a for a, _ in packs]
+    assert lists.count(gapped(x)) == 1
+    assert len(packs) == 5
+
+
+def test_packed_operand_reused(packs):
+    """Once x * x has run, x * y packs only y, and x * y again nothing."""
+    t = bench_tower((7, 2, 3, 2, 30))
+    rng = random.Random(31)
     x, y = t.random_element(rng), t.random_element(rng)
-    sq = x * x
-    assert len(calls) == 1
-    want = schoolbook_mul(x, x)
-    assert (sq.coeffs, sq.prec) == (want.coeffs, want.prec)
-    del calls[:]
-    x * y
-    assert len(calls) == 2
+    assert_oracle(x * x, x, x)
+    del packs[:]
+    assert_oracle(x * y, x, y)
+    assert packs == [(gapped(y), t.pK)]
+    del packs[:]
+    assert_oracle(x * y, x, y)
+    assert packs == []
+
+
+@pytest.mark.parametrize("cfg", BENCH_TOWERS, ids=str)
+def test_zero_operand_costs_nothing(cfg, monkeypatch):
+    """A product with an operand that is zero mod p^prec is zero at the
+    minimum precision, with no limbs read back: also when that operand
+    only vanishes at the lower precision of the other."""
+    t = bench_tower(cfg)
+    unpacks = []
+    unpack = pu._unpack
+
+    def counting(*args):
+        unpacks.append(1)
+        return unpack(*args)
+
+    monkeypatch.setattr(pu, "_unpack", counting)
+    rng = random.Random(sum(cfg))
+    x = t.random_element(rng)
+    zero = t.zero(3)
+    p3 = t.element([[c * t.p ** 3 for c in row]
+                    for row in t.random_element(rng).coeffs])
+    low = t.random_element(rng, 3)
+    for a, b in ((x, zero), (zero, x), (zero, zero), (p3, low), (low, p3)):
+        got = a * b
+        assert (got.coeffs, got.prec) == (t.zero(3).coeffs, 3)
+        assert_oracle(got, a, b)
+    assert unpacks == []
+    assert_oracle(x * p3, x, p3)
+    assert len(unpacks) == 1
+
+
+@pytest.mark.parametrize("cfg", BENCH_TOWERS, ids=str)
+def test_mixed_precision_repacks(cfg, packs):
+    """x at K, then by an element at precision 5, then at K again: each
+    product packs x at its own modulus and matches the oracle."""
+    t = bench_tower(cfg)
+    rng = random.Random(sum(cfg) + 1)
+    x, y = t.random_element(rng), t.random_element(rng)
+    low = t.random_element(rng, 5)
+    for b in (y, low, y, low):
+        assert_oracle(x * b, x, b)
+    moduli = [mod for a, mod in packs if a == gapped(x)]
+    assert moduli == [t.pK, t.p ** 5, t.pK, t.p ** 5]
 
 
 @pytest.mark.parametrize("cfg", BENCH_TOWERS, ids=str)
