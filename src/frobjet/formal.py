@@ -299,15 +299,16 @@ def compose_log_with_law(log: LogSeries, law: FormalGroupLaw, D: int):
     c = scaled_log_coefficients(log, D, dmax, mod)
     n = (D + 1) ** 2
     F = _pack({k: v % mod for k, v in law.coeffs.items() if sum(k) <= D}, D)
-    G = pu.ser_mul(F, F, mod, n)
-    # Horner in G = F^2 over pairs: sum_k (c_2k + c_(2k+1) F) G^k
+    G = pu.Packed(pu.ser_mul(F, F, mod, n), mod, n)
+    # Horner in G = F^2 over pairs: sum_k (c_2k + c_(2k+1) F) G^k; the
+    # exact products are reduced by the next step
     c.append(0)  # c_(D+1), the odd half of the top pair when D is even
     acc = [0] * n
     for k in range(D // 2, -1, -1):
         acc = [(a + c[2 * k + 1] * x) % mod for a, x in zip(acc, F)]
         acc[0] = (acc[0] + c[2 * k]) % mod
         if k:
-            acc = pu.ser_mul(acc, G, mod, n)
+            acc = pu.packed_mul(pu.Packed(acc, mod, n), G, n)
     for m in range(1, D + 1):
         for k in (m * (D + 2), m * (D + 1)):
             acc[k] = (acc[k] - c[m]) % mod

@@ -4,20 +4,15 @@ Polynomials are plain Python lists ``[a0, a1, ...]`` (index = degree) with the
 convention that trailing zeros are trimmed and ``[]`` is the zero polynomial.
 All modular routines keep coefficients reduced into ``[0, mod)``.
 
-Power series of large degree (needed for curve logarithms up to degree
-several thousand) are multiplied through Kronecker substitution: coefficient
-lists are packed into big integers with a fixed limb width, multiplied with
-CPython's native big-int arithmetic, and unpacked.  A limb holds the exact
-bound (mod - 1)^2 * min(len a, len b) of a product coefficient, in whole
-bytes.  From ``KS2_MIN_TERMS`` terms in the shorter operand on, ``kron_mul``
-evaluates at the two points 2^s and -2^s, so that two products of half the
-width replace one (Harvey's KS2); shorter products take one evaluation, at
-2^(8w) for a limb of w bytes.  That keeps the series layer pure Python while
-staying far below the acceptance-suite time budgets.
+Long series (curve logarithms to degree several thousand) and tower
+elements are multiplied by Kronecker substitution: a list is packed once
+into big integers (``Packed``), and ``packed_mul`` multiplies two such
+values with CPython's native big-int product and reads the limbs back.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from math import gcd
 
@@ -214,16 +209,13 @@ def hensel_lift_factor(f, g0, p: int, K: int) -> list:
 # degree).  ``n`` below is the truncation length: results keep degrees < n.
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1024)   # tower packs repeat (p^k, f(2e - 1))
 def _limb_bytes(mod: int, nterms: int) -> int:
-    """Bytes that hold every coefficient of a product of two lists of
-    residues mod ``mod``, the shorter of length ``nterms``: each is a sum of
-    at most ``nterms`` products, so at most (mod - 1)^2 * nterms."""
+    """Whole bytes that hold (mod - 1)^2 * nterms, at least one."""
     return max((((mod - 1) ** 2 * nterms).bit_length() + 7) // 8, 1)
 
 
-# shorter operand length from which kron_mul evaluates at +-2^s; below it
-# the extra packing and unpacking cost more than the halved multiply saves
-KS2_MIN_TERMS = 32
+KS2_MIN_TERMS = 32   # the term bound from which Packed takes two points
 
 
 def _pack(a: list, mod: int, w: int) -> int:
@@ -240,48 +232,59 @@ def _unpack(x: int, w: int, size: int, count: int) -> list:
             for k in range(0, count * w, w)]
 
 
-def _pack_pm(a: list, mod: int, w: int) -> tuple:
-    """(A(2^s), A(-2^s)) with s = 4w bits, A the polynomial of the residues
-    of ``a``: A(+-2^s) = A_even(2^2s) +- 2^s A_odd(2^2s), each half packed
-    in w-byte limbs."""
-    even = _pack(a[0::2], mod, w)
-    odd = _pack(a[1::2], mod, w) << 4 * w
-    return even + odd, even - odd
-
-
-def kron_mul(a: list, b: list, mod: int, n: int) -> list:
-    """First ``n`` coefficients of the product of the residues mod ``mod`` of
-    two nonempty coefficient lists, as exact integers; inputs are not cut.
-
-    Kronecker substitution: a coefficient of the product is at most
-    (mod - 1)^2 * min(len a, len b), so a limb of ``_limb_bytes`` bytes
-    holds it exactly.  Below ``KS2_MIN_TERMS`` terms in the shorter list,
-    each list is packed into one big integer, its polynomial at 2^(8w) for
-    that limb width w, and the limbs of the one native product are read
-    back.  From ``KS2_MIN_TERMS`` on, each polynomial is evaluated at 2^s
-    and at -2^s with s = 4w bits (Harvey's KS2, arXiv:0712.4046): two
-    products of half the width, whose half sum holds the even coefficients
-    and whose half difference, shifted down s + 1 bits, the odd ones, in
-    the same w-byte limbs.  Only product coefficients are read back, so a
-    residue need not fit in s bits.  ``a is b`` packs once and squares.
-    Callers reduce.
+class Packed:
+    """The residues mod ``mod`` of a nonempty list, packed for products with
+    lists packed at the same modulus and term ``bound`` (the shorter
+    operand's length) in limbs of w = ``_limb_bytes(mod, bound)`` bytes: a
+    product coefficient sums at most ``bound`` products.  ``big`` is the
+    polynomial A of the residues at 2^(8w) and ``minus`` None; from
+    ``KS2_MIN_TERMS`` on, where the halved multiply saves more than the
+    extra packing costs, they are A(2^s) and A(-2^s) with s = 4w bits,
+    A_even(2^2s) +- 2^s A_odd(2^2s) (Harvey's KS2, arXiv:0712.4046).
+    ``big`` is 0 exactly when every residue is.
     """
-    la, lb = len(a), len(b)
-    square = a is b
-    w = _limb_bytes(mod, min(la, lb))
+
+    __slots__ = ("mod", "bound", "length", "w", "big", "minus")
+
+    def __init__(self, a: list, mod: int, bound: int):
+        self.mod, self.bound, self.length = mod, bound, len(a)
+        self.w = w = _limb_bytes(mod, bound)
+        if bound < KS2_MIN_TERMS:
+            self.big, self.minus = _pack(a, mod, w), None
+        else:
+            even = _pack(a[0::2], mod, w)
+            odd = _pack(a[1::2], mod, w) << 4 * w
+            self.big, self.minus = even + odd, even - odd
+
+
+def packed_mul(x: Packed, y: Packed, n: int) -> list:
+    """First ``n`` coefficients of the product of two lists packed at the
+    same modulus and term bound, as exact integers; callers reduce.  At
+    +-2^s the half sum of the two products holds the even coefficients and
+    the half difference, shifted down s + 1 bits, the odd ones; only product
+    coefficients are read back, so a residue need not fit in s bits.
+    ``x is y`` squares; a zero operand gives zeros without a multiply."""
+    la, lb, w = x.length, y.length, x.w
+    if x.mod != y.mod or x.bound != y.bound or min(la, lb) > x.bound:
+        raise CertificateFailure("operands packed for different products")
     size = min(la + lb - 1, n)
-    if min(la, lb) < KS2_MIN_TERMS:
-        abig = _pack(a, mod, w)
-        bbig = abig if square else _pack(b, mod, w)
-        return _unpack(abig * bbig, w, la + lb, size)
-    ap, am = _pack_pm(a, mod, w)
-    bp, bm = (ap, am) if square else _pack_pm(b, mod, w)
-    pp, pm = ap * bp, am * bm
+    if not x.big or not y.big:
+        return [0] * size
+    if x.minus is None:
+        return _unpack(x.big * y.big, w, la + lb, size)
+    pp, pm = x.big * y.big, x.minus * y.minus
     half = (la + 1) // 2 + (lb + 1) // 2
     out = [0] * size
     out[0::2] = _unpack((pp + pm) >> 1, w, half, (size + 1) // 2)
     out[1::2] = _unpack((pp - pm) >> (4 * w + 1), w, half, size // 2)
     return out
+
+
+def kron_mul(a: list, b: list, mod: int, n: int) -> list:
+    """``packed_mul`` of two nonempty lists, each packed with the term bound
+    min(len a, len b); ``a is b`` packs once and squares."""
+    x = Packed(a, mod, min(len(a), len(b)))
+    return packed_mul(x, x if a is b else Packed(b, mod, x.bound), n)
 
 
 def ser_mul(a: list, b: list, mod: int, n: int) -> list:

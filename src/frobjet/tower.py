@@ -16,19 +16,14 @@ polynomial g of zeta is the Hensel lift mod p^K of an irreducible factor of
 the e-th cyclotomic polynomial mod p; products of zeta-powers reduce through
 precomputed tables.
 
-A product is one big-integer multiply (Kronecker substitution, one
-evaluation point): each matrix is flattened with e - 1 zeros between its
-zeta-rows, so that no pi-degree j1 + j2 <= 2e - 2 spills into the next row,
-and packed by ``polyutils._pack`` into limbs wide enough for any product
-coefficient at that modulus (a table per precision on the Tower); the limbs
-of the one native product are read back, pi^(e+j) folds to p pi^j, the
-zeta-rows k >= f reduce through ``zred2``, and everything is reduced once mod
-p^prec.  Each element keeps its last packed integer in one slot keyed by the
-modulus p^k, so an operand used again at the same precision (a square, the
-base of a power, a matrix entry) is packed once; at another precision it is
-packed again.  A product with an operand that packs to 0 is zero at the
-minimum precision without a multiply.  At f = e = 1 a product is one
-integer product.
+A product is one Kronecker product of ``polyutils.packed_mul`` on the
+matrices flattened with e - 1 zeros between their zeta-rows, so that no
+pi-degree j1 + j2 <= 2e - 2 spills into the next row; then pi^(e+j) folds to
+p pi^j, the zeta-rows k >= f reduce through ``zred2``, and everything is
+reduced once mod p^prec.  Each element keeps its ``polyutils.Packed`` value
+in one slot, so an operand used again at the same modulus p^k is packed
+once.  A product with an operand that packs to 0 is zero at the minimum
+precision.  At f = e = 1 a product is one integer product.
 
 Frobenius family
 ----------------
@@ -46,9 +41,9 @@ Precision accounting
 Binary operations certify min(prec_a, prec_b); division by pi or p costs one
 digit.  Zero tests mean "congruent to 0 mod p^prec", never exact vanishing.
 Elements are immutable; a built Tower is read-only, so everything can be
-shared freely between threads.  The packed slot is filled lazily, but its
-value depends only on the coefficients and the modulus it is keyed by, so a
-racing fill writes an equal value.
+shared freely between threads.  The packed slot is filled lazily with a
+value that depends only on the coefficients and the modulus, so a racing
+fill writes an equal value.
 """
 
 from __future__ import annotations
@@ -111,10 +106,7 @@ class Tower:
         self.config = config
         self.p, self.e, self.f, self.K = p, e, f, K
         self.pK = p ** K
-        # per precision k: p^k and the limb bytes that hold any coefficient
-        # of a product of two gapped f x (2e - 1) operands mod p^k
-        self._mul_moduli = [(p ** k, pu._limb_bytes(p ** k, f * (2 * e - 1)))
-                            for k in range(K + 1)]
+        self._mul_moduli = [p ** k for k in range(K + 1)]
         self._build_zeta_tables()
 
     def _build_zeta_tables(self):
@@ -335,16 +327,15 @@ class TowerElement:
             return NotImplemented
         return (-self) + other
 
-    def _packed_at(self, pk: int, w: int) -> int:
-        """The zeta-rows, e - 1 zeros apart, as residues mod ``pk`` in
-        w-byte limbs; kept in the slot until asked for at another modulus."""
+    def _packed_at(self, pk: int) -> pu.Packed:
+        """The zeta-rows, e - 1 zeros apart, packed mod ``pk``; kept in the
+        slot until asked for at another modulus."""
         packed = self._packed
-        if packed is None or packed[0] != pk:
+        if packed is None or packed.mod != pk:
             gap = (0,) * (self.tower.e - 1)
-            packed = (pk, pu._pack([c for row in self.coeffs
-                                    for c in row + gap], pk, w))
-            self._packed = packed
-        return packed[1]
+            flat = [c for row in self.coeffs for c in row + gap]
+            packed = self._packed = pu.Packed(flat, pk, len(flat))
+        return packed
 
     def __mul__(self, other):
         t = self.tower
@@ -357,18 +348,18 @@ class TowerElement:
             return NotImplemented
         self._check(other)
         prec = min(self.prec, other.prec)
-        pk, limb = t._mul_moduli[prec]
+        pk = t._mul_moduli[prec]
         f, e = t.f, t.e
         if f * e == 1:
             return _element(
                 t, [[self.coeffs[0][0] * other.coeffs[0][0] % pk]], prec)
-        abig = self._packed_at(pk, limb)
-        bbig = abig if other is self else other._packed_at(pk, limb)
-        if not abig or not bbig:
+        x = self._packed_at(pk)
+        y = x if other is self else other._packed_at(pk)
+        if not x.big or not y.big:
             return t.zero(prec)
         # zeta^k pi^j of the product is flat[k w + j]
         w, p = 2 * e - 1, t.p
-        flat = pu._unpack(abig * bbig, limb, 2 * f * w, (2 * f - 1) * w)
+        flat = pu.packed_mul(x, y, (2 * f - 1) * w)
         rows = [[flat[s + j] + p * flat[s + e + j] for j in range(e - 1)]
                 + [flat[s + e - 1]] for s in range(0, (2 * f - 1) * w, w)]
         out = rows[:f]
@@ -410,10 +401,13 @@ class TowerElement:
         x = _element(t, inv_w, 1)
         # Newton: x <- x (2 - a x).  At precision 1, v_pi(1 - a x) >= 1
         # doubles each step, so ceil(log2 e) steps invert a mod p; then each
-        # step lifts from k to the next length of pu.newton_lengths(prec)
-        for k in [1] * (e - 1).bit_length() + pu.newton_lengths(self.prec):
-            ax = self.at_precision(k) * _element(t, x.coeffs, k)
-            x = _element(t, x.coeffs, k) * (2 - ax)
+        # step lifts from k to the next length of pu.newton_lengths(prec),
+        # with a and x built once per precision and step, so each packs once
+        lengths = [1] * (e - 1).bit_length() + pu.newton_lengths(self.prec)
+        a_at = {k: self.at_precision(k) for k in set(lengths)}
+        for k in lengths:
+            x = _element(t, x.coeffs, k)
+            x = x * (2 - a_at[k] * x)
         return x.at_precision(self.prec)
 
     # -- pi / p division -----------------------------------------------------

@@ -199,6 +199,18 @@ class TestVerify:
         assert check["name"] == "gm:additivity"
         assert check["detail"]["precision"] == 1
 
+    def test_crystalline_precision_below_two_exit_code(self, capsys):
+        # the classes carry K - 1 digits: at K = 1 every relation is vacuous
+        assert main(["verify", "crystalline", "--precision", "1"]) == 2
+        assert "at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("precision", range(2, 13))
+    def test_crystalline_holds_at_every_precision(self, precision):
+        """The relations are tested mod p^(K - 1), the digits the classes
+        carry, so every K >= 2 passes on the default catalog."""
+        assert main(["verify", "crystalline", "--precision",
+                     str(precision)]) == 0
+
     def test_indep_order_below_zero_exit_code(self, capsys):
         assert main(["tower-info", "--indep-order", "-1"]) == 2
         assert "--indep-order" in capsys.readouterr().err

@@ -148,6 +148,29 @@ class TestGroupLaw:
                 assert (compose_log_with_law(log, law, Dc)
                         == formal_oracle.compose_log_with_law(log, law, Dc))
 
+    def test_compose_packs_square_once(self, monkeypatch):
+        """At D = 24 the Horner loop multiplies by G = F^2 packed once: F is
+        packed once for its square, G once and the accumulator at each of
+        the 12 steps, 14 lists in all."""
+        log, law = formal_log(C7, 26, 10), formal_group_law(C7, 24, 10)
+        mod, n = 7 ** log.prec, 25 ** 2
+        F = formal._pack({k: v % mod for k, v in law.coeffs.items()
+                          if sum(k) <= 24}, 24)
+        G = pu.ser_mul(F, F, mod, n)
+        packed = []
+
+        class Counting(pu.Packed):
+            def __init__(self, a, mod, bound):
+                packed.append(list(a))
+                super().__init__(a, mod, bound)
+
+        monkeypatch.setattr(pu, "Packed", Counting)
+        got = compose_log_with_law(log, law, 24)
+        assert len(packed) == 14
+        assert packed.count(F) == packed.count(G) == 1
+        monkeypatch.undo()
+        assert got == formal_oracle.compose_log_with_law(log, law, 24)
+
     @pytest.mark.parametrize("D", [1, 3, 8])
     def test_multiplicative_matches_dict_oracle(self, D):
         law = formal_group_law(None, 5, 10, p=5)

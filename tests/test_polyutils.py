@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobjet import polyutils as pu
-from frobjet.errors import DivisionByZero, FrobjetError
+from frobjet.errors import (CertificateFailure, DivisionByZero,
+                            FrobjetError)
 from polyutils_oracle import kron_mul_one_point
 
 MOD = 11 ** 19
@@ -126,13 +127,15 @@ def test_ser_mul_square_packs_once(monkeypatch, length):
     and makes two squarings; a product of two lists packs each once and
     makes two products."""
     calls = []
-    pack_pm = pu._pack_pm
 
-    def counting(a, mod, w):
-        calls.append(len(a))
-        return tuple(CountingInt(x) for x in pack_pm(a, mod, w))
+    class Counting(pu.Packed):
+        def __init__(self, a, mod, bound):
+            super().__init__(a, mod, bound)
+            calls.append(len(a))
+            self.big, self.minus = CountingInt(self.big), CountingInt(
+                self.minus)
 
-    monkeypatch.setattr(pu, "_pack_pm", counting)
+    monkeypatch.setattr(pu, "Packed", Counting)
     monkeypatch.setattr(CountingInt, "log", [])
     rng = random.Random(length)
     a = [rng.randrange(MOD) for _ in range(length)]
@@ -142,6 +145,37 @@ def test_ser_mul_square_packs_once(monkeypatch, length):
     del calls[:], CountingInt.log[:]
     pu.ser_mul(a, list(a), MOD, 2 * length)
     assert calls == [length, length] and CountingInt.log == [False, False]
+
+
+@pytest.mark.parametrize("bound", [3, KS2])
+def test_packed_mul_zero_operand_multiplies_nothing(monkeypatch, bound):
+    """A list of residues that are all 0 gives zeros of the product's
+    length, with no big-int product taken, on both sides of KS2."""
+    a = pu.Packed([MOD, 0, -2 * MOD] + [0] * (bound - 3), MOD, bound)
+    b = pu.Packed(list(range(1, 2 * bound)), MOD, bound)
+    assert a.big == 0 != b.big and (b.minus is None) == (bound < KS2)
+    monkeypatch.setattr(CountingInt, "log", [])
+    for x in (a, b):
+        x.big = CountingInt(x.big)
+        if x.minus is not None:
+            x.minus = CountingInt(x.minus)
+    assert pu.packed_mul(a, b, 4 * bound) == [0] * (3 * bound - 2)
+    assert pu.packed_mul(b, a, bound) == [0] * bound
+    assert CountingInt.log == []
+
+
+@pytest.mark.parametrize("other", [
+    lambda a: pu.Packed(a, MOD + 1, 5), lambda a: pu.Packed(a, MOD, 6),
+    lambda a: pu.Packed(a + [1], MOD, 5)])
+def test_packed_mul_mismatch_raises(other):
+    """Operands packed at another modulus or term bound, or both longer
+    than the bound that sized the limb, are refused, not misread."""
+    a = [MOD - 1] * 5
+    x = pu.Packed(a + [1] * 10, MOD, 5)
+    with pytest.raises(CertificateFailure):
+        pu.packed_mul(x, other(a + [1] * 10), 40)
+    assert pu.packed_mul(x, pu.Packed(a, MOD, 5), 40) == pu.kron_mul(
+        a + [1] * 10, a, MOD, 40)
 
 
 def repeated_division(a, f, n, mod):

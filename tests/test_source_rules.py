@@ -14,6 +14,11 @@ A Newton lift runs on ``polyutils.newton_lengths``, so no ``while`` loop
 steps a length by ``k = min(2 * k, n)``: that schedule overshoots to a power
 of two before its last step.
 
+The Kronecker format (limb width, packing, evaluation points) stays in
+``polyutils.py``: no other module reads a private ``polyutils`` name
+(``pu._pack``, ``pu._unpack``, ``pu._limb_bytes``, ...); they use the
+``Packed`` value and ``packed_mul``.  Tests may still spy on those names.
+
 ``cli.py`` never takes an integer flag as a truth value (``args.precision or
 12``, ``if args.precision:``): 0 is a value the user gave, and it must reach
 the range checks instead of turning into the default.
@@ -202,3 +207,60 @@ def test_int_flag_rule_allows_none_tests_and_other_flags():
         "path = args.config or default\n"
         "if args.catalog:\n    pass\n"
         "K = other.precision or 12")) == []
+
+
+def private_polyutils_reads(tree: ast.AST) -> list:
+    """Lines that read a private ``polyutils`` name: ``pu._x`` through any
+    name the module binds to ``polyutils``, ``frobjet.polyutils._x``, or
+    ``from .polyutils import _x``."""
+    aliases, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname for a in node.names
+                        if a.name.endswith("polyutils") and a.asname}
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "polyutils":
+                found.extend((node.lineno, f"import of polyutils.{a.name}")
+                             for a in node.names if a.name.startswith("_"))
+            aliases |= {a.asname or a.name for a in node.names
+                        if a.name == "polyutils"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+                and (isinstance(node.value, ast.Name)
+                     and node.value.id in aliases
+                     or isinstance(node.value, ast.Attribute)
+                     and node.value.attr == "polyutils")):
+            found.append((node.lineno, f"polyutils.{node.attr}"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [path for path in SOURCES
+                                  if path.name != "polyutils.py"],
+                         ids=lambda path: path.name)
+def test_kronecker_format_stays_in_polyutils(path):
+    assert private_polyutils_reads(ast.parse(path.read_text(), str(path))) \
+        == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "from . import polyutils as pu\nw = pu._limb_bytes(m, n)",
+    "from . import polyutils\nx = polyutils._pack(a, m, w)",
+    "from .polyutils import _unpack",
+    "from frobjet.polyutils import KS2_MIN_TERMS, _pack",
+    "import frobjet.polyutils as P\nf = P._unpack",
+    "import frobjet.polyutils\nx = frobjet.polyutils._pack(a, m, w)",
+    "def f(a):\n    from . import polyutils as q\n    return q._pack(a, 5)"])
+def test_kronecker_rule_catches(snippet):
+    assert private_polyutils_reads(ast.parse(snippet))
+
+
+def test_kronecker_rule_allows_public_names_and_other_privates():
+    assert private_polyutils_reads(ast.parse(
+        "from . import polyutils as pu\n"
+        "from .formal import _pack\n"
+        "x = pu.packed_mul(pu.Packed(a, m, n), y, n)\n"
+        "k = pu.KS2_MIN_TERMS\n"
+        "self._packed = _pack(a, D)\n"
+        "name = pu.__name__\n"
+        "y = other._unpack(x)")) == []

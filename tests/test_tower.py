@@ -583,8 +583,10 @@ class TestSympyOracle:
 # the packed multiply against the schoolbook one it replaced
 # ---------------------------------------------------------------------------
 
-# the benchmark towers plus the f*e = 1 base ring of the log workload
-ORACLE_TOWERS = BENCH_TOWERS + [(7, 2, 0, 1, 10)]
+# the benchmark towers, the f*e = 1 base ring of the log workload, and a
+# tower whose gapped operands of f*(2e - 1) = 62 terms take the two-point
+# product (polyutils.KS2_MIN_TERMS)
+ORACLE_TOWERS = BENCH_TOWERS + [(7, 2, 0, 1, 10), (7, 2, 4, 2, 8)]
 
 
 def draw_operand(data, t):
@@ -673,15 +675,16 @@ def gapped(x):
 
 @pytest.fixture
 def packs(monkeypatch):
-    """Every list that pu._pack packs, with its modulus, in call order."""
+    """Every list packed into a pu.Packed value, with its modulus, in call
+    order."""
     calls = []
-    pack = pu._pack
 
-    def counting(a, mod, w):
-        calls.append((list(a), mod))
-        return pack(a, mod, w)
+    class Counting(pu.Packed):
+        def __init__(self, a, mod, bound):
+            calls.append((list(a), mod))
+            super().__init__(a, mod, bound)
 
-    monkeypatch.setattr(pu, "_pack", counting)
+    monkeypatch.setattr(pu, "Packed", Counting)
     return calls
 
 
@@ -714,6 +717,18 @@ def test_power_packs_base_once(packs):
     lists = [a for a, _ in packs]
     assert lists.count(gapped(x)) == 1
     assert len(packs) == 5
+
+
+def test_inverse_packs_each_iterate_once(packs):
+    """Each Newton step packs x, a and 2 - a x once: 3 packs in each of the
+    8 steps at (7, 2, 3, 2, 30), less a at precision 1 in the second and
+    third of the three steps mod p, and no (list, modulus) pair twice."""
+    t = bench_tower((7, 2, 3, 2, 30))
+    u = t.random_unit(random.Random(1))
+    inv = u.inverse()
+    assert len(packs) == 22
+    assert len({(tuple(a), mod) for a, mod in packs}) == 22
+    assert_oracle(u * inv, u, inv)
 
 
 def test_packed_operand_reused(packs):
