@@ -28,6 +28,7 @@ from .config import (find_curve, load_curve_catalog, parse_int,
 from .crystal import count_points_ap, crystalline_classes, kedlaya_frobenius
 from .errors import ConfigError, FrobjetError, SupersingularInput
 from .formal import formal_log
+from .polyutils import floor_log
 from .sertate import st_f_table, verify_all_identities
 from .symbols import Symbol, gamma_matrix, pmatrix_rank_minors, sym_eval
 from .tower import (INF, FrobeniusIndex, Tower, TowerConfig, build_tower,
@@ -42,6 +43,16 @@ def _tower_from_args(args, default_config: TowerConfig) -> Tower:
     if args.precision is not None:
         cfg = replace(cfg, K=args.precision)
     return build_tower(cfg)
+
+
+def _precision(args, default: int, floor: int) -> int:
+    """--precision, else ``default``; a ConfigError below ``floor``, the
+    least K at which the suite's checks still test a digit."""
+    K = default if args.precision is None else args.precision
+    if K < floor:
+        raise ConfigError(
+            f"--precision must be at least {floor} for this suite, not {K}")
+    return K
 
 
 def cmd_tower_info(args) -> dict:
@@ -103,15 +114,17 @@ def suite_asd(args) -> dict:
     catalog = load_curve_catalog(args.catalog)
     labels = ([args.curve] if args.curve else
               ["5a-generic", "7a-generic", "11a-generic"])
-    K = 12 if args.precision is None else args.precision
+    curves = [find_curve(catalog, label) for label in labels]
     mu = _word(args.mu, "--mu")
     nu = _word(args.nu, "--nu")
     nmax = args.nmax
     if nmax < 1:
         raise ConfigError(f"--nmax must be at least 1, not {nmax}")
+    # asd_check needs 2 digits beyond the denominators p^(|mu| + v_p(N))
+    K = _precision(args, 12, max(2 + len(mu) + floor_log(c.p, nmax)
+                                 for c in curves))
     checks = []
-    for label in labels:
-        curve = find_curve(catalog, label)
+    for label, curve in zip(labels, curves):
         p = curve.p
         tower = build_tower(TowerConfig(p, 2, 0, 1, K))
         drd = kedlaya_frobenius(curve, K)
@@ -169,8 +182,7 @@ def suite_gamma(args) -> dict:
 
 def suite_pairing(args) -> dict:
     rng = random.Random(args.seed)
-    K = 12 if args.precision is None else args.precision
-    tower = build_tower(TowerConfig(7, 2, 1, 1, K))
+    tower = build_tower(TowerConfig(7, 2, 1, 1, _precision(args, 12, 2)))
     gammas = (0, 1)
     ctx = PairingContext(tower, gammas, (1, 1), (2, 1))
     checks = []
@@ -219,11 +231,9 @@ def suite_pairing(args) -> dict:
 
 def suite_gm(args) -> dict:
     rng = random.Random(args.seed)
-    K = 16 if args.precision is None else args.precision
+    # additivity is checked to K - 4 digits: below K = 5 it tests nothing
+    K = _precision(args, 16, 5)
     target = K - 4
-    if target < 1:
-        # additivity is checked to K - 4 digits: below K = 5 it tests nothing
-        raise ConfigError(f"--precision must be at least 5 for gm, not {K}")
     tower = build_tower(TowerConfig(7, 2, 1, 1, K))
     idx = FrobeniusIndex(1)
     checks = []
@@ -324,9 +334,8 @@ def _poly_mul_int(a, b):
 
 def suite_crystalline(args) -> dict:
     catalog = load_curve_catalog(args.catalog)
-    K = 10 if args.precision is None else args.precision
-    if K < 2:   # the classes carry K - 1 digits, every relation mod p^(K - 1)
-        raise ConfigError(f"crystalline needs --precision at least 2, not {K}")
+    # the classes carry K - 1 digits, every relation mod p^(K - 1)
+    K = _precision(args, 10, 2)
     checks = []
     for curve in catalog:
         try:

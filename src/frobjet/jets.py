@@ -52,10 +52,6 @@ class JetRingConfig:
             raise FamilyMismatch("need one Frobenius index per direction")
         object.__setattr__(self, "gammas", tuple(self.gammas))
 
-    def variable_names(self):
-        return ["T"] + ["d" + word_to_string(w)
-                        for w in words_up_to(self.n, self.r)[1:]]
-
 
 class SeriesRing:
     """Variable table and coefficient ring of the sparse series below.
@@ -292,8 +288,8 @@ def series_mul(t1: dict, t2: dict, D: int) -> dict:
 def _mono_str(ring, m):
     if not m:
         return "1"
-    names = ring.cfg.variable_names()
-    return "*".join(f"{names[v]}^{e}" if e > 1 else names[v] for v, e in m)
+    return "*".join((f"d{word_to_string(ring.var_words[v])}" if v else "T")
+                    + (f"^{e}" if e > 1 else "") for v, e in m)
 
 
 def phi_endomorphism(ring: SeriesRing, i: int, F: SparseSeries

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import random
+from itertools import zip_longest
 from math import gcd
 
 from .errors import CertificateFailure, DivisionByZero
@@ -27,17 +28,21 @@ def trim(a: list) -> list:
 
 
 def padd(a, b, mod):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % mod
-    return trim([c % mod for c in out])
+    return trim([(x + y) % mod for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def psub(a, b, mod):
-    return padd(a, [(-c) % mod for c in b], mod)
+    return padd(a, [-c for c in b], mod)
+
+
+def _divide_monic(a: list, low: list, d: int, mod: int) -> None:
+    """Divide ``a`` in place by the monic x^d + sum c_j x^j, given by the
+    pairs (j, c_j) of ``low`` with c_j != 0 mod ``mod``: a[d:] becomes the
+    quotient, reduced, and a[:d] the remainder, not yet reduced."""
+    for i in range(len(a) - 1, d - 1, -1):
+        c = a[i] = a[i] % mod
+        for j, cj in low:
+            a[i - d + j] -= c * cj
 
 
 def pdivmod_monic(a, b, mod):
@@ -46,17 +51,10 @@ def pdivmod_monic(a, b, mod):
         raise DivisionByZero("division by zero polynomial")
     if b[-1] % mod != 1:
         raise CertificateFailure("divisor must be monic")
-    a = [c % mod for c in a]
-    db = len(b) - 1
-    q = [0] * max(len(a) - db, 0)
-    r = list(a)
-    for i in range(len(a) - db - 1, -1, -1):
-        c = r[i + db] % mod
-        if c:
-            q[i] = c
-            for j, d in enumerate(b):
-                r[i + j] = (r[i + j] - c * d) % mod
-    return trim(q), trim(r)
+    a, d = list(a), len(b) - 1
+    _divide_monic(a, [(j, c % mod) for j, c in enumerate(b[:-1]) if c % mod],
+                  d, mod)
+    return trim(a[d:]), trim([c % mod for c in a[:d]])
 
 
 def fp_monic(a, p):
@@ -312,9 +310,10 @@ def fadic_expand(nums: list, f: list, n: int, mod: int) -> list:
     with a = sum d_j f^j + Q f^n mod ``mod``, for a monic ``f`` of degree d;
     each digit has d entries, Q is trimmed.  Divide and conquer (von zur
     Gathen-Gerhard, Modern Computer Algebra, ch. 9): one division by f^h,
-    h = n // 2, through the inverse of its reversal.  The numerators share
-    the powers of f and these inverses; the longest is expanded first, so
-    every inverse is built once, at the greatest length any numerator needs.
+    h = n // 2, through the inverse of its reversal; short pieces are
+    divided by f digit by digit in ``pdivmod_monic``'s loop.  The numerators
+    share the powers of f and these inverses; the longest is expanded first,
+    so every inverse is built once, at the greatest length any needs.
     """
     d = len(f) - 1
     low = [(j, c % mod) for j, c in enumerate(f[:-1]) if c % mod]
@@ -330,10 +329,7 @@ def fadic_expand(nums: list, f: list, n: int, mod: int) -> list:
         if n <= 8 or len(a) <= d * h:
             digits = []
             for _ in range(n):
-                for i in range(len(a) - 1, d - 1, -1):
-                    c = a[i] = a[i] % mod
-                    for j, cj in low:
-                        a[i - d + j] -= c * cj
+                _divide_monic(a, low, d, mod)
                 digits.append([c % mod for c in a[:d]] + [0] * (d - len(a)))
                 a = a[d:]
             return digits, trim(a)

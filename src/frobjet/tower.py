@@ -14,7 +14,7 @@ stored as an f x e integer matrix of residues mod p^prec, where ``prec`` is
 the absolute precision actually certified for that element.  The minimal
 polynomial g of zeta is the Hensel lift mod p^K of an irreducible factor of
 the e-th cyclotomic polynomial mod p; products of zeta-powers reduce through
-precomputed tables.
+tables of x^t mod g, each one ``polyutils.pdivmod_monic``.
 
 A product is one Kronecker product of ``polyutils.packed_mul`` on the
 matrices flattened with e - 1 zeros between their zeta-rows, so that no
@@ -120,31 +120,17 @@ class Tower:
         self.g = pu.hensel_lift_factor(xe1, g0, p, K)
         if len(self.g) - 1 != f:
             raise CertificateFailure("lifted zeta polynomial has wrong degree")
-        # zpow[t] = column vector of zeta^t mod g, t in [0, e)
-        one = [1] + [0] * (f - 1)
-        zpow = [one]
-        cur = one
-        for _ in range(1, e):
-            cur = self._mul_by_x(cur)
-            zpow.append(cur)
-        self.zpow = zpow
-        nxt = self._mul_by_x(zpow[e - 1])
-        if nxt != one:
+        # zpow[t] = column vector of zeta^t = x^t mod g for t < e; zeta^e = 1
+        zpow = []
+        for t in range(e + 1):
+            r = pu.pdivmod_monic([0] * t + [1], self.g, self.pK)[1]
+            zpow.append(r + [0] * (f - len(r)))
+        if zpow.pop() != zpow[0]:
             raise CertificateFailure("zeta^e != 1 after Hensel lifting")
+        self.zpow = zpow
         # reduction table for products: zred2[k] = zeta^k mod g, k <= 2f-2
         # (zeta^e = 1, so 2f - 2 >= e wraps around)
         self.zred2 = [zpow[k % e] for k in range(2 * f - 1)]
-
-    def _mul_by_x(self, vec):
-        f, pK = self.f, self.pK
-        out = [0] * f
-        carry = vec[f - 1]
-        for i in range(f - 1, 0, -1):
-            out[i] = vec[i - 1]
-        if carry:
-            for i in range(f):
-                out[i] = (out[i] - carry * self.g[i]) % pK
-        return [c % pK for c in out]
 
     # -- element constructors ------------------------------------------------
 

@@ -113,6 +113,16 @@ def test_precision_below_one_exit_code(command, precision, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", [c for c in PRECISION_COMMANDS
+                                     if c[0] == "verify"], ids=" ".join)
+@pytest.mark.parametrize("precision", range(1, 13))
+def test_no_failure_from_low_precision(command, precision, capsys):
+    """Every suite that takes --precision, on the default catalog and seed:
+    below the least K at which its checks test a digit it exits 2, and
+    from there on its checks pass, so no K reports a failure (exit 1)."""
+    assert main(command + ["--precision", str(precision)]) in (0, 2)
+
+
 class TestVerify:
     def test_st_identities(self, tmp_path):
         out = tmp_path / "st.json"
@@ -211,6 +221,28 @@ class TestVerify:
         assert main(["verify", "crystalline", "--precision",
                      str(precision)]) == 0
 
+    @pytest.mark.parametrize("flags, floor", [
+        ([], 6), (["--curve", "5a-generic"], 6),
+        (["--curve", "7a-generic"], 5), (["--curve", "11a-generic"], 5),
+        (["--nmax", "130"], 7)])
+    def test_asd_precision_floor(self, flags, floor, capsys, monkeypatch):
+        """The floor is 2 + |mu| + floor(log_p nmax), the most over the
+        curves run: the denominators p^(|mu| + v_p(N)) leave asd_check its
+        2 digits from there on.  Below it the run stops before Kedlaya or
+        formal_log; at it every congruence holds."""
+        import frobjet.cli as cli
+
+        def never(*args):
+            raise AssertionError("ran below the precision floor")
+        with monkeypatch.context() as m:
+            m.setattr(cli, "kedlaya_frobenius", never)
+            m.setattr(cli, "formal_log", never)
+            assert main(["verify", "asd", "--precision", str(floor - 1)]
+                        + flags) == 2
+        assert f"at least {floor} " in capsys.readouterr().err
+        assert main(["verify", "asd", "--precision", str(floor)]
+                    + flags) == 0
+
     def test_indep_order_below_zero_exit_code(self, capsys):
         assert main(["tower-info", "--indep-order", "-1"]) == 2
         assert "--indep-order" in capsys.readouterr().err
@@ -262,10 +294,11 @@ def test_each_subcommand_declares_exactly_what_it_reads():
     import frobjet.cli as cli
 
     def read(fn):
-        # a subcommand also reads what the shared tower helper reads
+        # a subcommand also reads what the shared helpers read
         src = inspect.getsource(fn)
-        if "_tower_from_args(" in src:
-            src += inspect.getsource(cli._tower_from_args)
+        for helper in (cli._tower_from_args, cli._precision):
+            if f"{helper.__name__}(" in src:
+                src += inspect.getsource(helper)
         return {node.attr for node in ast.walk(ast.parse(src))
                 if isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name)

@@ -1,12 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from frobjet import polyutils as pu
 from frobjet.errors import (CertificateFailure, DivisionByZero,
                             FrobjetError)
 from polyutils_oracle import kron_mul_one_point
+from polyutils_oracle import pdivmod_monic as pdivmod_monic_oracle
 
 MOD = 11 ** 19
 # the moduli of the benchmark's long series and towers
@@ -176,6 +177,47 @@ def test_packed_mul_mismatch_raises(other):
         pu.packed_mul(x, other(a + [1] * 10), 40)
     assert pu.packed_mul(x, pu.Packed(a, MOD, 5), 40) == pu.kron_mul(
         a + [1] * 10, a, MOD, 40)
+
+
+@st.composite
+def monic_division(draw):
+    """(a, b, mod): b monic mod ``mod`` of degree 0..5, its leading entry
+    and the other entries possibly negative, unreduced or 0 mod ``mod``."""
+    mod = draw(st.sampled_from((5, 7 ** 10, 11 ** 19)))
+    entry = st.one_of(st.sampled_from((0, mod, -mod)),
+                      st.integers(-2 * mod, 2 * mod))
+    d = draw(st.integers(0, 5))
+    b = draw(st.lists(entry, min_size=d, max_size=d))
+    b.append(draw(st.sampled_from((1, 1 + mod, 1 - mod))))
+    return draw(st.lists(entry, max_size=2 * d + 6)), b, mod
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(monic_division())
+@example(([], [1], 5))
+@example(([], [3, 0, 1], 7 ** 10))
+@example(([-4, 12], [2, 0, -3, 1], 11 ** 19))
+@example(([5, 10, 5], [0, 1], 5))
+def test_pdivmod_monic_matches_oracle(case):
+    """The shared in-place loop against the division that subtracts every
+    divisor coefficient; the caller's list is left as it was."""
+    a, b, mod = case
+    kept = list(a)
+    assert pu.pdivmod_monic(a, b, mod) == pdivmod_monic_oracle(a, b, mod)
+    assert a == kept
+
+
+def test_one_division_loop(monkeypatch):
+    """pdivmod_monic divides once through the shared loop, and a leaf of
+    fadic_expand once per digit."""
+    calls = []
+    loop = pu._divide_monic
+    monkeypatch.setattr(pu, "_divide_monic",
+                        lambda *args: calls.append(1) or loop(*args))
+    pu.pdivmod_monic(list(range(9)), [3, 0, 1], 7)
+    assert len(calls) == 1
+    pu.fadic_expand([list(range(9))], [3, 0, 1], 5, 7)
+    assert len(calls) == 6
 
 
 def repeated_division(a, f, n, mod):

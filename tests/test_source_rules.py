@@ -21,7 +21,9 @@ The Kronecker format (limb width, packing, evaluation points) stays in
 
 ``cli.py`` never takes an integer flag as a truth value (``args.precision or
 12``, ``if args.precision:``): 0 is a value the user gave, and it must reach
-the range checks instead of turning into the default.
+the range checks instead of turning into the default.  It reads
+``args.precision`` only in ``_precision``, which applies each suite's
+default and floor, and in ``_tower_from_args``.
 """
 
 import ast
@@ -207,6 +209,52 @@ def test_int_flag_rule_allows_none_tests_and_other_flags():
         "path = args.config or default\n"
         "if args.catalog:\n    pass\n"
         "K = other.precision or 12")) == []
+
+
+PRECISION_READERS = ("_precision", "_tower_from_args")
+
+
+def precision_reads(tree: ast.AST) -> list:
+    """Lines that read ``args.precision`` outside the two helpers that
+    turn it into a K: ``_precision`` (default and floor) and
+    ``_tower_from_args`` (the --config tower)."""
+    allowed = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.FunctionDef)
+                and node.name in PRECISION_READERS):
+            allowed |= {id(sub) for sub in ast.walk(node)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr == "precision"
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "args" and id(node) not in allowed)
+
+
+def test_cli_reads_precision_in_one_place():
+    path = next(path for path in SOURCES if path.name == "cli.py")
+    assert precision_reads(ast.parse(path.read_text(), str(path))) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "def suite_x(args):\n    K = 12 if args.precision is None "
+    "else args.precision",
+    "K = args.precision",
+    "def suite_x(args):\n    if args.precision < 5:\n        raise E",
+    "def _precision_floor(args):\n    return args.precision"])
+def test_precision_rule_catches(snippet):
+    assert precision_reads(ast.parse(snippet))
+
+
+def test_precision_rule_allows_helpers_and_other_names():
+    assert precision_reads(ast.parse(
+        "def _precision(args, default, floor):\n"
+        "    K = default if args.precision is None else args.precision\n"
+        "def _tower_from_args(args, cfg):\n"
+        "    if args.precision is not None:\n        return args.precision\n"
+        "def suite_x(args):\n"
+        "    K = _precision(args, 12, 2)\n"
+        "    t = args.threshold\n"
+        "    c = cc.precision\n")) == []
 
 
 def private_polyutils_reads(tree: ast.AST) -> list:

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from frobjet import polyutils as pu
-from frobjet.errors import (FamilyMismatch, NotAUnit,
+from frobjet.errors import (CertificateFailure, FamilyMismatch, NotAUnit,
                             NotEisensteinCompatible, PrecisionExhausted,
                             PrecisionTooLow, UnreducedCoefficients)
 from frobjet.tower import (INF, FrobeniusIndex, QElement, TowerConfig,
@@ -18,7 +18,7 @@ from frobjet.tower import (INF, FrobeniusIndex, QElement, TowerConfig,
                            pi_derivation, pi_valuation, valuation,
                            word_exponents_for)
 
-from tower_oracle import schoolbook_mul
+from tower_oracle import schoolbook_mul, zeta_tables
 
 
 @pytest.fixture(scope="module")
@@ -526,6 +526,29 @@ class TestPower:
 BENCH_TOWERS = [(7, 2, 1, 1, 16), (7, 2, 2, 2, 14), (7, 2, 3, 2, 30),
                 (5, 2, 2, 1, 40)]
 Z, PI = sympy.symbols("z pi")
+# 2f - 2 >= e wraps the reduction table; Phi_e splits into several factors
+ZETA_TOWERS = BENCH_TOWERS + [(3, 5, 1, 4, 6), (13, 5, 1, 4, 4),
+                              (11, 5, 1, 1, 6), (7, 2, 5, 4, 6)]
+
+
+@pytest.mark.parametrize("cfg", ZETA_TOWERS, ids=str)
+def test_zeta_tables_match_oracle(cfg):
+    """zpow and zred2 from pdivmod_monic against one multiplication by x
+    mod g per power."""
+    t = build_tower(TowerConfig(*cfg))
+    assert (t.zpow, t.zred2) == zeta_tables(t)
+
+
+def test_zeta_order_certificate(monkeypatch):
+    """A lifted g that is off in its last digit fails zeta^e = 1."""
+    lift = pu.hensel_lift_factor
+
+    def off(f, g0, p, K):
+        g = lift(f, g0, p, K)
+        return [(g[0] + p ** (K - 1)) % p ** K] + g[1:]
+    monkeypatch.setattr(pu, "hensel_lift_factor", off)
+    with pytest.raises(CertificateFailure, match="zeta\\^e"):
+        build_tower(TowerConfig(7, 2, 2, 2, 14))
 
 
 @functools.cache

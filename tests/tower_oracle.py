@@ -1,18 +1,22 @@
-"""Slow oracles for the tower multiply and the character logarithm.
+"""Slow oracles for the tower multiply, the character logarithm and the
+zeta tables.
 
 ``schoolbook_mul`` is ``TowerElement.__mul__`` and ``sequential_log1p`` is
 ``characters._log1p`` as they ran before the packed multiply and the
 Paterson-Stockmeyer evaluation.  The multiply loops over every pair of
 entries, scaling by p where pi^(j1 + j2) wraps past pi^e, and reduces the
 zeta-rows k >= f through ``zred2``.  The logarithm multiplies by z once per
-term and stops at the first power that is zero mod p^prec.  They are kept
-here only so that the tests can compare the fast paths against them.
+term and stops at the first power that is zero mod p^prec.
+``zeta_tables`` builds ``zpow`` and ``zred2`` as ``Tower`` did before they
+came from ``polyutils.pdivmod_monic``: it multiplies by x mod g by hand,
+one power after the other.  They are kept here only so that the tests can
+compare the fast paths against them.
 """
 
 from __future__ import annotations
 
 from frobjet import polyutils as pu
-from frobjet.errors import LogDivergence
+from frobjet.errors import CertificateFailure, LogDivergence
 from frobjet.tower import INF, QElement, TowerElement, valuation
 
 
@@ -91,3 +95,30 @@ def sequential_log1p(z: TowerElement) -> QElement:
             c = -c
         acc = acc + zn * c
     return QElement(acc, dmax)
+
+
+def zeta_tables(t):
+    """(zpow, zred2) of the tower ``t``, from its ``g``, one multiplication
+    by x mod g per power; raises CertificateFailure unless zeta^e = 1."""
+    def _mul_by_x(vec):
+        f, pK = t.f, t.pK
+        out = [0] * f
+        carry = vec[f - 1]
+        for i in range(f - 1, 0, -1):
+            out[i] = vec[i - 1]
+        if carry:
+            for i in range(f):
+                out[i] = (out[i] - carry * t.g[i]) % pK
+        return [c % pK for c in out]
+
+    e, f = t.e, t.f
+    one = [1] + [0] * (f - 1)
+    zpow = [one]
+    cur = one
+    for _ in range(1, e):
+        cur = _mul_by_x(cur)
+        zpow.append(cur)
+    nxt = _mul_by_x(zpow[e - 1])
+    if nxt != one:
+        raise CertificateFailure("zeta^e != 1 after Hensel lifting")
+    return zpow, [zpow[k % e] for k in range(2 * f - 1)]
