@@ -29,10 +29,12 @@ from .crystal import count_points_ap, crystalline_classes, kedlaya_frobenius
 from .errors import ConfigError, FrobjetError, SupersingularInput
 from .formal import formal_log
 from .polyutils import floor_log
-from .sertate import st_f_table, verify_all_identities
+from .sertate import (load_relation_catalog, st_f_table,
+                      verify_all_identities, verify_identity)
 from .symbols import Symbol, gamma_matrix, pmatrix_rank_minors, sym_eval
-from .tower import (INF, FrobeniusIndex, Tower, TowerConfig, build_tower,
-                    check_monomial_independence, frobenius_apply, n_of_pi)
+from .tower import (INF, FrobeniusIndex, QElement, Tower, TowerConfig,
+                    build_tower, check_monomial_independence,
+                    frobenius_apply, n_of_pi, n_of_pi_from)
 
 
 def _tower_from_args(args, default_config: TowerConfig) -> Tower:
@@ -99,7 +101,6 @@ def suite_st_identities(args) -> dict:
             "detail": rep,
         })
     # mutation control: a sign flip must leave a nonzero residual
-    from .sertate import load_relation_catalog, verify_identity
     cat = load_relation_catalog()
     bad = json.loads(json.dumps(cat["cubic"]))
     bad["terms"][0][0] = "-1"
@@ -264,7 +265,6 @@ def suite_gm(args) -> dict:
     checks.append({"name": "gm:torsion-vanishing", "pass": ok_tors,
                    "detail": {}})
     # two-route symbol check on 1-units: p * psi(x) = (p^(N+1)(phi - p))(log x)
-    from .tower import n_of_pi_from, QElement
     N = n_of_pi_from(tower.p, tower.e)
     scale = tower.p ** (N + 1)
     sym = (Symbol(tower, (0, 1),

@@ -240,31 +240,26 @@ class CrystallineClasses:
                            for s in range(r + 1)}
         self._pk = pk
 
-    def _pair(self, s1: int, s2: int) -> int:
-        a1, b1 = self._omega_img[s1]
-        a2, b2 = self._omega_img[s2]
-        return (a1 * b2 - b1 * a2) % self._pk
+    def _class(self, words, what: str) -> int:
+        """(1/p) <F^s1 omega, F^s2 omega> mod p^(prec) for the lengths s1, s2
+        of ``words`` (s2 = 0 for one word); ``what`` names the pairing."""
+        s = [len(tuple(w)) for w in words]
+        if not all(1 <= x <= self.r for x in s):
+            raise ValueError("word length outside table range")
+        (a1, b1), (a2, b2) = (self._omega_img[x] for x in (s + [0])[:2])
+        val = (a1 * b2 - b1 * a2) % self._pk
+        if val % self.p:
+            raise CertificateFailure(f"{what} not divisible by p")
+        return (val // self.p) % (self._pk // self.p)
 
     def f(self, mu) -> int:
         """Primary class for the word ``mu`` (only its length matters here),
         as an integer mod p^(prec)."""
-        s = len(tuple(mu))
-        if not 1 <= s <= self.r:
-            raise ValueError("word length outside table range")
-        val = self._pair(s, 0)
-        if val % self.p:
-            raise CertificateFailure("phi(omega) not divisible by p")
-        return (val // self.p) % (self._pk // self.p)
+        return self._class([mu], "phi(omega)")
 
     def f_pair(self, mu, nu) -> int:
         """Secondary class for the word pair, antisymmetric by construction."""
-        s1, s2 = len(tuple(mu)), len(tuple(nu))
-        if not (1 <= s1 <= self.r and 1 <= s2 <= self.r):
-            raise ValueError("word length outside table range")
-        val = self._pair(s1, s2)
-        if val % self.p:
-            raise CertificateFailure("class pairing not divisible by p")
-        return (val // self.p) % (self._pk // self.p)
+        return self._class([mu, nu], "class pairing")
 
 
 def crystalline_classes(drd: DeRhamData, r: int) -> CrystallineClasses:

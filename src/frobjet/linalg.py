@@ -2,10 +2,11 @@
 
 Row reduction picks, at every step, a pivot of minimal p-adic valuation over
 the whole remaining block (full pivoting with column tracking), divides its
-row by the unit part and eliminates below and above; entries indistinguishable
-from zero at the working precision never become pivots.  Rank is therefore
-certified from below, and the reported kernel dimension comes with the list
-of pivot valuations consumed along the way.
+row by the unit part and eliminates below; entries indistinguishable from
+zero at the working precision never become pivots.  Each pivot row is then
+divisible by its pivot, so the kernel comes from back-substitution.  Rank is
+therefore certified from below, and the reported kernel dimension comes with
+the list of pivot valuations consumed along the way.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ def padic_nullspace(M, p: int, K: int):
         unit = A[r][r] // p ** v
         inv = pu.modinv(unit, pk)
         A[r] = [(x * inv) % pk for x in A[r]]
-        # now A[r][r] = p^v; eliminate the whole column
-        for i in range(m):
-            if i == r or A[i][r] == 0:
+        # now A[r][r] = p^v; eliminate the column below it
+        for i in range(r + 1, m):
+            if A[i][r] == 0:
                 continue
             q = A[i][r] // p ** v
             if A[i][r] % p ** v:
@@ -68,12 +69,10 @@ def padic_nullspace(M, p: int, K: int):
     for free in range(rank, n):
         vec = [0] * n
         vec[colperm[free]] = 1
-        for i in range(rank):
-            # p^v_i * x_{c_i} + A[i][free] = 0
-            v = pivots[i]
-            entry = A[i][free] % pk
-            coeff = (-(entry // p ** v)) % pc
-            vec[colperm[i]] = coeff
-        kernel.append([x % pc for x in vec])
+        for i in range(rank - 1, -1, -1):
+            # p^v_i x_(c_i) + sum_(j > i) A[i][j] x_(c_j) = 0, p^v_i | A[i][j]
+            s = sum(A[i][j] * vec[colperm[j]] for j in range(i + 1, n))
+            vec[colperm[i]] = (-(s // p ** pivots[i])) % pc
+        kernel.append(vec)
     return {"rank": rank, "pivot_valuations": pivots, "kernel": kernel,
             "certificate": cert, "dimension": n - rank}

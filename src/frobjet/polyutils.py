@@ -140,15 +140,21 @@ def cyclotomic_prime_power(l: int, m: int) -> list:
     return trim(out)
 
 
+# each Cantor-Zassenhaus try splits a product of equal-degree factors with
+# probability about 1/2; the towers of p < 60, l^m <= 130 need at most 9
+EDF_TRIES = 64
+
+
 def equal_degree_factor(poly, d: int, p: int) -> list:
     """One monic irreducible degree-``d`` factor of a squarefree ``poly``
     over GF(p), all of whose irreducible factors have degree ``d``
-    (Cantor-Zassenhaus splitting, seeded so the factor is deterministic)."""
+    (Cantor-Zassenhaus splitting, seeded so the factor is deterministic).
+    A ``poly`` not split after EDF_TRIES tries raises ``ValueError``."""
     rng = random.Random(0xC2)
     poly = fp_monic(poly, p)
     if len(poly) - 1 == d:
         return poly
-    while True:
+    for _ in range(EDF_TRIES):
         r = [rng.randrange(p) for _ in range(len(poly) - 1)]
         r = trim(r)
         if len(r) < 2:
@@ -166,6 +172,8 @@ def equal_degree_factor(poly, d: int, p: int) -> list:
         if len(cand) - 1 == d:
             return cand
         poly = cand
+    raise ValueError(f"no degree-{d} factor split off in {EDF_TRIES} tries: "
+                     f"the polynomial is not a product of degree-{d} factors")
 
 
 def hensel_lift_factor(f, g0, p: int, K: int) -> list:

@@ -25,18 +25,20 @@ and its phi-twists.  Two exact layers implement this:
     classes reduces to the zero PsiPoly, with c-homogeneity checked first so
     no conclusion ever depends on the value of the unit c.
 
-The expansion table itself (``st_expansion``) hard-codes the known closed
-forms; the relation catalog is data (data/relations.json) mapping relation
-ids to signed products of form ids with optional twists.  Every relation is
-verified together with its 1 <-> 2 index swap.
+``st_expansion`` builds each class from its primary, a sum of phi-twisted
+Psi slots, and the secondary rule f_mu,nu = p^|nu| f_mu - p^|mu| f_nu, which
+``beta_expansion`` shares.  The relation catalog is data (data/relations.json)
+mapping relation ids to signed products of form ids with optional twists.
+Every relation is verified together with its 1 <-> 2 index swap.
 
-The tower-valued evaluations (``st_f_values``) specialize the same closed
-forms at a parameter value beta of positive valuation; with the convention
+The tower-valued evaluations (``st_f_values``) specialize the same two
+rules at a parameter value beta of positive valuation; with the convention
 c = 1 they feed the coefficient-matrix checks and the congruence tests.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -277,82 +279,47 @@ class PsiPoly:
         return "PsiPoly(" + " + ".join(bits) + ")"
 
 
-def _psi(i: int, word: str = "") -> tuple:
-    return ("psi", i, word)
-
-
-def _S(i, w="", c=1, p=0, v=1):
-    return PsiPoly.slot(_psi(i, w), c_exp=c, p_exp=p, value=v)
-
-
-_EXPANSIONS = None
-
-
-def _build_expansions():
-    """Closed-form expansions of every order <= 2 class, in Psi slots."""
-    P = {}
-    P["f_1"] = _S(1)
-    P["f_11"] = _S(1, "1") + _S(1, "", p=1)
-    P["f_12"] = _S(2, "1") + _S(1, "", p=1)
-    P["f_11,1"] = _S(1, "1", p=1)
-    P["f_1,2"] = _S(1, "", p=1) - _S(2, "", p=1)
-    P["f_11,22"] = (_S(1, "1", p=2) + _S(1, "", p=3)
-                    - _S(2, "2", p=2) - _S(2, "", p=3))
-    P["f_12,1"] = _S(2, "1", p=1)
-    P["f_12,21"] = (_S(2, "1", p=2) + _S(1, "", p=3)
-                    - _S(1, "2", p=2) - _S(2, "", p=3))
-    P["f_11,2"] = _S(1, "1", p=1) + _S(1, "", p=2) - _S(2, "", p=2)
-    P["f_11,12"] = _S(1, "1", p=2) - _S(2, "1", p=2)
-    P["f_12,2"] = _S(2, "1", p=1) + _S(1, "", p=2) - _S(2, "", p=2)
-    P["f_11,21"] = (_S(1, "1", p=2) - _S(1, "2", p=2)
-                    + _S(1, "", p=3) - _S(2, "", p=3))
-    # unit forms on the ordinary locus expand to 1
-    P["fdel1"] = PsiPoly.const(1)
-    P["fdel2"] = PsiPoly.const(1)
-    P["finv1"] = PsiPoly.const(1)
-    P["finv2"] = PsiPoly.const(1)
-    # index swaps of everything above
-    for key, val in list(P.items()):
-        P[_swap_id(key)] = val.swap12()
-    return P
-
-
 def _swap_id(form_id: str) -> str:
     return form_id.translate(str.maketrans("12", "21"))
 
 
+def _expand(form_id: str, prefix: str, word: str, primary) -> PsiPoly:
+    """The class "<prefix>_mu" or "<prefix>_mu,nu", each word matching the
+    regex ``word``: the primary x_mu = primary(mu), or the secondary
+    p^|nu| x_mu - p^|mu| x_nu."""
+    m = re.fullmatch(rf"{prefix}_({word})(?:,({word}))?", form_id)
+    if not m:
+        raise UnknownForm(form_id)
+    mu, nu = m.groups()
+    return primary(mu) if nu is None else (
+        PsiPoly.const(1, p_exp=len(nu)) * primary(mu)
+        - PsiPoly.const(1, p_exp=len(mu)) * primary(nu))
+
+
+@functools.lru_cache(maxsize=None)
 def st_expansion(form_id: str) -> PsiPoly:
-    """Expansion of a class by id ("f_1", "f_12,21", ...); pairs not in the
-    table resolve through antisymmetry f_{mu,nu} = -f_{nu,mu}."""
-    global _EXPANSIONS
-    if _EXPANSIONS is None:
-        _EXPANSIONS = _build_expansions()
-    if form_id in _EXPANSIONS:
-        return _EXPANSIONS[form_id]
-    m = re.fullmatch(r"f_(\d+),(\d+)", form_id)
-    if m:
-        flipped = f"f_{m.group(2)},{m.group(1)}"
-        if flipped in _EXPANSIONS:
-            return -_EXPANSIONS[flipped]
-    raise UnknownForm(form_id)
+    """Expansion in Psi slots, cached per id, of a primary "f_mu" or a
+    secondary "f_mu,nu" (mu != nu) over the words of length 1 or 2 in
+    {1, 2}.  The primary f_mu = (1/p)(phi_mu - p^|mu|) log(1 + T) is
+    c sum_k p^(s-k) Psi_(i_k)^(phi_(i_1 ... i_(k-1))) for mu = i_1 ... i_s;
+    the unit forms fdel1, fdel2, finv1, finv2 expand to 1."""
+    if form_id in ("fdel1", "fdel2", "finv1", "finv2"):
+        return PsiPoly.const(1)
+    if re.fullmatch(r"f_(\d+),\1", form_id):     # f_mu,mu is no class
+        raise UnknownForm(form_id)
+    return _expand(form_id, "f", "[12]{1,2}", lambda mu: sum(
+        (PsiPoly.slot(("psi", int(i), mu[:k]), c_exp=1,
+                      p_exp=len(mu) - 1 - k) for k, i in enumerate(mu)),
+        PsiPoly()))
 
 
 def beta_expansion(form_id: str) -> PsiPoly:
-    """Parameter-slot version: primary b_mu = beta^phi_mu - p^|mu| beta,
-    secondary b_mu,nu = p^|nu| beta^phi_mu - p^|mu| beta^phi_nu (c = 1
-    convention, common power of p stripped)."""
-    def bslot(word: str, p_exp=0, v=1):
-        return PsiPoly.slot(("beta", 0, word), p_exp=p_exp, value=v)
-
-    m = re.fullmatch(r"b_(\d+)", form_id)
-    if m:
-        mu = m.group(1)
-        return bslot(mu) - bslot("", p_exp=len(mu))
-    m = re.fullmatch(r"b_(\d+),(\d+)", form_id)
-    if m:
-        mu, nu = m.group(1), m.group(2)
-        return bslot(mu, p_exp=len(nu)) - bslot(nu, p_exp=len(mu))
-    raise UnknownForm(form_id)
+    """Parameter-slot version over any digit words (c = 1 convention): the
+    primary b_mu = beta^phi_mu - p^|mu| beta and the secondary rule, which
+    leaves p^|nu| beta^phi_mu - p^|mu| beta^phi_nu."""
+    return _expand(form_id, "b", r"\d+", lambda mu: (
+        PsiPoly.slot(("beta", 0, mu))
+        - PsiPoly.slot(("beta", 0, ""), p_exp=len(mu))))
 
 
 # ---------------------------------------------------------------------------

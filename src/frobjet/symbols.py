@@ -22,6 +22,7 @@ one subset DP per row set.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import (CertificateFailure, FamilyMismatch, MissingClass,
                      PrecisionExhausted)
@@ -226,8 +227,6 @@ def pmatrix_rank_minors(M: PMatrix, k: int):
     bound is ``k`` when some k-minor is nonvanishing and 0 (no information)
     otherwise.
     """
-    from itertools import combinations
-
     if k > min(M.rows, M.cols):
         raise ValueError("minor size exceeds matrix dimensions")
     one = QElement(M.entries[0][0].tower.one(), 0)

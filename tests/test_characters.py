@@ -370,6 +370,23 @@ class TestKernelDimension:
         for vec, w in zip(kd["kernel"], kd["witnesses"]):
             assert list(sum(w.coeffs, ())) == vec
 
+    def test_pivot_rows_divisible_by_own_pivot_only(self):
+        """At (7, 2, 2, 2, 8) a later pivot has a larger valuation than
+        entries of an earlier pivot row in its column, so that column is
+        not cleared above the pivot; the witnesses still pair to zero to
+        the certified precision."""
+        t = build_tower(TowerConfig(7, 2, 2, 2, 8))
+        ctx = PairingContext(t, (0, 1), (1, 1), (2, 1))
+        for seed in range(3):
+            beta = t.pi() * t.random_element(random.Random(seed))
+            kd = kernel_dimension(ctx, beta)
+            assert sorted(kd["pivot_valuations"]) != [0] * kd["rank"]
+            assert kd["dimension"] == len(kd["witnesses"]) >= 1
+            pc = t.p ** kd["certificate"]
+            for w in kd["witnesses"]:
+                assert all(c % pc == 0 for row in pairing(ctx, w, beta).coeffs
+                           for c in row)
+
     def test_nonzero_beta_kernel_at_least_one(self, t7):
         ctx = PairingContext(t7, (0, 1), (1, 1), (2, 1))
         rng = random.Random(7)

@@ -282,6 +282,18 @@ class TestCrystallineClasses:
         assert cc.f_pair((1,), (2,)) == 0
         assert cc.f_pair((1, 1), (2, 2)) == 0
 
+    def test_word_length_ranges(self):
+        """f takes one word and f_pair two, each of length 1..r."""
+        cc = crystalline_classes(drd_for(WeierstrassCurve(5, 1, 1)), 2)
+        for call in (lambda: cc.f(""), lambda: cc.f("111"),
+                     lambda: cc.f_pair("1", ""), lambda: cc.f_pair("", "1"),
+                     lambda: cc.f_pair("111", "1"),
+                     lambda: cc.f_pair("11", "222")):
+            with pytest.raises(ValueError, match="outside table range"):
+                call()
+        assert cc.f("11") == cc.f((2, 1))
+        assert cc.f_pair("1", "11") == cc.f_pair((2,), (1, 2))
+
 
 class TestCertificatesUnderOptimize:
     def test_typed_error_survives_python_O(self):

@@ -14,7 +14,7 @@ from frobjet.formal import (LogSeries, WeierstrassCurve,
                             formal_group_law, formal_log, gm_log,
                             l_mu_series, psi_series)
 from frobjet.jets import JetRing, JetRingConfig, eval_jet
-from frobjet.tower import TowerConfig, build_tower
+from frobjet.tower import TowerConfig, build_tower, n_of_pi_from
 
 import formal_oracle
 from formal_oracle import exp_series, log_coefficients_exact
@@ -432,6 +432,22 @@ class TestLMuSeries:
             else:
                 assert coeff.coeffs[0][0] % 5 == 0
         assert seen
+
+    @pytest.mark.parametrize("mu", [(1,), (1, 1)])
+    def test_ramified_scaling(self, mu):
+        """e = 8 at p = 7: the pole bound N = 1 is nonnegative, so Ltilde
+        is L scaled by p^N, normalized to denominator 0."""
+        t = build_tower(TowerConfig(7, 2, 3, 2, 12))
+        ring = JetRing(JetRingConfig(t, 1, 2, 10, (0,)))
+        N = n_of_pi_from(t.p, t.e)
+        assert (t.e, N) == (8, 1)
+        L, Lt = l_mu_series(formal_log(C7, 10, 12), mu, ring)
+        assert Lt.den == 0 < L.den
+        assert set(Lt.terms) == set(L.terms)
+        for mono, c in L.terms.items():
+            lhs, rhs = Lt.terms[mono] * t.p ** L.den, c * t.p ** N
+            assert min(lhs.prec, rhs.prec) >= 1
+            assert lhs.equals(rhs)
 
 
 class TestPsiSeries:

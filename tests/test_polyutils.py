@@ -351,3 +351,25 @@ class TestTypedErrors:
             pu.pdivmod_monic([1, 2, 3], [], 7)
         assert isinstance(err.value, FrobjetError)
         assert isinstance(err.value, ZeroDivisionError)
+
+
+def test_equal_degree_factor_bounded(monkeypatch):
+    """x^2 + 1 is irreducible mod 7, so no try splits it into degree-1
+    factors: the search raises after EDF_TRIES tries instead of looping."""
+    powmods = []
+    powmod = pu.fp_powmod
+    monkeypatch.setattr(pu, "fp_powmod",
+                        lambda *args: powmods.append(1) or powmod(*args))
+    with pytest.raises(ValueError, match="not a product of degree-1"):
+        pu.equal_degree_factor([1, 0, 1], 1, 7)
+    assert 0 < len(powmods) <= pu.EDF_TRIES
+
+
+@pytest.mark.parametrize("p, l, m, d", [(7, 2, 5, 4), (5, 13, 1, 4),
+                                        (3, 2, 4, 4), (11, 5, 1, 1)])
+def test_equal_degree_factor_splits(p, l, m, d):
+    """A factor of the cyclotomic polynomial of degree ord(p mod l^m)."""
+    phi = pu.cyclotomic_prime_power(l, m)
+    g = pu.equal_degree_factor(phi, d, p)
+    assert len(g) == d + 1 and g[-1] == 1
+    assert not pu.trim(pu.pdivmod_monic(phi, g, p)[1])

@@ -20,6 +20,7 @@ from frobjet.jets import JetRing, JetRingConfig, phi_endomorphism
 from frobjet.symbols import Symbol, sym_eval
 from frobjet.tower import QElement, TowerConfig, build_tower, valuation
 from frobjet.words import word_from_string
+import sertate_oracle
 from sertate_oracle import psi_series_form_sparse
 
 
@@ -152,6 +153,99 @@ class TestExpansionTable:
     def test_unknown_form(self):
         with pytest.raises(UnknownForm):
             st_expansion("f_123")
+
+
+ST_WORDS = ("1", "2", "11", "12", "21", "22")
+ST_IDS = ([f"f_{mu}" for mu in ST_WORDS]
+          + [f"f_{mu},{nu}" for mu, nu in itertools.permutations(ST_WORDS, 2)]
+          + ["fdel1", "fdel2", "finv1", "finv2"])
+# every word of length 1..3 over {1, 2, 3}, and over {0, ..., 3} for beta
+WORDS_3 = ["".join(w) for n in (1, 2, 3)
+           for w in itertools.product("123", repeat=n)]
+BETA_WORDS = ["".join(w) for n in (1, 2, 3)
+              for w in itertools.product("0123", repeat=n)]
+
+
+def catalog_beta_ids():
+    """Every b_ id of the relation catalog, with its index swap."""
+    ids = set()
+    for entry in load_relation_catalog().values():
+        for _coeff, factors in entry["terms"]:
+            for form_id, _twist in factors:
+                if form_id.startswith("b_"):
+                    ids |= {form_id, form_id.translate(
+                        str.maketrans("12", "21"))}
+    return sorted(ids)
+
+
+class TestExpansionOracle:
+    """The rule-built expansions against the hand-typed table of closed
+    forms in tests/sertate_oracle.py."""
+
+    def test_forty_ids(self):
+        assert len(set(ST_IDS)) == 40
+
+    @pytest.mark.parametrize("form_id", ST_IDS)
+    def test_matches_table(self, form_id):
+        assert (st_expansion(form_id).terms
+                == sertate_oracle.st_expansion(form_id).terms)
+
+    @pytest.mark.parametrize("form_id", ["f_123", "f_1,1", "f_3"])
+    def test_unknown_ids_raise(self, form_id):
+        with pytest.raises(UnknownForm):
+            st_expansion(form_id)
+
+    def test_accepts_exactly_the_table_ids(self):
+        candidates = ([f"f_{w}" for w in WORDS_3]
+                      + [f"f_{a},{b}" for a in WORDS_3 for b in WORDS_3]
+                      + ["fdel1", "fdel2", "finv1", "finv2", "fdel3",
+                         "finv", "f_", "f_1,", "b_1",
+                         "f_1,2,1", " f_1"])
+        accepted = set()
+        for form_id in candidates:
+            try:
+                st_expansion(form_id)
+            except UnknownForm:
+                with pytest.raises(UnknownForm):
+                    sertate_oracle.st_expansion(form_id)
+            else:
+                accepted.add(form_id)
+        assert accepted == set(ST_IDS)
+
+    @pytest.mark.parametrize("form_id", ST_IDS)
+    def test_swap_and_antisymmetry_follow(self, form_id):
+        swapped = form_id.translate(str.maketrans("12", "21"))
+        assert (st_expansion(swapped).terms
+                == st_expansion(form_id).swap12().terms)
+        if "," in form_id:
+            mu, nu = form_id[2:].split(",")
+            assert (st_expansion(form_id)
+                    + st_expansion(f"f_{nu},{mu}")).is_zero()
+
+    def test_cached_per_id(self):
+        assert st_expansion("f_12,21") is st_expansion("f_12,21")
+
+    def test_catalog_beta_ids(self):
+        ids = catalog_beta_ids()
+        assert "b_11,22" in ids and "b_22" in ids
+        for form_id in ids:
+            assert (beta_expansion(form_id).terms
+                    == sertate_oracle.beta_expansion(form_id).terms)
+
+    def test_beta_accepts_what_it_did(self):
+        candidates = ([f"b_{w}" for w in BETA_WORDS]
+                      + [f"b_{a},{b}" for a in BETA_WORDS[:20]
+                         for b in BETA_WORDS]
+                      + ["b_", "b_1,", "f_1", "b_1,2,3", "b_x"])
+        for form_id in candidates:
+            try:
+                got = beta_expansion(form_id)
+            except UnknownForm:
+                with pytest.raises(UnknownForm):
+                    sertate_oracle.beta_expansion(form_id)
+            else:
+                assert got.terms == sertate_oracle.beta_expansion(
+                    form_id).terms
 
 
 class TestVerifyIdentity:

@@ -24,6 +24,10 @@ The Kronecker format (limb width, packing, evaluation points) stays in
 the range checks instead of turning into the default.  It reads
 ``args.precision`` only in ``_precision``, which applies each suite's
 default and floor, and in ``_tower_from_args``.
+
+No function imports inside its body: every module says at its top what it
+uses.  The one exception is ``tower.check_monomial_independence``, which
+imports from ``words`` late because ``words`` imports ``tower``.
 """
 
 import ast
@@ -312,3 +316,63 @@ def test_kronecker_rule_allows_public_names_and_other_privates():
         "self._packed = _pack(a, D)\n"
         "name = pu.__name__\n"
         "y = other._unpack(x)")) == []
+
+
+# (file, function, module): words imports tower at module level
+LATE_IMPORTS = {("tower.py", "check_monomial_independence", "words")}
+
+
+def function_imports(tree: ast.AST) -> list:
+    """(line, function, module) of each import inside a function body; a
+    nested function's import is named after the innermost function."""
+    found = {}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    found[node.lineno, a.name] = fn.name
+            elif isinstance(node, ast.ImportFrom):
+                found[node.lineno, node.module or "."] = fn.name
+    return sorted((line, fn, module) for (line, module), fn in found.items())
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_imports_at_module_top(path):
+    assert [(line, fn, module) for line, fn, module
+            in function_imports(ast.parse(path.read_text(), str(path)))
+            if (path.name, fn, module) not in LATE_IMPORTS] == []
+
+
+def test_late_import_still_needed():
+    """The exception stands only while words imports tower at its top."""
+    words = next(path for path in SOURCES if path.name == "words.py")
+    tree = ast.parse(words.read_text(), str(words))
+    assert any(isinstance(node, ast.ImportFrom) and node.module == "tower"
+               for node in tree.body)
+    tower = next(path for path in SOURCES if path.name == "tower.py")
+    assert {(fn, module) for _, fn, module in function_imports(
+        ast.parse(tower.read_text(), str(tower)))} == {
+            ("check_monomial_independence", "words")}
+
+
+@pytest.mark.parametrize("snippet", [
+    "def f():\n    import itertools",
+    "def f(x):\n    from .sertate import verify_identity\n    return x",
+    "def f():\n    from . import polyutils as pu",
+    "class A:\n    def m(self):\n        from itertools import combinations",
+    "def f():\n    def g():\n        import os\n    return g",
+    "async def f():\n    import json",
+    "def f():\n    if x:\n        from .tower import QElement"])
+def test_import_rule_catches(snippet):
+    assert function_imports(ast.parse(snippet))
+
+
+def test_import_rule_allows_module_level_imports():
+    assert function_imports(ast.parse(
+        "import json\nfrom itertools import combinations\n"
+        "from .tower import QElement\n"
+        "if TYPE_CHECKING:\n    from .jets import JetRing\n"
+        "class A:\n    x = 1\n"
+        "def f(name):\n    return importlib.import_module(name)")) == []
