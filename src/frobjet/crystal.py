@@ -28,10 +28,16 @@ numerator is held as p^E times the exact one, E counting the p-powers
 divided out so far, and M = K + L where L bounds E in advance: the sum of
 v_p(2m - 1) over every pole level and of v_p(2s + 3) over every level-zero
 step the degree bound allows (cf. Harvey, arXiv:math/0610973).  The result
-equals the exact rational reduction of the truncated series mod p^K.  The
-binomial series is truncated at a depth that leaves the requested precision
-intact, and the matrix is certified against det = p, trace = a_p (from an
-exhaustive point count) and F(omega) = 0 mod p.
+equals the exact rational reduction of the truncated series mod p^K.
+
+The binomial series stops at a depth read off Kedlaya's precision lemmas
+(arXiv:math/0105031, section 4): term k is divisible by p^(k+1), and
+reducing it from pole order p(2k + 1) loses at most 1 + floor(log_p(2k + 1))
+digits, plus at most one at level zero (see kedlaya_frobenius).  So k_max
++ 1 is the least k with k - 1 - floor(log_p(2k + 1)) >= K, and every
+dropped term is 0 mod p^K; at K = 4 and 6 that gives k_max = 5 and 7 for
+p = 5, 7 and 11.  The matrix is certified against det = p, trace = a_p
+(from an exhaustive point count) and F(omega) = 0 mod p.
 """
 
 from __future__ import annotations
@@ -120,9 +126,24 @@ def kedlaya_frobenius(curve: WeierstrassCurve, K: int,
                       series_pad: int | None = None) -> DeRhamData:
     """Frobenius matrix on H^1_dR to absolute precision K.
 
-    ``series_pad`` extends the binomial-series depth beyond the default
-    K + log_p-sized padding; the certification step (det = p, trace = a_p)
-    raises PrecisionBudgetExceeded when the default is ever insufficient.
+    The binomial series keeps the terms k <= k_max.  Term k is
+    p c_k x^(pi + p - 1) N^k dx / y^(p(2k + 1)) with N = 0 mod p, so it is
+    p^(k+1) times an integral form of pole order 2m + 1 = p(2k + 1).
+    Kedlaya's precision lemmas (Counting points on hyperelliptic curves
+    using Monsky-Washnitzer cohomology, 2001, section 4; the same bookkeeping
+    in Harvey, Kedlaya's algorithm in larger characteristic, 2007) bound
+    what its reduction loses: at most floor(log_p(p(2k + 1))) =
+    1 + floor(log_p(2k + 1)) digits on the pole levels, and at most
+    floor(log_p(2d - 1)) <= 1 at level zero, where the degree d is at most
+    (p + 1)/2.  The depth adds the two losses, so term k adds a multiple of
+    p^(k - 1 - floor(log_p(2k + 1))) to the matrix; the pole-level pieces
+    and the level-zero piece reduce apart, so the true loss is the larger
+    one and the sum keeps a term of margin.  That exponent never decreases
+    as k grows (p >= 5), and k_max + 1 is the least k at which it reaches
+    K: every dropped term is 0 mod p^K.  ``series_pad`` replaces this
+    depth by k_max = K + series_pad.  The certification step (det = p,
+    trace = a_p) raises PrecisionBudgetExceeded when a depth is too shallow
+    to pass it.
     """
     if K < 1:
         raise PrecisionTooLow(f"precision K = {K} must be >= 1")
@@ -131,10 +152,12 @@ def kedlaya_frobenius(curve: WeierstrassCurve, K: int,
     if ap % p == 0:
         raise SupersingularInput(
             f"{curve.label or (curve.a4, curve.a6)} is supersingular at {p}")
-    # 2 + ceil(log_p(6p(K + 6))); 6p(K + 6) is even, so never a power of p
-    pad = series_pad if series_pad is not None else (
-        3 + pu.floor_log(p, 6 * p * (K + 6)))
-    k_max = K + pad
+    if series_pad is None:
+        k_max = K
+        while k_max - pu.floor_log(p, 2 * k_max + 3) < K:
+            k_max += 1
+    else:
+        k_max = K + series_pad
     m_top = p * k_max + (p - 1) // 2
     # Level m = pk + (p-1)/2 receives x^(pi + p - 1) N^k, deg N <= 3p, of
     # degree at most 3m + pi - (p-1)/2 <= 3m + (p+1)/2; each reduction step

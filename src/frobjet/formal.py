@@ -107,21 +107,29 @@ def _curve_w_half(curve: WeierstrassCurve, n: int, mod: int) -> tuple:
     """
     a4, a6 = curve.a4 % mod, curve.a6 % mod
 
-    def residual(W, m):
-        W2 = pu.ser_mul(W, W, mod, m)
-        W3 = pu.ser_mul(W2, W, mod, max(m - 3, 0))
-        one = _one_minus(W2, W3, -a4, -a6, m, mod)
-        return [(c - d) % mod for c, d in zip(W + [0] * m, one)], W2
+    def residual(W, lo, hi):
+        """(G(W) on the indices lo..hi-1, W^2 to length hi)."""
+        W2 = pu.ser_mul(W, W, mod, hi)
+        W3 = pu.ser_mul(W2, W, mod, max(hi - 3, 0))
+        G = W[lo:hi] + [0] * (hi - max(len(W), lo))
+        if lo == 0:
+            G[0] -= 1
+        for shift, c, X in ((2, a4, W2), (3, a6, W3)):
+            start = max(lo, shift)
+            for i, x in enumerate(X[start - shift:max(hi - shift, 0)],
+                                  start - lo):
+                G[i] -= c * x
+        return [c % mod for c in G], W2
 
     W, V, m = [1], [1], 1
     for m2 in pu.newton_lengths(n):
-        G, W2 = residual(W, m2)
+        G, W2 = residual(W, m, m2)
         h = len(V)  # E = G'V = 1 + O(s^h)
         E = pu.ser_mul(_one_minus(W, W2, 2 * a4, 3 * a6, m, mod), V, mod, m)
         V = V + pu.ser_mul(V, [(-c) % mod for c in E[h:]], mod, m - h)
-        W = W + [(-c) % mod for c in pu.ser_mul(V, G[m:m2], mod, m2 - m)]
+        W = W + [(-c) % mod for c in pu.ser_mul(V, G, mod, m2 - m)]
         m = m2
-    G, W2 = residual(W, n)
+    G, W2 = residual(W, 0, n)
     if any(G):
         raise CertificateFailure(
             "Newton iteration for W(s) failed to converge")

@@ -195,6 +195,43 @@ def test_matches_zp_oracle(curve, K):
                 curve, K, series_pad=8).matrix)
 
 
+DEPTH_CASES = [
+    (curve, K) for p in (5, 7, 11, 13, 17) for K in range(1, 13)
+    for curve in (random_ordinary_curve(p, 1000 * p + K),
+                  zero_coefficient_curve(p, 1000 * p + K))]
+
+
+@pytest.mark.parametrize("curve, K", DEPTH_CASES,
+                         ids=lambda c: getattr(c, "label", None))
+def test_default_depth_matches_deeper_series(curve, K):
+    """The default series depth against two terms more than the padding
+    K + 3 + floor(log_p(6p(K + 6))) it replaced: whole matrices, list-equal."""
+    p = curve.p
+    deeper = 5 + pu.floor_log(p, 6 * p * (K + 6))
+    assert (kedlaya_frobenius(curve, K).matrix
+            == kedlaya_frobenius(curve, K, series_pad=deeper).matrix)
+
+
+def test_default_depth_at_benchmark_settings(monkeypatch):
+    """m_top = p k_max + (p - 1)/2 for the default depth: k_max = 5 at
+    K = 4 and 7 at K = 6, for p = 5, 7 and 11 (10 to 12 before)."""
+    tops = []
+    expand = pu.fadic_expand
+
+    def spy(nums, f, n, mod):
+        tops.append(n)
+        return expand(nums, f, n, mod)
+
+    monkeypatch.setattr(pu, "fadic_expand", spy)
+    seen = []
+    for curve in (CURVES[0], CURVES[1], CURVES[3]):
+        for K in (4, 6):
+            tops.clear()
+            kedlaya_frobenius(curve, K)
+            seen.append(tops[0])
+    assert seen == [27, 37, 38, 52, 60, 82]
+
+
 def test_reduction_divides_nothing_by_f(monkeypatch):
     calls = []
     divide = pu.pdivmod_monic
