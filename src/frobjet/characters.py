@@ -26,12 +26,12 @@ from math import isqrt
 from operator import mul
 
 from . import polyutils as pu
-from .errors import (BetaTooLarge, DistinctWordsRequired, LogDivergence,
-                     NotAUnit, SeriesTooShort, ZeroSeries)
+from .errors import (DistinctWordsRequired, LogDivergence, NotAUnit,
+                     SeriesTooShort, ZeroSeries)
 from .formal import LogSeries, gm_log, scaled_log_coefficients
 from .linalg import padic_nullspace
 from .tower import (INF, FrobeniusIndex, QElement, Tower, TowerElement,
-                    frobenius_apply, n_of_pi_from, pi_valuation,
+                    check_beta, frobenius_apply, n_of_pi_from, pi_valuation,
                     primary_class, raise_if_bad_word, valuation)
 
 
@@ -212,10 +212,8 @@ def reciprocity_check(ctx: PairingContext, alpha: TowerElement,
     evaluated independently; arguments must sit inside the convergence
     region v > 1/(p-1)."""
     t = ctx.tower
-    bound = Fraction(1, t.p - 1)
-    for val in (valuation(alpha), valuation(beta)):
-        if val != INF and not val > bound:
-            raise BetaTooLarge(f"need v > {bound}")
+    check_beta(t, alpha)
+    check_beta(t, beta)
     lhs = pairing(ctx, alpha, beta)
     flipped = PairingContext(t, ctx.gammas, ctx.nu, ctx.mu)
     rhs = pairing(flipped, beta, alpha)

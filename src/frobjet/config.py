@@ -8,9 +8,8 @@ Tower parameters come from flat key=value files ('#' starts a comment):
     f = 1
     K = 12
 
-Jet-ring settings extend the same file with n, r and D.  Curve catalogs are
-JSON arrays of {label, p, a4, a6}; the packaged default covers the primes
-the verification suites run at.
+Curve catalogs are JSON arrays of {label, p, a4, a6}; the packaged default
+covers the primes the verification suites run at.
 """
 
 from __future__ import annotations
@@ -56,11 +55,6 @@ def tower_config_from_text(text: str) -> TowerConfig:
 def tower_config_from_file(path: str) -> TowerConfig:
     with open(path) as fh:
         return tower_config_from_text(fh.read())
-
-
-def jet_params_from_text(text: str) -> dict:
-    kv = parse_keyvalue(text)
-    return {k: parse_int(kv[k], k) for k in ("n", "r", "D") if k in kv}
 
 
 def load_curve_catalog(path: str | None = None) -> list:

@@ -113,10 +113,6 @@ class DeRhamData:
                    (c * vec[0] + d * vec[1]) % pk]
         return vec
 
-    def to_json_obj(self):
-        return {"p": self.p, "prec": self.prec, "matrix": self.matrix,
-                "ap": self.ap}
-
 
 # ---------------------------------------------------------------------------
 # Monsky-Washnitzer reduction over Z/p^M

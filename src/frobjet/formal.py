@@ -33,9 +33,8 @@ from dataclasses import dataclass
 
 from . import polyutils as pu
 from .errors import (BadReduction, CertificateFailure, DistinctWordsRequired,
-                     FamilyMismatch, IntegralityViolation,
-                     NotTopologicallyNilpotent, OrderOverflow,
-                     PrecisionExhausted, SeriesTooShort)
+                     IntegralityViolation, NotTopologicallyNilpotent,
+                     OrderOverflow, PrecisionExhausted, SeriesTooShort)
 from .jets import JetElement, JetRing, phi_word
 from .tower import TowerElement, n_of_pi_from, valuation
 
@@ -75,13 +74,6 @@ class LogSeries:
     @property
     def degree(self) -> int:
         return len(self.b) - 1
-
-    def to_json_obj(self):
-        return {"p": self.p, "prec": self.prec, "b": self.b[1:]}
-
-    @classmethod
-    def from_json_obj(cls, d) -> "LogSeries":
-        return cls(d["p"], d["prec"], [0] + list(d["b"]))
 
 
 def _one_minus(x: list, y: list, c4: int, c6: int, n: int, mod: int) -> list:
@@ -218,11 +210,6 @@ class FormalGroupLaw:
             out = out + pows_a[i] * pows_b[j] * c
         return out
 
-    def to_dict(self):
-        return {"p": self.p, "prec": self.prec, "D": self.D,
-                "coeffs": {f"{i},{j}": c
-                           for (i, j), c in sorted(self.coeffs.items())}}
-
 
 def _pack(a: dict, D: int) -> list:
     """Kronecker image of a bivariate series of total degree <= D.
@@ -242,17 +229,11 @@ def _unpack(a: list, D: int) -> dict:
             for i in range(s + 1) if a[s * (D + 1) + i]}
 
 
-def formal_group_law(curve: WeierstrassCurve | None, D: int, prec: int,
-                     p: int | None = None) -> FormalGroupLaw:
-    """Group law via the chord construction; ``curve=None`` gives the
-    built-in multiplicative law T1 + T2 + T1*T2."""
+def formal_group_law(curve: WeierstrassCurve, D: int,
+                     prec: int) -> FormalGroupLaw:
+    """Group law of the curve via the chord construction."""
     if D < 1:
         raise SeriesTooShort(f"group law needs degree D >= 1, got {D}")
-    if curve is None:
-        if p is None:
-            raise FamilyMismatch("the multiplicative group law needs p")
-        return FormalGroupLaw(p, prec, D,
-                              {(1, 0): 1, (0, 1): 1, (1, 1): 1})
     p = curve.p
     mod = p ** prec
     n = (D + 1) ** 2

@@ -243,7 +243,6 @@ class JetRing(SeriesRing):
         self.tower = cfg.tower
         super().__init__(cfg.tower.p, cfg.n, cfg.r, cfg.D, cfg.tower.one(),
                          cfg.tower.pi())
-        self.nvars = len(self.var_words)
         self.from_int = cfg.tower.from_int
         self._frob = [FrobeniusIndex(g) for g in cfg.gammas]
 
@@ -380,9 +379,11 @@ def delta_operator(ring: JetRing, i: int, F: JetElement) -> JetElement:
 def eval_jet(ring: JetRing, F: JetElement, a: TowerElement) -> QElement:
     """Evaluate F at the point T = a, delta_mu T = delta_mu(a).
 
-    Requires v(a) > 0 so the discarded T-adic tail sits below precision;
-    the value is certified modulo p^ceil((D+1) * v(a)) at most, on top of the
-    coefficient precision.
+    Requires v(a) > 0.  The truncated polynomial is evaluated exactly, so
+    the value is certified to the precision the tower arithmetic keeps (one
+    digit less per pi-derivation of ``a``) less ``F.den``, as a value of that
+    polynomial; no bound on the discarded tail is applied, and one is the
+    caller's to make.
     """
     v = valuation(a)
     if not v > 0:

@@ -46,13 +46,12 @@ import re
 from fractions import Fraction
 from importlib import resources
 
-from .errors import (BetaTooLarge, DivisionByZero, UnknownForm,
-                     UnknownRelation)
+from .errors import DivisionByZero, UnknownForm, UnknownRelation
 from .jets import (SeriesRing, SparseSeries, _mono_mul, phi_endomorphism,
                    phi_word)
-from .symbols import gamma_rows, subset_det
-from .tower import (Tower, TowerElement, frobenius_word_apply, n_of_pi_from,
-                    primary_class, valuation)
+from .symbols import gamma_rows
+from .tower import (Tower, TowerElement, check_beta, frobenius_word_apply,
+                    n_of_pi_from, primary_class)
 from .words import word_from_string
 
 
@@ -402,21 +401,9 @@ def gamma_symbol_rows_beta() -> list:
                       lambda mu, nu, j: b(f"b_{mu},{nu}").twist(j), PsiPoly())
 
 
-def psipoly_det(rows) -> PsiPoly:
-    """Determinant of a square PsiPoly matrix via subset DP."""
-    return subset_det(rows, PsiPoly.const(1))
-
-
 # ---------------------------------------------------------------------------
 # tower-valued specializations
 # ---------------------------------------------------------------------------
-
-def check_beta(tower: Tower, beta: TowerElement):
-    v = valuation(beta)
-    if not v > Fraction(1, tower.p - 1):
-        raise BetaTooLarge(
-            f"need v(beta) > 1/(p-1) = 1/{tower.p - 1}, got {v}")
-
 
 def st_f_values(tower: Tower, gammas, beta: TowerElement, mu, nu=None):
     """Class value at parameter beta, convention c = 1.

@@ -28,7 +28,7 @@ from .errors import (CertificateFailure, FamilyMismatch, MissingClass,
                      PrecisionExhausted)
 from .tower import (INF, QElement, Tower, TowerElement,
                     frobenius_word_apply)
-from .words import word_from_string, word_to_string
+from .words import word_to_string
 
 
 class Symbol:
@@ -75,18 +75,6 @@ class Symbol:
 
     def coefficient(self, w) -> QElement:
         return self.terms.get(tuple(w), QElement(self.tower.zero(), 0))
-
-    def to_dict(self):
-        return {word_to_string(w): {"num": c.num.to_dict(), "den": c.den}
-                for w, c in sorted(self.terms.items())}
-
-    @classmethod
-    def from_dict(cls, tower, gammas, d) -> "Symbol":
-        terms = {}
-        for k, v in d.items():
-            terms[word_from_string(k)] = QElement(
-                tower.element_from_dict(v["num"]), v["den"])
-        return cls(tower, gammas, terms)
 
     def __repr__(self):
         return f"Symbol({ {word_to_string(w): c for w, c in self.terms.items()} })"

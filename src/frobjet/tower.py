@@ -53,8 +53,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polyutils as pu
-from .errors import (CertificateFailure, FamilyMismatch, NotAUnit,
-                     NotEisensteinCompatible, PrecisionExhausted,
+from .errors import (BetaTooLarge, CertificateFailure, FamilyMismatch,
+                     NotAUnit, NotEisensteinCompatible, PrecisionExhausted,
                      PrecisionTooLow, UnreducedCoefficients)
 
 INF = math.inf
@@ -69,10 +69,6 @@ class TowerConfig:
     m: int
     f: int
     K: int
-
-    @property
-    def e(self) -> int:
-        return self.l ** self.m
 
 
 @dataclass(frozen=True)
@@ -195,9 +191,6 @@ class Tower:
             a = self.random_element(rng, prec)
             if valuation(a) == 0:
                 return a
-
-    def element_from_dict(self, d) -> "TowerElement":
-        return self.element(d["coeffs"], d["prec"])
 
     def teichmuller(self, a: "TowerElement") -> "TowerElement":
         """Teichmuller representative of the W-part residue of ``a``.
@@ -533,6 +526,13 @@ def valuation(a: TowerElement):
     """v_p(a) in (1/e)Z, or +inf when a = 0 mod p^prec."""
     v = pi_valuation(a)
     return v if v == INF else Fraction(v, a.tower.e)
+
+
+def check_beta(tower: Tower, beta: TowerElement):
+    """Raise BetaTooLarge unless beta lies in the disc v > 1/(p-1)."""
+    v = valuation(beta)
+    if not v > Fraction(1, tower.p - 1):
+        raise BetaTooLarge(f"need v > 1/(p-1) = 1/{tower.p - 1}, got {v}")
 
 
 def n_of_pi(tower: Tower) -> int:

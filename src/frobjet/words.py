@@ -39,17 +39,6 @@ def words_up_to(n: int, r: int) -> list:
     return out
 
 
-def word_index(n: int, w: Word) -> int:
-    """Position of ``w`` in the canonical ordering of words over {1..n}:
-    all shorter words first, then base-n lexicographic rank."""
-    s = len(w)
-    idx = sum(n ** k for k in range(s))
-    offset = 0
-    for letter in w:
-        offset = offset * n + (letter - 1)
-    return idx + offset
-
-
 class Weight:
     """Finite map word -> integer, an element of the integral symbol ring."""
 
@@ -58,10 +47,6 @@ class Weight:
     def __init__(self, terms=None):
         t = dict(terms or {})
         self.terms = {w: m for w, m in t.items() if m != 0}
-
-    @classmethod
-    def from_word(cls, w: Word, mult: int = 1) -> "Weight":
-        return cls({tuple(w): mult})
 
     @classmethod
     def one(cls) -> "Weight":
@@ -102,10 +87,6 @@ class Weight:
 
     def to_dict(self):
         return {word_to_string(w): m for w, m in sorted(self.terms.items())}
-
-    @classmethod
-    def from_dict(cls, d) -> "Weight":
-        return cls({word_from_string(k): v for k, v in d.items()})
 
     def __repr__(self):
         return f"Weight({self.to_dict()})"

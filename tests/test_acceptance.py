@@ -194,7 +194,8 @@ def test_criterion_07_jet_word_infrastructure():
         return total
 
     for _ in range(30):
-        base = {i: tower.random_element(rng) for i in range(ring.nvars)}
+        base = {i: tower.random_element(rng)
+                for i in range(len(ring.var_words))}
         changed = dict(base)
         for w, idx in ring.word_to_var.items():
             if len(w) == 2:

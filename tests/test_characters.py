@@ -18,7 +18,7 @@ from frobjet.errors import (BetaTooLarge, DistinctWordsRequired,
                             ZeroSeries)
 from frobjet.formal import WeierstrassCurve, formal_log
 from frobjet.tower import (INF, FrobeniusIndex, QElement, TowerConfig,
-                           TowerElement, build_tower, valuation)
+                           TowerElement, build_tower, check_beta, valuation)
 
 from symbols_oracle import six_product_pairing
 from tower_oracle import schoolbook_mul, sequential_log1p
@@ -416,6 +416,34 @@ class TestReciprocity:
         ctx = PairingContext(t7, (0, 1), (1, 1), (2, 1))
         with pytest.raises(BetaTooLarge):
             reciprocity_check(ctx, t7.one(), t7.pi())
+
+
+def _reciprocity(t, alpha, beta):
+    return reciprocity_check(PairingContext(t, (0, 1), (1,), (2,)), alpha,
+                             beta)
+
+
+CONVERGENCE_CHECKS = {
+    "check_beta": check_beta,
+    "reciprocity_alpha": lambda t, x: _reciprocity(t, x, t.pi() ** 2),
+    "reciprocity_beta": lambda t, x: _reciprocity(t, t.pi() ** 2, x),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CONVERGENCE_CHECKS))
+@pytest.mark.parametrize("power,admitted", [(1, False), (2, True),
+                                            (None, True)],
+                         ids=["pi", "pi^2", "zero"])
+def test_one_convergence_bound(entry, power, admitted):
+    """Both entry points apply v > 1/(p - 1); at p = 5, e = 4 the
+    valuation v(pi) = 1/4 sits on the bound, and 0 is admitted."""
+    t = build_tower(TowerConfig(5, 2, 2, 1, 10))
+    x = t.zero() if power is None else t.pi() ** power
+    if admitted:
+        assert CONVERGENCE_CHECKS[entry](t, x) is not False
+    else:
+        with pytest.raises(BetaTooLarge):
+            CONVERGENCE_CHECKS[entry](t, x)
 
 
 class TestStrassman:

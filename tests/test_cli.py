@@ -25,12 +25,10 @@ class TestConfig:
         assert {c.p for c in catalog} == {5, 7, 11}
         assert any(c.label == "5b-cm" for c in catalog)
 
-    def test_jet_params_share_tower_file(self):
-        from frobjet.config import jet_params_from_text
-        text = "p=7\nl=2\nm=1\nf=1\nK=12\nn=2\nr=2\nD=14\n"
-        assert jet_params_from_text(text) == {"n": 2, "r": 2, "D": 14}
-        cfg = tower_config_from_text(text)
-        assert cfg.p == 7
+    def test_extra_keys_still_load_as_tower(self):
+        cfg = tower_config_from_text(
+            "p=7\nl=2\nm=1\nf=1\nK=12\nn=2\nr=2\nD=14\n")
+        assert (cfg.p, cfg.l, cfg.m, cfg.f, cfg.K) == (7, 2, 1, 1, 12)
 
 
 class TestTowerInfo:

@@ -191,7 +191,8 @@ class TestRemainderIdentity:
             return total
 
         for _ in range(5):
-            base = {i: t.random_element(rng) for i in range(ring.nvars)}
+            base = {i: t.random_element(rng)
+                    for i in range(len(ring.var_words))}
             changed = dict(base)
             for w, idx in ring.word_to_var.items():
                 if len(w) == len(mu):

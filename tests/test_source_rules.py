@@ -28,9 +28,16 @@ default and floor, and in ``_tower_from_args``.
 No function imports inside its body: every module says at its top what it
 uses.  The one exception is ``tower.check_monomial_independence``, which
 imports from ``words`` late because ``words`` imports ``tower``.
+
+Every function and method of ``src/frobjet`` has a reader outside ``tests/``:
+its name is read somewhere in ``src/frobjet`` or ``perfbench`` other than
+its own body.  The rule works by name, so a name read on any object counts.
+What only tests read stands in ``READ_BY_TESTS`` with the reason it stays;
+that list names exactly the unread definitions, no more.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,8 +46,9 @@ from frobjet.cli import _FLAGS
 
 FLOAT_MATH = {"log", "log2", "log10", "sqrt", "exp"}
 SERIES_KERNELS = ("crystal.py", "formal.py", "polyutils.py")
-SOURCES = sorted(
-    (Path(__file__).resolve().parents[1] / "src" / "frobjet").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "frobjet").glob("*.py"))
+PROGRAM = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 INT_FLAGS = {name[2:].replace("-", "_") for name, kw in _FLAGS.items()
              if kw.get("type") is int}
 
@@ -376,3 +384,127 @@ def test_import_rule_allows_module_level_imports():
         "if TYPE_CHECKING:\n    from .jets import JetRing\n"
         "class A:\n    x = 1\n"
         "def f(name):\n    return importlib.import_module(name)")) == []
+
+
+ROUTE = "a route by which tests check production code: "
+ACCESSOR = "a read accessor that hides "
+CLAIM = "a claim of the paper, waiting for a verify suite that reports it"
+# (module, qualified name) -> why only tests read it
+READ_BY_TESTS = {
+    ("jets", "eval_jet"): ROUTE + "jet values against tower arithmetic",
+    ("jets", "delta_operator"): ROUTE + "checked against tower.pi_derivation",
+    ("jets", "SparseSeries.truncate"): ROUTE + "series cut to a lower degree",
+    ("jets", "SeriesRing.delta_var"): ROUTE + "builds the golden inputs",
+    ("sertate", "STSeries.substitute"): ROUTE + "exact series composition",
+    ("sertate", "PsiPoly.swap12"): ROUTE + "called by tests/sertate_oracle.py",
+    ("symbols", "sym_mul"): ROUTE + "sym_eval is a ring homomorphism",
+    ("formal", "FormalGroupLaw.add_points"): ROUTE + "psi_series on points",
+    ("formal", "FormalGroupLaw.coefficient"): ACCESSOR + "the (i, j) key",
+    ("jets", "SparseSeries.coefficient"): ACCESSOR + "the monomial key",
+    ("symbols", "Symbol.coefficient"): ACCESSOR + "the word key and zero",
+    ("tower", "TowerElement.equals"): ACCESSOR + "the shared precision",
+    ("formal", "l_mu_series"): CLAIM,
+    ("sertate", "gamma_symbol_rows_beta"): CLAIM,
+    ("sertate", "period_invariants"): CLAIM,
+    ("sertate", "invert_period_invariants"): CLAIM,
+}
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def definitions(tree: ast.AST, prefix: str = "") -> list:
+    """(qualified name, node) of every function and method in ``tree``; a
+    nested definition is named through its class or function."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, FUNCTIONS):
+            found.append((prefix + node.name, node))
+        inner = (prefix + node.name + "."
+                 if isinstance(node, (*FUNCTIONS, ast.ClassDef)) else prefix)
+        found.extend(definitions(node, inner))
+    return found
+
+
+def names_read(tree: ast.AST) -> Counter:
+    """How often each name is read: as a name, as an attribute, or in a
+    ``from ... import``."""
+    counts = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            counts.update(a.name for a in node.names)
+    return counts
+
+
+def unread_definitions(tree: ast.AST, reads: Counter) -> list:
+    """Qualified names of the functions and methods in ``tree``, dunders
+    aside, that ``reads`` (which counts ``tree`` too) reads only inside
+    their own body."""
+    return [name for name, node in definitions(tree)
+            if not (node.name.startswith("__") and node.name.endswith("__"))
+            and reads[node.name] == names_read(node)[node.name]]
+
+
+PROGRAM_TREES = {path: ast.parse(path.read_text(), str(path))
+                 for path in PROGRAM}
+PROGRAM_READS = sum(map(names_read, PROGRAM_TREES.values()), Counter())
+
+
+def unread_in_program() -> set:
+    return {(path.stem, name) for path in SOURCES
+            for name in unread_definitions(PROGRAM_TREES[path], PROGRAM_READS)}
+
+
+def test_program_found():
+    assert {"cli.py", "tower.py", "workloads.py", "run.py"} <= {
+        path.name for path in PROGRAM}
+
+
+def test_every_definition_has_a_reader():
+    assert sorted(unread_in_program() - set(READ_BY_TESTS)) == []
+
+
+def test_read_by_tests_is_exact():
+    """Each entry is still defined, and still read by nothing but tests."""
+    defined = {(path.stem, name) for path in SOURCES
+               for name, _ in definitions(PROGRAM_TREES[path])}
+    assert sorted(set(READ_BY_TESTS) - defined) == []
+    assert sorted(set(READ_BY_TESTS) - unread_in_program()) == []
+
+
+def unread(snippet: str, *readers: str) -> list:
+    tree = ast.parse(snippet)
+    reads = sum((names_read(ast.parse(r)) for r in readers), names_read(tree))
+    return unread_definitions(tree, reads)
+
+
+@pytest.mark.parametrize("snippet,names", [
+    ("def f():\n    return 1", ["f"]),
+    ("async def f():\n    return 1", ["f"]),
+    ("def f(n):\n    return f(n - 1) if n else 0", ["f"]),
+    ("class A:\n    def m(self):\n        return self.m", ["A.m"]),
+    ("class A:\n    @classmethod\n    def make(cls):\n        pass\n"
+     "    @property\n    def size(self):\n        pass",
+     ["A.make", "A.size"]),
+    ("def f():\n    def g():\n        pass\n    return 1", ["f", "f.g"]),
+    ("if X:\n    def f():\n        pass", ["f"])],
+    ids=lambda v: ",".join(v) if isinstance(v, list) else None)
+def test_unread_rule_catches(snippet, names):
+    assert unread(snippet) == names
+
+
+def test_unread_rule_allows_reads_and_dunders():
+    assert unread(
+        "def f():\n    return g()\n"
+        "def g():\n    pass\n"
+        "class A:\n"
+        "    def __len__(self):\n        return 0\n"
+        "    def m(self):\n        pass\n"
+        "    @property\n    def size(self):\n        pass\n"
+        "def h():\n    pass\n"
+        "def k():\n    pass\n",
+        "from frobjet.mod import f", "a.m()\nn = a.size", "run(h)",
+        "x = [k]") == []

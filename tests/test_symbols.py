@@ -84,13 +84,6 @@ class TestSymMul:
         with pytest.raises(FamilyMismatch):
             sym_mul(Symbol.letter(tower, GAMMAS, 1), other)
 
-    def test_serialization(self, tower):
-        s = Symbol(tower, GAMMAS,
-                   {(1, 2): QElement(tower.random_element(random.Random(5)),
-                                     1)})
-        back = Symbol.from_dict(tower, GAMMAS, s.to_dict())
-        assert sym_equal(s, back)
-
 
 class TestSymEval:
     def test_identity_word(self, tower):

@@ -178,17 +178,10 @@ class TestConstructors:
         assert a.prec == 4 and a.coeffs == ((7 ** 4 - 1, 5),)
 
     @pytest.mark.parametrize("coeffs", [
-        [[1, 2, 3]], [[1]], [[1, 2], [3, 4]], [], [1, 2], 5])
+        [[1, 2, 3]], [[1]], [[1, 2], [3, 4]], [], [1, 2], 5, [[[1], [2]]]])
     def test_element_rejects_shape(self, t4, coeffs):
         with pytest.raises(UnreducedCoefficients):
             t4.element(coeffs)
-
-    @pytest.mark.parametrize("d", [
-        {"coeffs": [[1, 2, 3]], "prec": 4}, {"coeffs": [[1]], "prec": 4},
-        {"coeffs": [[[1], [2]]], "prec": 4}])
-    def test_element_from_dict_rejects_shape(self, t4, d):
-        with pytest.raises(UnreducedCoefficients):
-            t4.element_from_dict(d)
 
 
 class TestQElementAdd:
@@ -489,10 +482,6 @@ class TestRingAxioms:
         assert a * (b + c) == a * b + a * c
         assert (a + b) * c == a * c + b * c
         assert a * b == b * a
-
-    def test_serialization_roundtrip(self, t5):
-        a = t5.random_element(random.Random(9))
-        assert t5.element_from_dict(a.to_dict()) == a
 
 
 class TestPower:

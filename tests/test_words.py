@@ -5,7 +5,7 @@ import pytest
 from frobjet.errors import EmptyWord, NotAUnit
 from frobjet.tower import TowerConfig, build_tower, frobenius_apply, FrobeniusIndex
 from frobjet.words import (Weight, cocycle_weight, lambda_pow, word_from_string,
-                           word_index, word_to_string, words_up_to)
+                           word_to_string, words_up_to)
 
 
 class TestWordsUpTo:
@@ -21,21 +21,6 @@ class TestWordsUpTo:
     def test_ordering_by_length_then_lex(self):
         ws = words_up_to(2, 2)
         assert ws == [(), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2)]
-
-    def test_index_law_stable(self):
-        # golden positions, frozen once
-        golden = {
-            "": 0, "1": 1, "2": 2, "11": 3, "12": 4, "21": 5, "22": 6,
-            "111": 7, "222": 14,
-        }
-        for s, idx in golden.items():
-            assert word_index(2, word_from_string(s)) == idx
-        # concatenation positions are computable and consistent
-        for a in ("1", "2", "12"):
-            for b in ("1", "21"):
-                w = word_from_string(a) + word_from_string(b)
-                ws = words_up_to(2, len(w))
-                assert ws[word_index(2, w)] == w
 
     def test_string_roundtrip(self):
         for w in words_up_to(3, 2):
@@ -55,12 +40,8 @@ class TestWeight:
             assert (w1 * w2).degree() == w1.degree() * w2.degree()
 
     def test_product_concatenates(self):
-        w = Weight.from_word((1,)) * Weight.from_word((2,))
-        assert w == Weight.from_word((1, 2))
-
-    def test_serialization(self):
-        w = Weight({(): 2, (1, 2): -1})
-        assert Weight.from_dict(w.to_dict()) == w
+        w = Weight({(1,): 1}) * Weight({(2,): 1})
+        assert w == Weight({(1, 2): 1})
 
 
 class TestCocycleWeight:
@@ -97,7 +78,7 @@ class TestLambdaPow:
 
     def test_single_frobenius(self, tower):
         z = tower.zeta()
-        w = Weight.from_word((1,))
+        w = Weight({(1,): 1})
         got = lambda_pow(z, w, tower, (0, 1))
         assert got == frobenius_apply(tower, FrobeniusIndex(0), z)
         assert got == z ** tower.p
