@@ -178,10 +178,19 @@ class TestConstructors:
         assert a.prec == 4 and a.coeffs == ((7 ** 4 - 1, 5),)
 
     @pytest.mark.parametrize("coeffs", [
-        [[1, 2, 3]], [[1]], [[1, 2], [3, 4]], [], [1, 2], 5, [[[1], [2]]]])
+        [[1, 2, 3]], [[1]], [[1, 2], [3, 4]], [], [1, 2], 5])
     def test_element_rejects_shape(self, t4, coeffs):
         with pytest.raises(UnreducedCoefficients):
             t4.element(coeffs)
+
+    # A stored {"coeffs", "prec"} record: the shape check holds at an
+    # explicit precision too.
+    @pytest.mark.parametrize("d", [
+        {"coeffs": [[1, 2, 3]], "prec": 4}, {"coeffs": [[1]], "prec": 4},
+        {"coeffs": [[[1], [2]]], "prec": 4}])
+    def test_element_from_dict_rejects_shape(self, t4, d):
+        with pytest.raises(UnreducedCoefficients):
+            t4.element(d["coeffs"], d["prec"])
 
 
 class TestQElementAdd:
