@@ -31,13 +31,14 @@ step the degree bound allows (cf. Harvey, arXiv:math/0610973).  The result
 equals the exact rational reduction of the truncated series mod p^K.
 
 The binomial series stops at a depth read off Kedlaya's precision lemmas
-(arXiv:math/0105031, section 4): term k is divisible by p^(k+1), and
-reducing it from pole order p(2k + 1) loses at most 1 + floor(log_p(2k + 1))
-digits, plus at most one at level zero (see kedlaya_frobenius).  So k_max
-+ 1 is the least k with k - 1 - floor(log_p(2k + 1)) >= K, and every
-dropped term is 0 mod p^K; at K = 4 and 6 that gives k_max = 5 and 7 for
-p = 5, 7 and 11.  The matrix is certified against det = p, trace = a_p
-(from an exhaustive point count) and F(omega) = 0 mod p.
+(arXiv:math/0105031, section 4): term k is divisible by p^(k+1), and its
+class has denominator at most p^(1 + floor(log_p(2k + 1))), the larger of
+the pole-level loss and the level-zero loss, not their sum (see
+kedlaya_frobenius).  So k_max + 1 is the least k >= 0 with
+k - floor(log_p(2k + 1)) >= K, and every dropped term is 0 mod p^K; at
+(p, K) = (5, 4), (5, 6), (7, 4), (7, 6), (11, 4) and (11, 6) that gives
+k_max = 4, 6, 4, 6, 3 and 6.  The matrix is certified against det = p,
+trace = a_p (from an exhaustive point count) and F(omega) = 0 mod p.
 """
 
 from __future__ import annotations
@@ -131,15 +132,21 @@ def kedlaya_frobenius(curve: WeierstrassCurve, K: int,
     what its reduction loses: at most floor(log_p(p(2k + 1))) =
     1 + floor(log_p(2k + 1)) digits on the pole levels, and at most
     floor(log_p(2d - 1)) <= 1 at level zero, where the degree d is at most
-    (p + 1)/2.  The depth adds the two losses, so term k adds a multiple of
-    p^(k - 1 - floor(log_p(2k + 1))) to the matrix; the pole-level pieces
-    and the level-zero piece reduce apart, so the true loss is the larger
-    one and the sum keeps a term of margin.  That exponent never decreases
-    as k grows (p >= 5), and k_max + 1 is the least k at which it reaches
-    K: every dropped term is 0 mod p^K.  ``series_pad`` replaces this
-    depth by k_max = K + series_pad.  The certification step (det = p,
-    trace = a_p) raises PrecisionBudgetExceeded when a depth is too shallow
-    to pass it.
+    (p + 1)/2.  The two losses never meet on one piece of the numerator:
+      - the carry S that the pole levels divide has degree <= 1, and level
+        zero never divides it;
+      - Q, the quotient by f^m_top, is integral, and only level zero
+        reduces it;
+      - the last pole step d(b/y) adds a pole at infinity only of eta's
+        order, which level zero never reduces.
+    So each term's class has denominator p^max(1 + floor(log_p(2k + 1)), 1)
+    and term k adds a multiple of p^(k - floor(log_p(2k + 1))) to the
+    matrix.  That exponent never decreases as k grows (p >= 5), and
+    k_max + 1 is the least k >= 0 at which it reaches K: every dropped term
+    is 0 mod p^K, and k_max may be below K (3 at p = 11, K = 4).
+    ``series_pad`` replaces this depth by k_max = K + series_pad.  The
+    certification step (det = p, trace = a_p) raises
+    PrecisionBudgetExceeded when a depth is too shallow to pass it.
     """
     if K < 1:
         raise PrecisionTooLow(f"precision K = {K} must be >= 1")
@@ -149,8 +156,8 @@ def kedlaya_frobenius(curve: WeierstrassCurve, K: int,
         raise SupersingularInput(
             f"{curve.label or (curve.a4, curve.a6)} is supersingular at {p}")
     if series_pad is None:
-        k_max = K
-        while k_max - pu.floor_log(p, 2 * k_max + 3) < K:
+        k_max = 0
+        while k_max + 1 - pu.floor_log(p, 2 * k_max + 3) < K:
             k_max += 1
     else:
         k_max = K + series_pad
@@ -173,19 +180,27 @@ def kedlaya_frobenius(curve: WeierstrassCurve, K: int,
     fpow = [1]
     for _ in range(p):
         fpow = pu.ser_mul(fpow, f, P, len(fpow) + 3)
-    # N(x) = f(x^p) - f(x)^p, every coefficient divisible by p
-    N = [((0 if i % p else f[i // p]) - c) % P for i, c in enumerate(fpow)]
+    # N(x) = f(x^p) - f(x)^p, every coefficient divisible by p; x^(3p)
+    # cancels, so N is trimmed shorter than f^p
+    N = pu.trim([((0 if i % p else f[i // p]) - c) % P
+                 for i, c in enumerate(fpow)])
     if any(c % p for c in N):
         raise CertificateFailure("f(x^p) - f(x)^p is not divisible by p")
-    # H = sum_k p c_k N^k (f^p)^(k_max - k), c_k = (-1)^k C(2k, k) / 4^k
+    # H = sum_k p c_k N^k (f^p)^(k_max - k), c_k = (-1)^k C(2k, k) / 4^k,
+    # so p c_k N^k = C(2k, k) p n^k with n = -N/4.  f^p and n are packed
+    # once for every Horner step, each with its own length as the term
+    # bound.  No partner is packed twice: p n is not n, and the first
+    # partner [p] of both products meets two different bounds
     inv4 = pu.modinv(4, P)
-    H, Nk = [], [1]
+    n = [-c * inv4 % P for c in N]
+    fpow_packed = pu.Packed(fpow, P, len(fpow))
+    n_packed = pu.Packed(n, P, len(n))
+    H, pnk = [], [p]
     for k in range(k_max + 1):
-        ck = (-1) ** k * math.comb(2 * k, k) * pow(inv4, k, P)
-        H = pu.padd(pu.ser_mul(H, fpow, P, len(H) + 3 * p),
-                    [p * ck * c % P for c in Nk], P)
+        H = pu.padd(pu.fixed_mul(H, fpow_packed, len(H) + 3 * p),
+                    [math.comb(2 * k, k) * c % P for c in pnk], P)
         if k < k_max:
-            Nk = pu.ser_mul(Nk, N, P, len(Nk) + 3 * p)
+            pnk = pu.fixed_mul(pnk, n_packed, len(pnk) + 3 * p)
     expansions = pu.fadic_expand([[0] * (p * i + p - 1) + H for i in (0, 1)],
                                  f, m_top, P)
     # r of degree <= 2 is a f + b f' with r v = bq f + b, a = r u + bq f' of

@@ -222,6 +222,7 @@ def _limb_bytes(mod: int, nterms: int) -> int:
 
 
 KS2_MIN_TERMS = 32   # the term bound from which Packed takes two points
+KRONECKER_MIN_TERMS = 8   # the shorter length from which ser_mul packs
 
 
 def _pack(a: list, mod: int, w: int) -> int:
@@ -248,6 +249,12 @@ class Packed:
     extra packing costs, they are A(2^s) and A(-2^s) with s = 4w bits,
     A_even(2^2s) +- 2^s A_odd(2^2s) (Harvey's KS2, arXiv:0712.4046).
     ``big`` is 0 exactly when every residue is.
+
+    A list that several products share is packed once, with its own length
+    as the term bound, and ``fixed_mul`` packs only each partner: f^p and
+    -N/4 in Kedlaya's Horner loop, each f^h less its leading 1 and each
+    reversed inverse in ``fadic_expand``, and each Newton iterate of
+    ``ser_inv``.
     """
 
     __slots__ = ("mod", "bound", "length", "w", "big", "minus")
@@ -293,6 +300,19 @@ def kron_mul(a: list, b: list, mod: int, n: int) -> list:
     return packed_mul(x, x if a is b else Packed(b, mod, x.bound), n)
 
 
+def fixed_mul(a: list, y: Packed, n: int) -> list:
+    """Truncated product mod ``y.mod`` of ``a`` and a list packed once as
+    ``y``, reduced; ``a[:n]`` is packed with ``y``'s term bound, so ``y``
+    packed with its own length as the bound serves a partner of any length.
+    The product has min(len a + y.length - 1, n) entries, as in ``ser_mul``.
+    """
+    a = a[:n]
+    if not a:
+        return []
+    mod = y.mod
+    return [c % mod for c in packed_mul(Packed(a, mod, y.bound), y, n)]
+
+
 def ser_mul(a: list, b: list, mod: int, n: int) -> list:
     """Truncated product of dense coefficient lists modulo ``mod``; a
     square (``a is b``) stays one list through the cut, so it packs once."""
@@ -301,7 +321,7 @@ def ser_mul(a: list, b: list, mod: int, n: int) -> list:
     b = a if square else b[:n]
     if not a or not b:
         return []
-    if min(len(a), len(b)) < 8:
+    if min(len(a), len(b)) < KRONECKER_MIN_TERMS:
         out = [0] * min(len(a) + len(b) - 1, n)
         for i, c in enumerate(a):
             if c == 0:
@@ -321,16 +341,29 @@ def fadic_expand(nums: list, f: list, n: int, mod: int) -> list:
     h = n // 2, through the inverse of its reversal; short pieces are
     divided by f digit by digit in ``pdivmod_monic``'s loop.  The numerators
     share the powers of f and these inverses; the longest is expanded first,
-    so every inverse is built once, at the greatest length any needs.
+    so every inverse is built once, at the greatest length any needs.  The
+    fixed operand of each product, f^h less its leading 1 or an inverse, is
+    packed once and multiplied by ``fixed_mul``; an inverse rebuilt longer,
+    deep in the recursion of a numerator shorter than f^n, is packed again.
     """
     d = len(f) - 1
     low = [(j, c % mod) for j, c in enumerate(f[:-1]) if c % mod]
-    pows, invs = {1: [c % mod for c in f]}, {}
+    # pows[h] = f^h; lows[h] = f^h less its leading 1 and invs[h] =
+    # 1/rev(f^h) to some length, both packed with their lengths as bounds
+    pows, lows, invs = {1: [c % mod for c in f]}, {}, {}
 
     def power(h):
         if h not in pows:
-            pows[h] = ser_mul(power(h // 2), power(h - h // 2), mod, d * h + 1)
+            # f^h = (x^(dj) + f^j less its leading 1) f^(h-j), j = h // 2
+            j = h // 2
+            pows[h] = padd(fixed_mul(power(h - j), power_low(j), d * h),
+                           [0] * (d * j) + power(h - j), mod)
         return pows[h]
+
+    def power_low(h):
+        if h not in lows:
+            lows[h] = Packed(power(h)[:d * h], mod, d * h)
+        return lows[h]
 
     def expand(a, n):
         h = n // 2
@@ -342,14 +375,15 @@ def fadic_expand(nums: list, f: list, n: int, mod: int) -> list:
                 a = a[d:]
             return digits, trim(a)
         L = len(a) - d * h
-        if len(invs.get(h, ())) < L:
+        if h not in invs or invs[h].length < L:
             # 1/rev(f^h) = rev(f^(H-h))/rev(f^H) from a cached H > h
-            H = min((H for H in invs if H > h and len(invs[H]) >= L),
+            H = min((H for H in invs if H > h and invs[H].length >= L),
                     default=0)
-            invs[h] = (ser_mul(invs[H], power(H - h)[::-1], mod, L) if H
-                       else ser_inv(power(h)[::-1], mod, L))
-        q = ser_mul(a[::-1], invs[h], mod, L)[::-1]
-        qf = ser_mul(q, power(h), mod, d * h)
+            inv = (fixed_mul(power(H - h)[::-1], invs[H], L) if H
+                   else ser_inv(power(h)[::-1], mod, L))
+            invs[h] = Packed(inv, mod, len(inv))
+        q = fixed_mul(a[::-1], invs[h], L)[::-1]
+        qf = fixed_mul(q, power_low(h), d * h)
         r = [(x - y) % mod for x, y in zip(a, qf)]
         hi, Q = expand(q, n - h)
         return expand(r, h)[0] + hi, Q
@@ -376,15 +410,21 @@ def newton_lengths(n: int) -> list:
 
 def ser_inv(a: list, mod: int, n: int) -> list:
     """Inverse of a series with unit constant term, to length ``n``: Newton
-    x <- x (2 - a x) on the lengths of ``newton_lengths``."""
+    x <- x (2 - a x) on the lengths of ``newton_lengths``.  An iterate x
+    long enough for ``ser_mul`` to pack is packed once for both of its
+    products, with the term bound len(x); a shorter one takes ``ser_mul``'s
+    schoolbook loop."""
     c0 = a[0] % mod
     inv0 = modinv(c0, mod)
     x = [inv0]
     for k in newton_lengths(n):
-        ax = ser_mul(a[:k], x, mod, k)
+        short = len(x) < KRONECKER_MIN_TERMS
+        X = None if short else Packed(x, mod, len(x))
+        ax = ser_mul(a[:k], x, mod, k) if short else fixed_mul(a[:k], X, k)
         two_minus = [(-c) % mod for c in ax]
         two_minus[0] = (two_minus[0] + 2) % mod
-        x = ser_mul(x, two_minus, mod, k)
+        x = (ser_mul(two_minus, x, mod, k) if short
+             else fixed_mul(two_minus, X, k))
     return x[:n]
 
 

@@ -213,8 +213,9 @@ def test_default_depth_matches_deeper_series(curve, K):
 
 
 def test_default_depth_at_benchmark_settings(monkeypatch):
-    """m_top = p k_max + (p - 1)/2 for the default depth: k_max = 5 at
-    K = 4 and 7 at K = 6, for p = 5, 7 and 11 (10 to 12 before)."""
+    """m_top = p k_max + (p - 1)/2 for the default depth: k_max = 4, 6, 4,
+    6, 3 and 6 at (p, K) = (5, 4), (5, 6), (7, 4), (7, 6), (11, 4) and
+    (11, 6)."""
     tops = []
     expand = pu.fadic_expand
 
@@ -229,7 +230,27 @@ def test_default_depth_at_benchmark_settings(monkeypatch):
             tops.clear()
             kedlaya_frobenius(curve, K)
             seen.append(tops[0])
-    assert seen == [27, 37, 38, 52, 60, 82]
+    assert seen == [22, 32, 31, 45, 38, 71]
+
+
+def test_each_list_packed_once_at_benchmark_settings(monkeypatch):
+    """One call at each benchmark (p, K) packs no (list, modulus, term
+    bound) twice: f^p and n = -N/4 once for the whole Horner loop, and in
+    fadic_expand each f^h less its leading 1 and each inverse once, shared
+    by every product that multiplies by it."""
+    packs = []
+
+    class Counting(pu.Packed):
+        def __init__(self, a, mod, bound):
+            super().__init__(a, mod, bound)
+            packs.append((tuple(c % mod for c in a), mod, bound))
+
+    monkeypatch.setattr(pu, "Packed", Counting)
+    for curve in (CURVES[0], CURVES[1], CURVES[3]):
+        for K in (4, 6):
+            packs.clear()
+            kedlaya_frobenius(curve, K)
+            assert packs and len(set(packs)) == len(packs), (curve.p, K)
 
 
 def test_reduction_divides_nothing_by_f(monkeypatch):

@@ -293,6 +293,74 @@ def test_fadic_expand_shares_inverses(d, n, lengths, seed):
     assert shared == alone
 
 
+def series_inverse(a, mod, n):
+    """1/a mod s^n, coefficient by coefficient, for a with a_0 = 1."""
+    b = []
+    for k in range(n):
+        b.append(((k == 0) - sum(a[i] * b[k - i]
+                                 for i in range(1, min(k, len(a) - 1) + 1)))
+                 % mod)
+    return b
+
+
+class RecordingPacked(pu.Packed):
+    """A Packed that logs (residues, term bound) of every value built."""
+
+    log = []
+
+    def __init__(self, a, mod, bound):
+        super().__init__(a, mod, bound)
+        self.log.append((tuple(c % mod for c in a), bound))
+
+
+@pytest.mark.parametrize("d, n", [(1, 18), (2, 20), (3, 24)])
+def test_fadic_expand_repacks_an_inverse_rebuilt_longer(monkeypatch, d, n):
+    """A numerator shorter than f^n but longer than 3/4 of it needs
+    1/rev(f^h1), h1 = n // 4, first short, in its quotient's branch, then
+    longer, in its remainder's: the inverse is built again and packed again
+    at the new length.  Mixed-length numerators in one call still match
+    repeated division digit by digit."""
+    monkeypatch.setattr(pu, "Packed", RecordingPacked)
+    monkeypatch.setattr(RecordingPacked, "log", [])
+    rng = random.Random(d * 100 + n)
+    mod = 5 ** 9
+    f = [rng.randrange(mod) for _ in range(d)] + [1]
+    nums = [[rng.randrange(-mod, mod) for _ in range(k)]
+            for k in (d * n * 5 // 6, d * n * 7 // 8, 4)]
+    assert pu.fadic_expand(nums, f, n, mod) == [
+        repeated_division(a, f, n, mod) for a in nums]
+    h0 = n // 2
+    h1 = h0 // 2
+    first = max(map(len, nums)) - d * h0 - d * h1
+    again = d * (h0 - h1)
+    assert 0 < first < again
+    fh = [1]
+    for _ in range(h1):
+        fh = double_loop(fh, f, mod, len(fh) + d)
+    inv = tuple(series_inverse(fh[::-1], mod, again))
+    packed = RecordingPacked.log
+    assert (inv[:first], first) in packed and (inv, again) in packed
+
+
+def test_ser_inv_packs_each_iterate_once(monkeypatch):
+    """Each Newton iterate x long enough for ser_mul to pack is packed once
+    for both products of its step, with the term bound len(x), and each
+    partner with the same bound; shorter iterates pack nothing."""
+    monkeypatch.setattr(pu, "Packed", RecordingPacked)
+    monkeypatch.setattr(RecordingPacked, "log", [])
+    rng = random.Random(5)
+    a = [1] + [rng.randrange(MOD) for _ in range(99)]
+    inv = pu.ser_inv(a, MOD, 100)
+    assert inv == series_inverse(a, MOD, 100)
+    steps = [m for m in [1] + pu.newton_lengths(100)[:-1]
+             if m >= pu.KRONECKER_MIN_TERMS]
+    packed = RecordingPacked.log
+    assert steps == [13, 25, 50]
+    assert [bound for _, bound in packed] == [m for m in steps
+                                              for _ in range(3)]
+    assert packed[0::3] == [(tuple(inv[:m]), m) for m in steps]
+
+
 @pytest.mark.parametrize("p, cap", [(3, 1), (5, 4), (7, 6)])
 def test_vp_capped(p, cap):
     """v_p(x mod p^cap): cap at 0 and at multiples of p^cap, 0 at units,
