@@ -6,8 +6,10 @@ All modular routines keep coefficients reduced into ``[0, mod)``.
 
 Long series (curve logarithms to degree several thousand) and tower
 elements are multiplied by Kronecker substitution: a list is packed once
-into big integers (``Packed``), and ``packed_mul`` multiplies two such
-values with CPython's native big-int product and reads the limbs back.
+into big integers, and the product is CPython's native big-int product with
+its limbs read back.  ``Packed`` and ``packed_mul`` do this for truncated
+series; ``FoldRows`` for the rows of a matrix multiplied mod X^e - c, each
+row product folded on the whole integer.
 """
 
 from __future__ import annotations
@@ -215,7 +217,7 @@ def hensel_lift_factor(f, g0, p: int, K: int) -> list:
 # degree).  ``n`` below is the truncation length: results keep degrees < n.
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=1024)   # tower packs repeat (p^k, f(2e - 1))
+@functools.lru_cache(maxsize=1024)   # tower packs repeat (p^k, (1 + p) f e)
 def _limb_bytes(mod: int, nterms: int) -> int:
     """Whole bytes that hold (mod - 1)^2 * nterms, at least one."""
     return max((((mod - 1) ** 2 * nterms).bit_length() + 7) // 8, 1)
@@ -223,16 +225,28 @@ def _limb_bytes(mod: int, nterms: int) -> int:
 
 KS2_MIN_TERMS = 32   # the term bound from which Packed takes two points
 KRONECKER_MIN_TERMS = 8   # the shorter length from which ser_mul packs
+# up to this many limbs _pack and _unpack shift them in and out one by one;
+# from about there on a byte string costs less
+SHIFT_LIMBS_MAX = 24
 
 
 def _pack(a: list, mod: int, w: int) -> int:
     """sum (a_i mod ``mod``) * 2^(8 w i): the residues in w-byte limbs."""
+    if len(a) <= SHIFT_LIMBS_MAX:
+        s, big = 8 * w, 0
+        for c in reversed(a):
+            big = (big << s) | c % mod
+        return big
     return int.from_bytes(
         b"".join([(c % mod).to_bytes(w, "little") for c in a]), "little")
 
 
 def _unpack(x: int, w: int, size: int, count: int) -> list:
     """The first ``count`` w-byte limbs of ``x`` < 2^(8 w size)."""
+    if count <= SHIFT_LIMBS_MAX:
+        s = 8 * w
+        mask = (1 << s) - 1
+        return [x >> k & mask for k in range(0, s * count, s)]
     raw = x.to_bytes(w * size, "little")
     fb = int.from_bytes     # looked up once, not once per limb
     return [fb(raw[k:k + w], "little")
@@ -291,6 +305,58 @@ def packed_mul(x: Packed, y: Packed, n: int) -> list:
     out[0::2] = _unpack((pp + pm) >> 1, w, half, (size + 1) // 2)
     out[1::2] = _unpack((pp - pm) >> (4 * w + 1), w, half, size // 2)
     return out
+
+
+class FoldRows:
+    """The residues mod ``mod`` of a nonempty list of r equally long rows,
+    each a polynomial in X of degree < e, packed for products mod X^e - ``c``
+    (c >= 0) with matrices packed at the same modulus, c and shape.  Row i
+    is its own integer, the residues at 2^(8w) in e limbs of w =
+    ``_limb_bytes(mod, (1 + c) r e)`` bytes, with no gap limbs: a folded
+    coefficient c_j + c c_(e+j) of a product row is at most (1 + c) r e
+    times (mod - 1)^2.  ``zero`` is true exactly when every residue is 0.
+    """
+
+    __slots__ = ("mod", "c", "e", "w", "rows", "zero")
+
+    def __init__(self, rows, mod: int, c: int):
+        e = len(rows[0])
+        self.mod, self.c, self.e = mod, c, e
+        self.w = w = _limb_bytes(mod, (1 + c) * len(rows) * e)
+        self.rows = [_pack(row, mod, w) for row in rows]
+        self.zero = not any(self.rows)
+
+    def mul(self, other: "FoldRows") -> list:
+        """The r + r' - 1 rows sum_{i+j=k} x_i y_j mod X^e - c of the product
+        with ``other`` (r' rows), flattened, as exact integers; callers
+        reduce.  Each row sum P, of 2e - 1 limbs, folds as one integer,
+        (P & low) + c (P >> 8we): the limbs of X^(e+j) land on X^j, c times.
+        Zero rows are skipped, ``other is self`` squares (each x_i x_j,
+        i < j, once and doubled), and the folded rows are read back at once,
+        e limbs each."""
+        if other.w != self.w or other.c != self.c or other.e != self.e:
+            raise CertificateFailure("rows packed for different products")
+        xs, ys, w, e = self.rows, other.rows, self.w, self.e
+        size = len(xs) + len(ys) - 1
+        sums = [0] * size
+        if other is self:
+            for i, x in enumerate(xs):
+                if x:
+                    sums[2 * i] += x * x
+                    for j in range(i + 1, len(xs)):
+                        if xs[j]:
+                            sums[i + j] += x * xs[j] << 1
+        else:
+            for i, x in enumerate(xs):
+                if x:
+                    for k, y in enumerate(ys, i):
+                        if y:
+                            sums[k] += x * y
+        shift = 8 * w * e
+        low, c, acc = (1 << shift) - 1, self.c, 0
+        for prod in reversed(sums):
+            acc = (acc << shift) + (prod & low) + c * (prod >> shift)
+        return _unpack(acc, w, size * e, size * e)
 
 
 def kron_mul(a: list, b: list, mod: int, n: int) -> list:

@@ -15,8 +15,8 @@ and its phi-twists.  Two exact layers implement this:
     fundamental series, the canonical derivation
     (1 + T^phi_mu) d/d(delta_mu T), and their defining identities.  The
     one exception is ``psi_series_form``, the power-series route to Psi_i:
-    it bypasses the sparse STSeries product and runs on integer rows, one
-    per power of delta_i T, building an STSeries only for its result.
+    it bypasses the sparse STSeries product and writes down each power of
+    delta_i T of its result in closed form.
 
 ``PsiPoly``
     polynomials over Q in commuting slot variables (the twists Psi_i^phi_mu,
@@ -139,45 +139,39 @@ def psi_series_form(ring: STRing, i: int, sign_exponent_offset: int
     z = delta_i(1+T) / (1+T)^p; offset 1 reproduces psi_st_series, offset 0
     is the competing sign convention (kept so the discrepancy is testable).
 
-    z = (delta + c) / (1+T)^p is integral: delta = delta_i T and
-    c = C_p(1, T) = -sum_{0<j<p} (C(p, j)/p) T^j.  So L = lcm(1..D) times
-    the sum is an integer series, held as one row of T-coefficients A_k per
-    power delta^k, truncated at T-degree D - k.  Horner in z runs over the
-    integer weights (-1)^(n + off) p^(n-1) L/n; one step multiplies the
-    rows by delta + c and divides each by (1+T)^p exactly, through
-    b_t = x_t - sum_{j=1..min(p, t)} C(p, j) b_(t-j).  The Fractions A_k/L
-    appear only in the returned series.
+    With delta = delta_i T, delta_i(1+T) = delta + C_p(1, T) and C_p(1, T)
+    = (1 + T^p - (1+T)^p)/p, so 1 + p z = (1 + T^p + p delta)/(1+T)^p.  At
+    offset 1 the sum is (1/p) log(1 + p z), and
+    log(1 + T^p + p delta) = log(1 + T^p) + log(1 + p delta/(1 + T^p)), so
+    the delta^k row is, in closed form,
+
+        (-1)^(k+1) (p^(k-1)/k) (1 + T^p)^(-k)    for k >= 1,
+        (1/p) log(1 + T^p) - log(1 + T)         for k = 0;
+
+    offset 0 is the negation.  Every z^n has total degree >= n, so the
+    terms n > D never reach degree D and the closed form cut at D equals the
+    sum cut at n = D.  The coefficients are built directly, O(D^2/p)
+    Fractions, in the order of increasing delta- and then T-degree.
     """
     p, D = ring.p, ring.D
     v = ring.var_index((i,))
-    L = math.lcm(*range(1, D + 1))
-    c = [-math.comb(p, j) // p for j in range(1, p)]   # c[j - 1] at T^j
-    binom = [math.comb(p, j) for j in range(p + 1)]
-    rows = [[0] * (D + 1)]      # rows[k][a]: L times the T^a delta^k term
-    for n in range(D, 0, -1):
-        # add the weight of z^n, then multiply by z
-        rows[0][0] += ((-1) ** (n + sign_exponent_offset) * p ** (n - 1)
-                       * (L // n))
-        new = []
-        for k in range(min(len(rows), D) + 1):
-            m = D - k
-            # x = A_(k-1) + c A_k to T-degree m, then x / (1+T)^p in place
-            x = rows[k - 1][:m + 1] if k else [0] * (m + 1)
-            if k < len(rows):
-                for a, y in enumerate(rows[k][:m]):
-                    for j, cj in enumerate(c[:m - a], a + 1):
-                        x[j] += cj * y
-            for t in range(1, m + 1):
-                x[t] -= sum(binom[j] * x[t - j]
-                            for j in range(1, min(p, t) + 1))
-            new.append(x)
-        rows = new
+    sign = 1 if sign_exponent_offset % 2 else -1    # (-1)^(off + 1)
     terms = {}
-    for k, row in enumerate(rows):
-        dk = ((v, k),) if k else ()
-        for a, y in enumerate(row):
-            if y:
-                terms[((0, a),) + dk if a else dk] = Fraction(y, L)
+    for a in range(1, D + 1):
+        # -log(1 + T) at T^a, plus (1/p) log(1 + T^p) at a = p m
+        c = Fraction((-1) ** a, a)
+        if a % p == 0:
+            m = a // p
+            c += Fraction((-1) ** (m + 1), a)
+        if c:
+            terms[((0, a),)] = sign * c
+    for k in range(1, D + 1):
+        dk = ((v, k),)
+        lead = sign * (-1) ** (k + 1) * p ** (k - 1)
+        # (1 + T^p)^(-k) = sum_m (-1)^m C(k + m - 1, m) T^(p m)
+        for m in range((D - k) // p + 1):
+            terms[((0, p * m),) + dk if m else dk] = Fraction(
+                lead * (-1) ** m * math.comb(k + m - 1, m), k)
     return STSeries(ring, terms)
 
 

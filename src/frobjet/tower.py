@@ -16,11 +16,12 @@ polynomial g of zeta is the Hensel lift mod p^K of an irreducible factor of
 the e-th cyclotomic polynomial mod p; products of zeta-powers reduce through
 tables of x^t mod g, each one ``polyutils.pdivmod_monic``.
 
-A product is one Kronecker product of ``polyutils.packed_mul`` on the
-matrices flattened with e - 1 zeros between their zeta-rows, so that no
-pi-degree j1 + j2 <= 2e - 2 spills into the next row; then pi^(e+j) folds to
-p pi^j, the zeta-rows k >= f reduce through ``zred2``, and everything is
-reduced once mod p^prec.  Each element keeps its ``polyutils.Packed`` value
+A product runs on ``polyutils.FoldRows``: each zeta-row, a polynomial in
+pi of degree < e, is packed as one integer of e limbs, with no gap limbs.
+Row k of the product is the integer sum of the row products x_i y_j,
+i + j = k, and pi^(e+j) folds to p pi^j on that whole integer; the rows come
+back e limbs each.  The zeta-rows k >= f then reduce through ``zred2``, and
+everything is reduced once mod p^prec.  Each element keeps its packed rows
 in one slot, so an operand used again at the same modulus p^k is packed
 once.  A product with an operand that packs to 0 is zero at the minimum
 precision.  At f = e = 1 a product is one integer product.
@@ -306,20 +307,18 @@ class TowerElement:
             return NotImplemented
         return (-self) + other
 
-    def _packed_at(self, pk: int) -> pu.Packed:
-        """The zeta-rows, e - 1 zeros apart, packed mod ``pk``; kept in the
-        slot until asked for at another modulus."""
+    def _packed_at(self, pk: int) -> pu.FoldRows:
+        """The zeta-rows packed mod ``pk`` for products mod pi^e - p; kept
+        in the slot until asked for at another modulus."""
         packed = self._packed
         if packed is None or packed.mod != pk:
-            gap = (0,) * (self.tower.e - 1)
-            flat = [c for row in self.coeffs for c in row + gap]
-            packed = self._packed = pu.Packed(flat, pk, len(flat))
+            packed = self._packed = pu.FoldRows(self.coeffs, pk, self.tower.p)
         return packed
 
     def __mul__(self, other):
         t = self.tower
         if isinstance(other, int):
-            pk = t.p ** self.prec
+            pk = t._mul_moduli[self.prec]
             return _element(
                 t, [[(other * a) % pk for a in row] for row in self.coeffs],
                 self.prec)
@@ -334,13 +333,11 @@ class TowerElement:
                 t, [[self.coeffs[0][0] * other.coeffs[0][0] % pk]], prec)
         x = self._packed_at(pk)
         y = x if other is self else other._packed_at(pk)
-        if not x.big or not y.big:
+        if x.zero or y.zero:
             return t.zero(prec)
-        # zeta^k pi^j of the product is flat[k w + j]
-        w, p = 2 * e - 1, t.p
-        flat = pu.packed_mul(x, y, (2 * f - 1) * w)
-        rows = [[flat[s + j] + p * flat[s + e + j] for j in range(e - 1)]
-                + [flat[s + e - 1]] for s in range(0, (2 * f - 1) * w, w)]
+        # zeta^k pi^j of the product, pi^e folded to p, is flat[k e + j]
+        flat = x.mul(y)
+        rows = [flat[s:s + e] for s in range(0, (2 * f - 1) * e, e)]
         out = rows[:f]
         for k in range(f, 2 * f - 1):
             rowk = rows[k]

@@ -62,6 +62,22 @@ def test_kron_mul_worst_case_limb(mod, la, lb):
     assert pu.kron_mul(a, a, mod, 2 * la) == exact(la, la)
 
 
+@pytest.mark.parametrize("n", [
+    1, pu.SHIFT_LIMBS_MAX, pu.SHIFT_LIMBS_MAX + 1, 3 * pu.SHIFT_LIMBS_MAX])
+def test_pack_and_unpack_on_both_sides_of_shift_limit(n):
+    """Limbs shifted in and out one by one, and as a byte string from
+    SHIFT_LIMBS_MAX + 1 on, against a plain sum: any integers go in as
+    residues and come back out, all of them or a prefix."""
+    mod = 7 ** 30
+    w = pu._limb_bytes(mod, 16)
+    rng = random.Random(n)
+    a = [rng.randrange(-2 * mod, 2 * mod) for _ in range(n)]
+    big = pu._pack(a, mod, w)
+    assert big == sum((c % mod) << (8 * w * i) for i, c in enumerate(a))
+    assert pu._unpack(big, w, n, n) == [c % mod for c in a]
+    assert pu._unpack(big, w, n + 1, n // 2) == [c % mod for c in a[:n // 2]]
+
+
 def test_limb_bytes_mod_one():
     assert pu._limb_bytes(1, 1) == pu._limb_bytes(1, 500) == 1
 
@@ -177,6 +193,72 @@ def test_packed_mul_mismatch_raises(other):
         pu.packed_mul(x, other(a + [1] * 10), 40)
     assert pu.packed_mul(x, pu.Packed(a, MOD, 5), 40) == pu.kron_mul(
         a + [1] * 10, a, MOD, 40)
+
+
+def fold_loop(x, y, mod, c):
+    """The rows sum_{i+j=k} x_i y_j mod X^e - c of the residues, flattened,
+    by a loop over every pair of entries."""
+    e = len(x[0])
+    out = [[0] * e for _ in range(len(x) + len(y) - 1)]
+    for i, xi in enumerate(x):
+        for k, yk in enumerate(y):
+            for a, u in enumerate(xi):
+                for b, v in enumerate(yk):
+                    scale = c if a + b >= e else 1
+                    out[i + k][(a + b) % e] += (u % mod) * (v % mod) * scale
+    return [v for row in out for v in row]
+
+
+@pytest.mark.parametrize("mod", BENCH_MODS)
+@pytest.mark.parametrize("r, e, c", [
+    (1, 1, 7), (1, 2, 7), (1, 4, 5), (2, 4, 7), (2, 8, 7), (3, 7, 11),
+    (4, 5, 13), (2, 16, 7), (3, 3, 0)])
+def test_fold_rows_worst_case_limb(mod, r, e, c):
+    """All-(mod - 1) rows, the largest sums a limb must hold, against the
+    loop: a product of two packs, a square, and a pack with a zero row."""
+    x = [[mod - 1] * e for _ in range(r)]
+    a, b = pu.FoldRows(x, mod, c), pu.FoldRows(x, mod, c)
+    assert a.mul(b) == a.mul(a) == fold_loop(x, x, mod, c)
+    holes = [[0] * e] + x[1:]
+    z = pu.FoldRows(holes, mod, c)
+    assert z.mul(a) == a.mul(z) == fold_loop(holes, x, mod, c)
+    assert z.mul(z) == fold_loop(holes, holes, mod, c)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_fold_rows_matches_loop(data):
+    """Rows of any integers, reduced at packing, some rows all 0 mod
+    ``mod``; both operands of one shape, as in the tower."""
+    mod = data.draw(st.sampled_from([1, 2, 7 ** 3, 5 ** 40]))
+    r, e = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 9))
+    c = data.draw(st.integers(0, 13))
+    entries = st.integers(-2 * mod, 2 * mod)
+
+    def matrix():
+        return [data.draw(st.sampled_from([[0] * e, [mod] * e]))
+                if data.draw(st.booleans()) else
+                data.draw(st.lists(entries, min_size=e, max_size=e))
+                for _ in range(r)]
+    x, y = matrix(), matrix()
+    a, b = pu.FoldRows(x, mod, c), pu.FoldRows(y, mod, c)
+    assert a.zero == all(v % mod == 0 for row in x for v in row)
+    assert a.mul(b) == fold_loop(x, y, mod, c)
+    assert a.mul(a) == fold_loop(x, x, mod, c)
+
+
+@pytest.mark.parametrize("other", [
+    lambda x: pu.FoldRows(x, MOD ** 2, 7), lambda x: pu.FoldRows(x, MOD, 6),
+    lambda x: pu.FoldRows([row + [1] for row in x], MOD, 7)])
+def test_fold_rows_mismatch_raises(other):
+    """Rows packed at another modulus, fold constant or row length are
+    refused, not misread."""
+    x = [[MOD - 1] * 4, [3] * 4]
+    a = pu.FoldRows(x, MOD, 7)
+    with pytest.raises(CertificateFailure):
+        a.mul(other(x))
+    with pytest.raises(CertificateFailure):
+        other(x).mul(a)
 
 
 @st.composite

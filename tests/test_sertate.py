@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -72,14 +73,36 @@ def _oracle_cases():
         yield (5, 3, 1, 8), 3, off
 
 
+@functools.cache
+def sparse_terms(p, n, i, off, D):
+    return psi_series_form_sparse(STRing(p, n, 2, D), i, off).terms
+
+
+# (n, i, off, top degree) per prime: the sparse route at the top degree,
+# cut to each lower one, is the sparse route at that degree
+WIDE_CASES = [(2, 2, 1, 36), (2, 1, 0, 24), (1, 1, 0, 12), (1, 1, 1, 12)]
+
+
 class TestSeriesFormOracle:
-    """The integer-row series form against the sparse Fraction route."""
+    """The closed-form series against the sparse Fraction route."""
 
     @pytest.mark.parametrize("shape,i,off", list(_oracle_cases()), ids=str)
     def test_matches_sparse_route(self, shape, i, off):
         ring = STRing(*shape)
         assert (psi_series_form(ring, i, off).terms
                 == psi_series_form_sparse(ring, i, off).terms)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("n,i,off,top", WIDE_CASES, ids=str)
+    def test_matches_sparse_route_at_every_degree(self, p, n, i, off, top):
+        """Every degree D <= top, on one and two directions, both offsets,
+        for primes up to 13, where T^p and the delta^k rows of degree
+        D - k < p first meet."""
+        want = sparse_terms(p, n, i, off, top)
+        for D in range(top + 1):
+            got = psi_series_form(STRing(p, n, 2, D), i, off).terms
+            assert got == {m: c for m, c in want.items()
+                           if sum(e for _, e in m) <= D}, D
 
     @pytest.mark.parametrize("i", [0, 3])
     def test_direction_outside_ring(self, i):

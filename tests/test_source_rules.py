@@ -16,8 +16,10 @@ of two before its last step.
 
 The Kronecker format (limb width, packing, evaluation points) stays in
 ``polyutils.py``: no other module reads a private ``polyutils`` name
-(``pu._pack``, ``pu._unpack``, ``pu._limb_bytes``, ...); they use the
-``Packed`` value and ``packed_mul``.  Tests may still spy on those names.
+(``pu._pack``, ``pu._unpack``, ``pu._limb_bytes``, ...), and none converts
+an integer to or from bytes (``to_bytes``, ``from_bytes``), so none packs
+inline either; they use ``Packed`` and ``packed_mul`` for series and
+``FoldRows`` for tower products.  Tests may still spy on those names.
 
 ``cli.py`` never takes an integer flag as a truth value (``args.precision or
 12``, ``if args.precision:``): 0 is a value the user gave, and it must reach
@@ -324,6 +326,53 @@ def test_kronecker_rule_allows_public_names_and_other_privates():
         "self._packed = _pack(a, D)\n"
         "name = pu.__name__\n"
         "y = other._unpack(x)")) == []
+
+
+BYTE_CONVERSIONS = {"to_bytes", "from_bytes"}
+
+
+def byte_conversions(tree: ast.AST) -> list:
+    """Lines that name ``to_bytes`` or ``from_bytes``, called or not, on any
+    object or through ``from ... import``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in BYTE_CONVERSIONS:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom):
+            found.extend((node.lineno, a.name) for a in node.names
+                         if a.name in BYTE_CONVERSIONS)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [path for path in SOURCES
+                                  if path.name != "polyutils.py"],
+                         ids=lambda path: path.name)
+def test_limbs_are_packed_only_in_polyutils(path):
+    assert byte_conversions(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_byte_rule_finds_polyutils_packing():
+    """The rule sees the packing that polyutils does, so it is not blind."""
+    path = next(path for path in SOURCES if path.name == "polyutils.py")
+    assert {name for _, name in byte_conversions(
+        ast.parse(path.read_text(), str(path)))} == BYTE_CONVERSIONS
+
+
+@pytest.mark.parametrize("snippet", [
+    "big = int.from_bytes(b''.join([(c % m).to_bytes(w, 'little')\n"
+    "                              for c in row]), 'little')",
+    "raw = (x * y).to_bytes(w * n, 'little')",
+    "fb = int.from_bytes\nv = [fb(raw[k:k + w], 'little') for k in ks]",
+    "limbs = [c.to_bytes(8) for c in a]",
+    "from builtins import int as I\nv = I.from_bytes(b, 'big')"])
+def test_byte_rule_catches_inline_pack(snippet):
+    assert byte_conversions(ast.parse(snippet))
+
+
+def test_byte_rule_allows_other_names():
+    assert byte_conversions(ast.parse(
+        "x = pu.FoldRows(rows, pk, p).mul(y)\n"
+        "n = x.bit_length()\nb = bytes(4)\nto_bytes = 3")) == []
 
 
 # (file, function, module): words imports tower at module level

@@ -604,10 +604,11 @@ class TestSympyOracle:
 # the packed multiply against the schoolbook one it replaced
 # ---------------------------------------------------------------------------
 
-# the benchmark towers, the f*e = 1 base ring of the log workload, and a
-# tower whose gapped operands of f*(2e - 1) = 62 terms take the two-point
-# product (polyutils.KS2_MIN_TERMS)
-ORACLE_TOWERS = BENCH_TOWERS + [(7, 2, 0, 1, 10), (7, 2, 4, 2, 8)]
+# the benchmark towers, the f*e = 1 base ring of the log workload, a tower
+# of long rows (e = 16), and two with f >= 3 zeta-rows, the second of which
+# wraps zred2 (2f - 2 >= e)
+ORACLE_TOWERS = BENCH_TOWERS + [(7, 2, 0, 1, 10), (7, 2, 4, 2, 8),
+                                (11, 7, 1, 3, 8), (13, 5, 1, 4, 4)]
 
 
 def draw_operand(data, t):
@@ -675,6 +676,20 @@ class TestSchoolbookOracle:
 
 
 @pytest.mark.parametrize("cfg", ORACLE_TOWERS, ids=str)
+def test_worst_case_limb(cfg):
+    """Every residue p^k - 1, at every precision k, the largest a limb of
+    the packed rows must hold: products, squares, and a product with an
+    operand at K, which packs at p^k as p^k - 1 again."""
+    t = bench_tower(cfg)
+    top = t.element([[t.pK - 1] * t.e for _ in range(t.f)])
+    for k in range(1, t.K + 1):
+        a = t.element([[t.p ** k - 1] * t.e for _ in range(t.f)], k)
+        b = t.element(a.coeffs, k)
+        for x, y in ((a, b), (a, a), (a, top), (top, a)):
+            assert_oracle(x * y, x, y)
+
+
+@pytest.mark.parametrize("cfg", ORACLE_TOWERS, ids=str)
 def test_inverse_at_every_precision(cfg):
     """u * u^-1 = 1 at every precision 1..K, the product taken by the
     schoolbook oracle."""
@@ -688,24 +703,23 @@ def test_inverse_at_every_precision(cfg):
             assert (got.coeffs, got.prec) == (one.coeffs, one.prec)
 
 
-def gapped(x):
-    """The flat list that the product packs for ``x``."""
-    gap = (0,) * (x.tower.e - 1)
-    return [c for row in x.coeffs for c in row + gap]
+def rows(x):
+    """The zeta-rows that the product packs for ``x``."""
+    return [list(row) for row in x.coeffs]
 
 
 @pytest.fixture
 def packs(monkeypatch):
-    """Every list packed into a pu.Packed value, with its modulus, in call
-    order."""
+    """The rows of every matrix packed into a pu.FoldRows value, with its
+    modulus, in call order."""
     calls = []
 
-    class Counting(pu.Packed):
-        def __init__(self, a, mod, bound):
-            calls.append((list(a), mod))
-            super().__init__(a, mod, bound)
+    class Counting(pu.FoldRows):
+        def __init__(self, a, mod, c):
+            calls.append(([list(row) for row in a], mod))
+            super().__init__(a, mod, c)
 
-    monkeypatch.setattr(pu, "Packed", Counting)
+    monkeypatch.setattr(pu, "FoldRows", Counting)
     return calls
 
 
@@ -721,10 +735,10 @@ def test_square_packs_once(packs):
     rng = random.Random(30)
     x, y, z = (t.random_element(rng) for _ in range(3))
     assert_oracle(x * x, x, x)
-    assert packs == [(gapped(x), t.pK)]
+    assert packs == [(rows(x), t.pK)]
     del packs[:]
     assert_oracle(y * z, y, z)
-    assert packs == [(gapped(y), t.pK), (gapped(z), t.pK)]
+    assert packs == [(rows(y), t.pK), (rows(z), t.pK)]
 
 
 def test_power_packs_base_once(packs):
@@ -736,7 +750,7 @@ def test_power_packs_base_once(packs):
     want = functools.reduce(schoolbook_mul, [x] * 13)
     assert (got.coeffs, got.prec) == (want.coeffs, want.prec)
     lists = [a for a, _ in packs]
-    assert lists.count(gapped(x)) == 1
+    assert lists.count(rows(x)) == 1
     assert len(packs) == 5
 
 
@@ -748,7 +762,7 @@ def test_inverse_packs_each_iterate_once(packs):
     u = t.random_unit(random.Random(1))
     inv = u.inverse()
     assert len(packs) == 22
-    assert len({(tuple(a), mod) for a, mod in packs}) == 22
+    assert len({(tuple(map(tuple, a)), mod) for a, mod in packs}) == 22
     assert_oracle(u * inv, u, inv)
 
 
@@ -760,7 +774,7 @@ def test_packed_operand_reused(packs):
     assert_oracle(x * x, x, x)
     del packs[:]
     assert_oracle(x * y, x, y)
-    assert packs == [(gapped(y), t.pK)]
+    assert packs == [(rows(y), t.pK)]
     del packs[:]
     assert_oracle(x * y, x, y)
     assert packs == []
@@ -769,17 +783,23 @@ def test_packed_operand_reused(packs):
 @pytest.mark.parametrize("cfg", BENCH_TOWERS, ids=str)
 def test_zero_operand_costs_nothing(cfg, monkeypatch):
     """A product with an operand that is zero mod p^prec is zero at the
-    minimum precision, with no limbs read back: also when that operand
-    only vanishes at the lower precision of the other."""
+    minimum precision, with no row product taken and no limbs read back:
+    also when that operand only vanishes at the lower precision of the
+    other."""
     t = bench_tower(cfg)
     unpacks = []
-    unpack = pu._unpack
+    unpack, mul = pu._unpack, pu.FoldRows.mul
 
     def counting(*args):
         unpacks.append(1)
         return unpack(*args)
 
+    def counting_mul(x, y):
+        unpacks.append(0)
+        return mul(x, y)
+
     monkeypatch.setattr(pu, "_unpack", counting)
+    monkeypatch.setattr(pu.FoldRows, "mul", counting_mul)
     rng = random.Random(sum(cfg))
     x = t.random_element(rng)
     zero = t.zero(3)
@@ -792,7 +812,7 @@ def test_zero_operand_costs_nothing(cfg, monkeypatch):
         assert_oracle(got, a, b)
     assert unpacks == []
     assert_oracle(x * p3, x, p3)
-    assert len(unpacks) == 1
+    assert unpacks == [0, 1]
 
 
 @pytest.mark.parametrize("cfg", BENCH_TOWERS, ids=str)
@@ -805,7 +825,7 @@ def test_mixed_precision_repacks(cfg, packs):
     low = t.random_element(rng, 5)
     for b in (y, low, y, low):
         assert_oracle(x * b, x, b)
-    moduli = [mod for a, mod in packs if a == gapped(x)]
+    moduli = [mod for a, mod in packs if a == rows(x)]
     assert moduli == [t.pK, t.p ** 5, t.pK, t.p ** 5]
 
 
