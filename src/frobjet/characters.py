@@ -11,8 +11,10 @@ This module packages the operations a verification run actually calls:
   dimension of alpha -> <alpha, beta> over the finite tower level (a
   Q_p-linear map, decided by exact row reduction with valuation pivoting),
   and the two-route reciprocity equality;
-* a one-variable Strassman zero-count bound over Z_p with a confirming
-  brute-force root search.
+* a one-variable Strassman zero-count bound over Z_p, and the exact count
+  of the zeros of a polynomial by Hensel recursion on residue classes,
+  which raises PrecisionExhausted when a class is still unresolved at the
+  requested depth.
 
 All randomized callers are expected to pass seeded RNGs; everything here is
 deterministic given its inputs.
@@ -22,12 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from operator import mul
 
 from . import polyutils as pu
 from .errors import (DistinctWordsRequired, LogDivergence, NotAUnit,
-                     SeriesTooShort, ZeroSeries)
+                     PrecisionExhausted, SeriesTooShort, ZeroSeries)
 from .formal import LogSeries, gm_log, scaled_log_coefficients
 from .linalg import padic_nullspace
 from .tower import (INF, FrobeniusIndex, QElement, Tower, TowerElement,
@@ -112,10 +114,13 @@ def asd_check(log: LogSeries, fvals: dict, mu, nu, Nmax: int,
 
     must land in p * (integral elements); an entry passes when its valuation
     is >= 1 with a precision certificate of at least 2 (below that the claim
-    would be vacuous).
+    would be vacuous).  The words must differ: f_{mu,mu} is not a class, and
+    every combination for mu = nu would vanish identically.
     """
     mu, nu = tuple(mu), tuple(nu)
     r, s = len(mu), len(nu)
+    if mu == nu:
+        raise DistinctWordsRequired("asd words must differ")
     if r < s:
         raise DistinctWordsRequired("need |mu| >= |nu|")
     p = tower.p
@@ -254,64 +259,42 @@ def strassman_count(series: RestrictedSeries):
                    [i for v, i in finite if v == vmin]}
 
 
-def count_roots_zp(series: RestrictedSeries, depth: int | None = None) -> int:
-    """Confirmed count of zeros in Z_p by branch-and-prune root search.
+def count_roots_zp(series: RestrictedSeries, depth: int = 12) -> int:
+    """Number of zeros in Z_p of f = sum a_n x^n, by exact Hensel recursion.
 
-    Residue classes are deepened while f(c) = 0 mod p^level; a class is
-    confirmed once the Hensel criterion v(f(c)) > 2 v(f'(c)) holds, after
-    which Newton iteration pins the root and duplicates are merged.
+    Divide f by its content and expand f(r + p y) = f(r) + p f'(r) y + ...
+    for each class r mod p.  The class holds no zero when p does not divide
+    f(r), and exactly one (Hensel's lemma) when p divides f(r) but not
+    f'(r).  Otherwise p divides every coefficient of f(r + p y), and the
+    class holds the zeros of f(r + p y) / p^v, counted one level down.
+    Level k sees the classes mod p^k; a class still unresolved at level
+    ``depth`` (zeros that agree mod p^depth, or a multiple zero) raises
+    PrecisionExhausted, and the zero polynomial raises ZeroSeries.
     """
+    if not any(series.coeffs):
+        raise ZeroSeries("the zero polynomial vanishes on all of Z_p")
     p = series.p
-    depth = depth or 12
-    work = p ** (depth + 8)
 
-    def f_at(c):
-        acc = 0
-        for a in reversed(series.coeffs):
-            acc = (acc * c + a) % work
-        return acc
+    def count(f, level):
+        content = gcd(*f)
+        f = [a // content for a in f]
+        found = 0
+        for r in range(p):
+            # g = f(r + p y) by Horner; g[0] = f(r) and g[1] = p f'(r)
+            g = []
+            for a in reversed(f):
+                g = [r * x + p * y for x, y in zip(g + [0], [0] + g)]
+                g[0] += a
+            if g[0] % p:
+                continue
+            if g[1] % p ** 2:
+                found += 1
+            elif level >= depth:
+                raise PrecisionExhausted(
+                    f"a class mod p^{depth} holds a multiple zero or zeros "
+                    "that agree to that depth")
+            else:
+                found += count(g, level + 1)
+        return found
 
-    def fprime_at(c):
-        acc = 0
-        for n in range(len(series.coeffs) - 1, 0, -1):
-            acc = (acc * c + n * series.coeffs[n]) % work
-        return acc
-
-    def newton(c):
-        for _ in range(depth + 4):
-            fp = fprime_at(c)
-            if fp % work == 0:
-                return None
-            v = pu.vp_capped(fp, p, depth + 8)
-            unit = fp // p ** v
-            fc = f_at(c)
-            if fc % p ** v:
-                return None
-            c = (c - (fc // p ** v) * pu.modinv(unit, work)) % work
-        return c % p ** depth
-
-    roots = set()
-    level = 1
-    candidates = [c for c in range(p) if f_at(c) % p == 0]
-    while candidates and level < depth:
-        nxt = []
-        for c in candidates:
-            vf = pu.vp_capped(f_at(c), p, depth + 8)
-            vfp = pu.vp_capped(fprime_at(c), p, depth + 8)
-            if vf > 2 * vfp:
-                root = newton(c)
-                if root is not None:
-                    roots.add(root)
-            # keep refining: a certified class may still hide further roots
-            # at a deeper level when roots cluster p-adically
-            for tlift in range(p):
-                cc = c + tlift * p ** level
-                if pu.vp_capped(f_at(cc), p, depth + 8) >= level + 1:
-                    nxt.append(cc)
-        candidates = nxt
-        level += 1
-    for c in candidates:
-        root = newton(c)
-        if root is not None:
-            roots.add(root)
-    return len(roots)
+    return count(series.coeffs, 1)

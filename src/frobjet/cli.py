@@ -33,8 +33,8 @@ from .sertate import (load_relation_catalog, st_f_table,
                       verify_all_identities, verify_identity)
 from .symbols import Symbol, gamma_matrix, pmatrix_rank_minors, sym_eval
 from .tower import (INF, FrobeniusIndex, QElement, Tower, TowerConfig,
-                    build_tower, check_monomial_independence,
-                    frobenius_apply, n_of_pi, n_of_pi_from)
+                    build_tower, frobenius_apply, n_of_pi, n_of_pi_from)
+from .words import check_monomial_independence
 
 
 def _tower_from_args(args, default_config: TowerConfig) -> Tower:

@@ -12,7 +12,7 @@ the list of pivot valuations consumed along the way.
 from __future__ import annotations
 
 from . import polyutils as pu
-from .errors import PrecisionExhausted
+from .errors import CertificateFailure, PrecisionExhausted
 
 
 def padic_nullspace(M, p: int, K: int):
@@ -55,7 +55,7 @@ def padic_nullspace(M, p: int, K: int):
                 continue
             q = A[i][r] // p ** v
             if A[i][r] % p ** v:
-                raise PrecisionExhausted(
+                raise CertificateFailure(
                     "pivot valuation not minimal -- elimination bug")
             A[i] = [(x - q * y) % pk for x, y in zip(A[i], A[r])]
         pivots.append(v)

@@ -35,7 +35,7 @@ mu = i_1...i_s over directions with exponents (gamma_1, ..., gamma_n) acts as
 
     phi_mu = tau^(gamma_{i_1} + p*gamma_{i_2} + ... + p^(s-1)*gamma_{i_s}) o phi^s,
 
-which is what :func:`check_monomial_independence` exploits.
+which is what :func:`words.check_monomial_independence` exploits.
 
 Precision accounting
 --------------------
@@ -550,31 +550,6 @@ def n_of_pi_from(p: int, e: int) -> int:
             break
         k += 1
     return best
-
-
-def check_monomial_independence(tower: Tower, gammas, r: int):
-    """Whether all words of length <= r act pairwise differently.
-
-    A word mu acts as tau^(c(mu)) o phi^(|mu|) with the exact integer
-    exponent c(mu) = sum_j p^(j-1) gamma_{i_j}; two words act identically on
-    the full l-tower (through pi and the Teichmuller generator zeta of W)
-    iff their (length, c) pairs agree.  Returns (independent, witness) where
-    witness maps each word to its exponent pair.
-    """
-    if len(set(gammas)) != len(gammas):
-        return False, {"duplicate_gammas": list(gammas)}
-    from .words import word_to_string, words_up_to  # words imports tower
-    witness = {}
-    seen = {}
-    ok = True
-    for word in words_up_to(len(gammas), r):
-        c, s = word_exponents_for(tower.p, gammas, word)
-        key = (s, c)
-        witness[word_to_string(word)] = {"length": s, "tau_exponent": c}
-        if key in seen and seen[key] != word:
-            ok = False
-        seen.setdefault(key, word)
-    return ok, witness
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ A word is a tuple of letters from {1, ..., n}; the empty tuple is the monoid
 identity.  Serialized form is the digit string ("" for the identity, "12"
 for the two-letter word 1,2).  A weight is a finite integer combination of
 words; weights multiply through word concatenation.  Exponentiation of ring
-elements by a weight means prod_mu phi_mu(x)^(m_mu).
+elements by a weight means prod_mu phi_mu(x)^(m_mu).  The words of length
+<= r act pairwise differently when their exponent pairs from
+``tower.word_exponents_for`` are distinct.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import EmptyWord, NotAUnit
-from .tower import (Tower, TowerElement, frobenius_word_apply, valuation)
+from .tower import (Tower, TowerElement, frobenius_word_apply, valuation,
+                    word_exponents_for)
 
 Word = tuple
 
@@ -122,3 +125,27 @@ def lambda_pow(lam: TowerElement, w: Weight, tower: Tower, gammas
         factor = frobenius_word_apply(tower, gammas, mu, lam)
         out = out * (factor ** m if m >= 0 else factor.inverse() ** (-m))
     return out
+
+
+def check_monomial_independence(tower: Tower, gammas, r: int):
+    """Whether all words of length <= r act pairwise differently.
+
+    A word mu acts as tau^(c(mu)) o phi^(|mu|) with the exact integer
+    exponent c(mu) = sum_j p^(j-1) gamma_{i_j}; two words act identically on
+    the full l-tower (through pi and the Teichmuller generator zeta of W)
+    iff their (length, c) pairs agree.  Returns (independent, witness) where
+    witness maps each word to its exponent pair.
+    """
+    if len(set(gammas)) != len(gammas):
+        return False, {"duplicate_gammas": list(gammas)}
+    witness = {}
+    seen = {}
+    ok = True
+    for word in words_up_to(len(gammas), r):
+        c, s = word_exponents_for(tower.p, gammas, word)
+        key = (s, c)
+        witness[word_to_string(word)] = {"length": s, "tau_exponent": c}
+        if key in seen and seen[key] != word:
+            ok = False
+        seen.setdefault(key, word)
+    return ok, witness

@@ -20,10 +20,10 @@ from frobjet.sertate import (STRing, psi_st_series, serre_operator,
                              st_f_table, verify_all_identities)
 from frobjet.symbols import Symbol, gamma_matrix, pmatrix_rank_minors, sym_eval
 from frobjet.tower import (INF, FrobeniusIndex, QElement, TowerConfig,
-                           apply_automorphism, build_tower,
-                           check_monomial_independence, n_of_pi_from,
+                           apply_automorphism, build_tower, n_of_pi_from,
                            valuation)
-from frobjet.words import cocycle_weight, lambda_pow
+from frobjet.words import (check_monomial_independence, cocycle_weight,
+                           lambda_pow)
 
 
 def report(num, label, ok, started):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from frobjet import characters
 from frobjet.characters import (PairingContext, RestrictedSeries, asd_check,
@@ -14,8 +14,8 @@ from frobjet.characters import (PairingContext, RestrictedSeries, asd_check,
                                 strassman_count, unit_log)
 from frobjet.crystal import crystalline_classes, kedlaya_frobenius
 from frobjet.errors import (BetaTooLarge, DistinctWordsRequired,
-                            FamilyMismatch, NotAUnit, SeriesTooShort,
-                            ZeroSeries)
+                            FamilyMismatch, NotAUnit, PrecisionExhausted,
+                            SeriesTooShort, ZeroSeries)
 from frobjet.formal import WeierstrassCurve, formal_log
 from frobjet.tower import (INF, FrobeniusIndex, QElement, TowerConfig,
                            TowerElement, build_tower, check_beta, valuation)
@@ -237,6 +237,14 @@ class TestAsd:
             with pytest.raises(FamilyMismatch):
                 asd_check(log, fvals, mu, nu, 10, t5, (0,))
 
+    @pytest.mark.parametrize("word", [(1,), (1, 1)])
+    def test_equal_words_rejected(self, t5, pipeline, word):
+        """With mu = nu every combination is 0, so the report would pass
+        without checking anything."""
+        log, fvals = pipeline
+        with pytest.raises(DistinctWordsRequired):
+            asd_check(log, fvals, word, word, 10, t5, (0,))
+
 
 class TestPairing:
     def test_context_validation(self, t7):
@@ -446,6 +454,62 @@ def test_one_convergence_bound(entry, power, admitted):
             CONVERGENCE_CHECKS[entry](t, x)
 
 
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return out
+
+
+def sqrt_mod(n, p, k):
+    """A square root of the unit n mod p^k, found digit by digit."""
+    s = next(a for a in range(1, p) if (a * a - n) % p == 0)
+    for j in range(1, k):
+        s = next(s + t * p ** j for t in range(p)
+                 if ((s + t * p ** j) ** 2 - n) % p ** (j + 1) == 0)
+    return s
+
+
+@st.composite
+def planted_zeros(draw, depth=6):
+    """(p, coefficients, zero count) for f = c prod (x - r_i) times factors
+    whose Z_p zeros are known: x^2 - n with n a unit square mod p but not
+    a square in Z (two non-integer zeros), x^2 - n with n a non-square mod
+    p or p times a unit, and 1 + p c x (no zeros).  Every zero is distinct
+    mod p^depth; roots r = a + p^v b with a < p cluster p-adically."""
+    p = draw(st.sampled_from((5, 7, 11)))
+    pd = p ** depth
+    roots = draw(st.lists(st.builds(
+        lambda a, v, b: a + p ** v * b, st.integers(0, p - 1),
+        st.integers(1, depth - 1), st.integers(-p, p)), max_size=4))
+    zeros = [r % pd for r in roots]
+    unit = st.integers(1, p - 1)
+    poly = [draw(unit) * p ** draw(st.integers(0, 2))]
+    for r in roots:
+        poly = poly_mul(poly, [-r, 1])
+    for _ in range(draw(st.integers(0, 2))):
+        n = draw(unit) ** 2 + p * draw(st.integers(-p, p))
+        assume(n < 0 or math.isqrt(n) ** 2 != n)
+        s = sqrt_mod(n, p, depth)
+        zeros += [s, -s % pd]
+        poly = poly_mul(poly, [-n, 0, 1])
+    squares = {a * a % p for a in range(1, p)}
+    non_square = st.sampled_from(sorted(set(range(1, p)) - squares))
+    for factor in draw(st.lists(st.sampled_from((
+            "non-square", "p-unit", "linear")), max_size=2)):
+        if factor == "non-square":
+            poly = poly_mul(poly, [-draw(non_square) - p * draw(
+                st.integers(-p, p)), 0, 1])
+        elif factor == "p-unit":
+            poly = poly_mul(poly, [-p * (draw(unit) + p * draw(
+                st.integers(-p, p))), 0, 1])
+        else:
+            poly = poly_mul(poly, [1, p * draw(st.integers(-p, p))])
+    assume(len(set(zeros)) == len(zeros))
+    return p, poly, len(zeros)
+
+
 class TestStrassman:
     def test_linear(self):
         s = RestrictedSeries(5, [0, 1], 5)
@@ -466,14 +530,35 @@ class TestStrassman:
         assert bound >= 2
         assert count_roots_zp(s) == 2
 
-    def test_clustered_roots_separate(self):
-        # 5 and 55 agree mod 25; the search must still split them
-        s = RestrictedSeries(5, [275, -60, 1], 9)
+    @pytest.mark.parametrize("v", range(1, 10))
+    def test_clustered_roots_separate(self, v):
+        # 5 and 5 + 5^v agree mod 5^v: the recursion splits them at level
+        # v + 1 <= depth
+        s = RestrictedSeries(5, poly_mul([-5, 1], [-5 - 5 ** v, 1]), 9)
         assert count_roots_zp(s, depth=10) == 2
+
+    @pytest.mark.parametrize("poly", [
+        poly_mul([-5, 1], [-5 - 5 ** 10, 1]),
+        poly_mul([-5, 1], [-5 - 5 ** 12, 1]), [25, -10, 1], [-5 ** 21, 0, 1]],
+        ids=["v=10", "v=12", "double", "x^2-5^21"])
+    def test_unresolved_class_raises(self, poly):
+        """Zeros that agree mod 5^10, a double zero, or x^2 - 5^21, which
+        no level below 11 tells from x^2."""
+        with pytest.raises(PrecisionExhausted):
+            count_roots_zp(RestrictedSeries(5, poly, 9), depth=10)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(planted_zeros())
+    def test_planted_zero_count(self, case):
+        p, poly, expected = case
+        series = RestrictedSeries(p, poly, 0)
+        assert count_roots_zp(series, depth=6) == expected
 
     def test_zero_series_rejected(self):
         with pytest.raises(ZeroSeries):
             strassman_count(RestrictedSeries(5, [0, 0], 4))
+        with pytest.raises(ZeroSeries):
+            count_roots_zp(RestrictedSeries(5, [0, 0], 4))
 
     def test_uncleared_tail_rejected(self):
         with pytest.raises(SeriesTooShort):

@@ -179,6 +179,13 @@ class TestVerify:
                      "--nmax", nmax]) == 2
         assert "--nmax" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("word", ["1", "11"])
+    def test_asd_equal_words_exit_code(self, word, capsys):
+        # with mu = nu every combination is 0 and would pass vacuously
+        assert main(["verify", "asd", "--curve", "5a-generic",
+                     "--mu", word, "--nu", word]) == 2
+        assert "differ" in capsys.readouterr().err
+
     @pytest.mark.parametrize("threshold", ["0", "-5", "13", "40"])
     def test_threshold_outside_precision_exit_code(self, threshold, capsys):
         # 0 or less makes vanishing vacuous; above K no entry has the digits

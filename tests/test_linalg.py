@@ -10,7 +10,8 @@ and the column swap and the elimination of the other rows both run.
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from frobjet.errors import PrecisionExhausted
+from frobjet import polyutils as pu
+from frobjet.errors import CertificateFailure, PrecisionExhausted
 from frobjet.linalg import padic_nullspace
 
 
@@ -70,3 +71,14 @@ def test_smith_form(case):
     for vec in out["kernel"]:
         assert all(x % pc == 0 for row in matmul(M, [[x] for x in vec])
                    for x in row)
+
+
+def test_non_minimal_pivot_is_a_bug(monkeypatch):
+    """The guard that every entry below a pivot is divisible by it signals
+    a fault of the elimination, not lost digits: a valuation read one too
+    high picks the pivot 5 over the unit below it."""
+    vp_capped = pu.vp_capped
+    monkeypatch.setattr(pu, "vp_capped",
+                        lambda x, p, cap: max(1, vp_capped(x, p, cap)))
+    with pytest.raises(CertificateFailure):
+        padic_nullspace([[5, 1], [1, 0]], 5, 4)

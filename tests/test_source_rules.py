@@ -28,8 +28,7 @@ the range checks instead of turning into the default.  It reads
 default and floor, and in ``_tower_from_args``.
 
 No function imports inside its body: every module says at its top what it
-uses.  The one exception is ``tower.check_monomial_independence``, which
-imports from ``words`` late because ``words`` imports ``tower``.
+uses.
 
 Every function and method of ``src/frobjet`` has a reader outside ``tests/``:
 its name is read somewhere in ``src/frobjet`` or ``perfbench`` other than
@@ -375,10 +374,6 @@ def test_byte_rule_allows_other_names():
         "n = x.bit_length()\nb = bytes(4)\nto_bytes = 3")) == []
 
 
-# (file, function, module): words imports tower at module level
-LATE_IMPORTS = {("tower.py", "check_monomial_independence", "words")}
-
-
 def function_imports(tree: ast.AST) -> list:
     """(line, function, module) of each import inside a function body; a
     nested function's import is named after the innermost function."""
@@ -397,21 +392,7 @@ def function_imports(tree: ast.AST) -> list:
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_imports_at_module_top(path):
-    assert [(line, fn, module) for line, fn, module
-            in function_imports(ast.parse(path.read_text(), str(path)))
-            if (path.name, fn, module) not in LATE_IMPORTS] == []
-
-
-def test_late_import_still_needed():
-    """The exception stands only while words imports tower at its top."""
-    words = next(path for path in SOURCES if path.name == "words.py")
-    tree = ast.parse(words.read_text(), str(words))
-    assert any(isinstance(node, ast.ImportFrom) and node.module == "tower"
-               for node in tree.body)
-    tower = next(path for path in SOURCES if path.name == "tower.py")
-    assert {(fn, module) for _, fn, module in function_imports(
-        ast.parse(tower.read_text(), str(tower)))} == {
-            ("check_monomial_independence", "words")}
+    assert function_imports(ast.parse(path.read_text(), str(path))) == []
 
 
 @pytest.mark.parametrize("snippet", [

@@ -13,10 +13,10 @@ from frobjet.errors import (CertificateFailure, FamilyMismatch, NotAUnit,
                             PrecisionTooLow, UnreducedCoefficients)
 from frobjet.tower import (INF, FrobeniusIndex, QElement, TowerConfig,
                            TowerElement, apply_automorphism, build_tower,
-                           check_monomial_independence, frobenius_apply,
-                           frobenius_word_apply, n_of_pi, n_of_pi_from,
-                           pi_derivation, pi_valuation, valuation,
-                           word_exponents_for)
+                           frobenius_apply, frobenius_word_apply, n_of_pi,
+                           n_of_pi_from, pi_derivation, pi_valuation,
+                           valuation, word_exponents_for)
+from frobjet.words import check_monomial_independence
 
 from tower_oracle import schoolbook_mul, zeta_tables
 
