@@ -5,8 +5,9 @@ pole bound N, the action table of the family on pi and zeta, and the
 monomial-independence witness).  ``frobjet verify SUITE`` runs one of the
 bundled verification suites and emits a machine-readable JSON report; the
 exit code is 0 when every check passes, 1 when a check fails, 2 on invalid
-configuration.  Reports are deterministic given (config, seed): no
-timestamps, sorted keys, fixed iteration orders.
+configuration.  A ``CertificateFailure`` is a bug, not bad input: it
+propagates with its traceback.  Reports are deterministic given (config,
+seed): no timestamps, sorted keys, fixed iteration orders.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from .characters import (PairingContext, RestrictedSeries, asd_check,
 from .config import (find_curve, load_curve_catalog, parse_int,
                      tower_config_from_file)
 from .crystal import count_points_ap, crystalline_classes, kedlaya_frobenius
-from .errors import ConfigError, FrobjetError, SupersingularInput
+from .errors import (CertificateFailure, ConfigError, FrobjetError,
+                     SupersingularInput)
 from .formal import formal_log
 from .polyutils import floor_log
 from .sertate import (load_relation_catalog, st_f_table,
@@ -295,9 +297,11 @@ def suite_strassman(args) -> dict:
         split = trial % 2 == 0
         nroots = rng.randrange(0, 4)
         roots = rng.sample([p * k for k in range(1, 12)], nroots)
-        poly = _poly_from_roots(roots)
+        poly = [1]
+        for r in roots:
+            poly = _times_linear(poly, -r, 1)
         if not split:
-            poly = _poly_mul_int(poly, [1, p * rng.randrange(1, p)])
+            poly = _times_linear(poly, 1, p * rng.randrange(1, p))
         series = RestrictedSeries(p, poly, tail_valuation=25)
         bound, _ = strassman_count(series)
         found = count_roots_zp(series, depth=10)
@@ -317,19 +321,9 @@ def suite_strassman(args) -> dict:
     return _finish("strassman", checks, seed=args.seed)
 
 
-def _poly_from_roots(roots):
-    poly = [1]
-    for r in roots:
-        poly = _poly_mul_int(poly, [-r, 1])
-    return poly
-
-
-def _poly_mul_int(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        for j, d in enumerate(b):
-            out[i + j] += c * d
-    return out
+def _times_linear(poly, a, b):
+    """The integer coefficient list of poly * (a + b x)."""
+    return [a * x + b * y for x, y in zip(poly + [0], [0] + poly)]
 
 
 def suite_crystalline(args) -> dict:
@@ -462,6 +456,8 @@ def main(argv=None) -> int:
             report = cmd_tower_info(args)
         else:
             report = _SUITE_FUNCS[args.suite](args)
+    except CertificateFailure:
+        raise
     except (FrobjetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

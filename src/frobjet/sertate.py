@@ -46,10 +46,9 @@ import re
 from fractions import Fraction
 from importlib import resources
 
-from .errors import DivisionByZero, UnknownForm, UnknownRelation
+from .errors import UnknownForm, UnknownRelation
 from .jets import (SeriesRing, SparseSeries, _mono_mul, phi_endomorphism,
                    phi_word)
-from .symbols import gamma_rows
 from .tower import (Tower, TowerElement, check_beta, frobenius_word_apply,
                     n_of_pi_from, primary_class)
 from .words import word_from_string
@@ -196,8 +195,8 @@ class PsiPoly:
                       if c != 0}
 
     @classmethod
-    def const(cls, value=1, c_exp=0, p_exp=0) -> "PsiPoly":
-        return cls({(c_exp, p_exp, ()): Fraction(value)})
+    def const(cls, value=1, p_exp=0) -> "PsiPoly":
+        return cls({(0, p_exp, ()): Fraction(value)})
 
     @classmethod
     def slot(cls, name, c_exp=0, p_exp=0, value=1) -> "PsiPoly":
@@ -383,19 +382,6 @@ def verify_all_identities() -> list:
 
 
 # ---------------------------------------------------------------------------
-# symbolic coefficient matrix of the six order-2 character symbols
-# ---------------------------------------------------------------------------
-
-def gamma_symbol_rows_beta() -> list:
-    """Rows of the 6 x 7 symbol matrix over parameter slots (c = 1, the
-    common row factor p^(N+1) stripped): six character symbols against the
-    basis (11, 22, 12, 21, 1, 2, empty)."""
-    b = beta_expansion
-    return gamma_rows(lambda mu, j: b(f"b_{mu}").twist(j),
-                      lambda mu, nu, j: b(f"b_{mu},{nu}").twist(j), PsiPoly())
-
-
-# ---------------------------------------------------------------------------
 # tower-valued specializations
 # ---------------------------------------------------------------------------
 
@@ -426,11 +412,10 @@ def st_f_table(tower: Tower, gammas, beta: TowerElement) -> dict:
     N = n_of_pi_from(tower.p, tower.e)
     scale = tower.p ** (N + 1)
     table = {}
-    for mu in ("1", "2", "11", "22", "12", "21"):
+    for mu in ("1", "2", "11", "22"):
         table[f"ft_{mu}"] = st_f_values(
             tower, gammas, beta, word_from_string(mu)) * scale
-    for mu, nu in (("1", "2"), ("11", "1"), ("22", "2"), ("11", "22"),
-                   ("12", "1")):
+    for mu, nu in (("1", "2"), ("11", "1"), ("22", "2"), ("11", "22")):
         table[f"f_{mu},{nu}"] = st_f_values(
             tower, gammas, beta, word_from_string(mu),
             word_from_string(nu)) * scale
@@ -439,61 +424,3 @@ def st_f_table(tower: Tower, gammas, beta: TowerElement) -> dict:
             table[f"{key}@{j}"] = frobenius_word_apply(
                 tower, gammas, (j,), table[key])
     return table
-
-
-# ---------------------------------------------------------------------------
-# period invariants
-# ---------------------------------------------------------------------------
-
-def _safe_div(num, den, what):
-    if den == 0:
-        raise DivisionByZero(f"vanishing denominator {what}")
-    return num / den
-
-
-def period_invariants(p: int, slots: dict) -> dict:
-    """Ratios of the expansion slots and the four projective invariants.
-
-    ``slots`` maps "psi_i" and "psi_i@j" to exact Fractions.  Division by a
-    vanishing denominator raises DivisionByZero.
-    """
-    def get(name):
-        if name not in slots:
-            raise UnknownForm(name)
-        return Fraction(slots[name])
-
-    psi1 = get("psi_1")
-    if psi1 == 0:
-        raise DivisionByZero("psi_1 slot must be nonzero")
-    t0 = get("psi_2") / psi1
-    t = {}
-    for i in (1, 2):
-        for j in (1, 2):
-            t[(i, j)] = get(f"psi_{i}@{j}") / psi1
-
-    tau = _safe_div(t[(1, 1)] + p - p * t0, t0 * t[(1, 1)], "in tau")
-    tau_prime = _safe_div(t[(2, 1)] + p - p * t0, t0 * t[(2, 1)],
-                          "in tau_prime")
-    tau_dprime = _safe_div(t0 * (t[(2, 2)] + p * t0 - p), t[(2, 2)],
-                           "in tau_dprime")
-    tau_tprime = _safe_div(t0 * (t[(1, 2)] + p * t0 - p), t[(1, 2)],
-                           "in tau_tprime")
-    return {
-        "t0": t0, "t11": t[(1, 1)], "t12": t[(1, 2)],
-        "t21": t[(2, 1)], "t22": t[(2, 2)],
-        "tau": tau, "tau_prime": tau_prime,
-        "tau_dprime": tau_dprime, "tau_tprime": tau_tprime,
-    }
-
-
-def invert_period_invariants(p: int, t0: Fraction, tau: Fraction,
-                             tau_prime: Fraction, tau_dprime: Fraction,
-                             tau_tprime: Fraction) -> dict:
-    """Solve the four invariant equations back for the slot ratios."""
-    t11 = _safe_div(p * (1 - t0), t0 * tau - 1, "inverting tau")
-    t21 = _safe_div(p * (1 - t0), t0 * tau_prime - 1, "inverting tau_prime")
-    t22 = _safe_div(p * t0 * (t0 - 1), tau_dprime - t0,
-                    "inverting tau_dprime")
-    t12 = _safe_div(p * t0 * (t0 - 1), tau_tprime - t0,
-                    "inverting tau_tprime")
-    return {"t11": t11, "t12": t12, "t21": t21, "t22": t22}

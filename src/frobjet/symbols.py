@@ -11,12 +11,13 @@ Evaluation sends a symbol to the additive operator  alpha |-> sum
 lambda_mu phi_mu(alpha); it is a ring homomorphism on denominator-free
 symbols.
 
-The module also lays out, once for tower values and for sertate's parameter
-slots, the 6 x 7 coefficient matrix of the six canonical order-2 character
-symbols (rows: psi_{1,2}, phi_1 psi_{1,2}, phi_2 psi_{1,2}, psi_{11,1},
-psi_{22,2}, psi_{11,22}; columns: the basis phi_1^2, phi_2^2, phi_1 phi_2,
-phi_2 phi_1, phi_1, phi_2, 1), and takes every k x k minor exactly, from
-one subset DP per row set.
+The module also lays out, once over any coefficient ring, the 6 x 7
+coefficient matrix of the six canonical order-2 character symbols (rows:
+psi_{1,2}, phi_1 psi_{1,2}, phi_2 psi_{1,2}, psi_{11,1}, psi_{22,2},
+psi_{11,22}; columns: the basis phi_1^2, phi_2^2, phi_1 phi_2, phi_2 phi_1,
+phi_1, phi_2, 1): ``gamma_matrix`` fills ``gamma_rows`` with tower values
+and tests/test_sertate.py with sertate's parameter slots.  Every k x k
+minor is taken exactly, from one subset DP per row set.
 """
 
 from __future__ import annotations
@@ -162,34 +163,31 @@ def subset_det(rows, one):
 _GAMMA_BASIS = ("11", "22", "12", "21", "1", "2", "")
 
 
-def gamma_rows(primary, secondary, zero, variant: str = "gamma") -> list:
+def gamma_rows(primary, secondary, zero) -> list:
     """The six symbol rows on _GAMMA_BASIS over any coefficient ring.
 
     Row psi_{mu,nu} holds primary(nu) at mu, -primary(mu) at nu and
     secondary(mu, nu) at the empty word.  Rows two and three are phi_j
     psi_{1,2}: each coefficient moves from w to jw and is read with twist
-    j ("" for none).  Gamma-prime swaps the last row for psi_{12,1}.
+    j ("" for none).
     """
     def row(mu, nu, j=""):
         cols = {j + mu: primary(nu, j), j + nu: -primary(mu, j),
                 j: secondary(mu, nu, j)}
         return [cols.get(w, zero) for w in _GAMMA_BASIS]
 
-    last = ("12", "1") if variant == "gamma_prime" else ("11", "22")
     return [row("1", "2"), row("1", "2", "1"), row("1", "2", "2"),
-            row("11", "1"), row("22", "2"), row(*last)]
+            row("11", "1"), row("22", "2"), row("11", "22")]
 
 
-def gamma_matrix(fvals: dict, tower: Tower, precision: int,
-                 variant: str = "gamma") -> PMatrix:
+def gamma_matrix(fvals: dict, tower: Tower, precision: int) -> PMatrix:
     """Coefficient matrix of the six canonical order-2 character symbols.
 
     ``fvals`` maps string keys to tower elements (or QElements): the scaled
-    primary classes "ft_1", "ft_2", "ft_11", "ft_22" (plus "ft_12" for the
-    gamma-prime variant), the secondary classes "f_1,2", "f_11,1", "f_22,2",
-    "f_11,22" ("f_12,1" for gamma-prime) and the twists "ft_1@1", "ft_2@1",
-    "f_1,2@1", "ft_1@2", "ft_2@2", "f_1,2@2" used by rows two and three.
-    The first key read and absent raises MissingClass.
+    primary classes "ft_1", "ft_2", "ft_11", "ft_22", the secondary classes
+    "f_1,2", "f_11,1", "f_22,2", "f_11,22" and the twists "ft_1@1",
+    "ft_2@1", "f_1,2@1", "ft_1@2", "ft_2@2", "f_1,2@2" used by rows two and
+    three.  The first key read and absent raises MissingClass.
     """
     def q(key, j):
         key += "@" + j if j else ""
@@ -200,11 +198,8 @@ def gamma_matrix(fvals: dict, tower: Tower, precision: int,
 
     rows = gamma_rows(lambda mu, j: q(f"ft_{mu}", j),
                       lambda mu, nu, j: q(f"f_{mu},{nu}", j),
-                      QElement(tower.zero(), 0), variant)
-    mat = PMatrix(rows, precision)
-    if variant == "gamma_tilde":
-        return mat.submatrix([0, 3, 4, 5], [0, 1, 4, 5, 6])
-    return mat
+                      QElement(tower.zero(), 0))
+    return PMatrix(rows, precision)
 
 
 def pmatrix_rank_minors(M: PMatrix, k: int):

@@ -5,6 +5,7 @@ import pytest
 from frobjet.cli import SUITE_FLAGS, TOWER_INFO_FLAGS, main
 from frobjet.config import (load_curve_catalog, parse_keyvalue,
                             tower_config_from_text)
+from frobjet.errors import CertificateFailure
 
 
 class TestConfig:
@@ -258,13 +259,16 @@ class TestVerify:
         assert main(["verify", "crystalline", "--catalog", str(cat)]) == 2
 
     def test_internal_value_error_propagates(self, monkeypatch):
+        """A bug is never reported as bad input (exit 2): neither an
+        exception outside FrobjetError nor a CertificateFailure."""
         import frobjet.cli as cli
 
-        def broken(args):
-            raise ValueError("internal bug")
-        monkeypatch.setitem(cli._SUITE_FUNCS, "gm", broken)
-        with pytest.raises(ValueError, match="internal bug"):
-            main(["verify", "gm"])
+        for exc_type in (ValueError, CertificateFailure):
+            def broken(args):
+                raise exc_type("internal bug")
+            monkeypatch.setitem(cli._SUITE_FUNCS, "gm", broken)
+            with pytest.raises(exc_type, match="internal bug"):
+                main(["verify", "gm"])
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -8,16 +8,15 @@ from fractions import Fraction
 
 import pytest
 
-from frobjet.errors import (BetaTooLarge, DivisionByZero, FamilyMismatch,
-                            OrderOverflow, UnknownForm, UnknownRelation)
+from frobjet.errors import (BetaTooLarge, FamilyMismatch, OrderOverflow,
+                            UnknownForm, UnknownRelation)
 from frobjet.sertate import (PsiPoly, STRing, STSeries, beta_expansion,
-                             gamma_symbol_rows_beta, invert_period_invariants,
-                             load_relation_catalog, period_invariants,
-                             psi_series_form, psi_st_series, serre_operator,
-                             st_expansion, st_f_values, st_f_table,
-                             verify_identity, verify_all_identities)
+                             load_relation_catalog, psi_series_form,
+                             psi_st_series, serre_operator, st_expansion,
+                             st_f_values, st_f_table, verify_identity,
+                             verify_all_identities)
 from frobjet.jets import JetRing, JetRingConfig, phi_endomorphism
-from frobjet.symbols import Symbol, subset_det, sym_eval
+from frobjet.symbols import Symbol, gamma_rows, subset_det, sym_eval
 from frobjet.tower import QElement, TowerConfig, build_tower, valuation
 from frobjet.words import word_from_string
 import sertate_oracle
@@ -293,16 +292,25 @@ class TestVerifyIdentity:
             verify_identity("nope")
 
 
+def gamma_symbol_rows():
+    """Rows of the 6 x 7 symbol matrix over parameter slots (c = 1, the
+    common row factor p^(N+1) stripped), in the layout of gamma_rows that
+    the tower matrix of ``verify gamma`` uses."""
+    b = beta_expansion
+    return gamma_rows(lambda mu, j: b(f"b_{mu}").twist(j),
+                      lambda mu, nu, j: b(f"b_{mu},{nu}").twist(j), PsiPoly())
+
+
 class TestSymbolicGamma:
     def test_all_six_by_six_minors_vanish(self):
-        rows = gamma_symbol_rows_beta()
+        rows = gamma_symbol_rows()
         for cols in itertools.combinations(range(7), 6):
             d = subset_det([[rows[i][j] for j in cols] for i in range(6)],
                            PsiPoly.const(1))
             assert d.is_zero(), cols
 
     def test_upper_left_five_by_five_nonzero(self):
-        rows = gamma_symbol_rows_beta()
+        rows = gamma_symbol_rows()
         d = subset_det([[rows[i][j] for j in range(5)] for i in range(5)],
                        PsiPoly.const(1))
         assert not d.is_zero()
@@ -401,47 +409,6 @@ class TestFTable:
         mat = gamma_matrix(table, t, precision=6)
         _, minors = pmatrix_rank_minors(mat, 6)
         assert all(m["vanishing"] for m in minors)
-
-
-class TestPeriodInvariants:
-    def test_symmetric_slots_give_t0_one(self):
-        slots = {"psi_1": Fraction(2, 3), "psi_2": Fraction(2, 3),
-                 "psi_1@1": Fraction(1, 5), "psi_1@2": Fraction(1, 7),
-                 "psi_2@1": Fraction(1, 7), "psi_2@2": Fraction(1, 5)}
-        inv = period_invariants(5, slots)
-        assert inv["t0"] == 1
-
-    def test_direct_formula(self):
-        slots = {"psi_1": Fraction(1), "psi_2": Fraction(1),
-                 "psi_1@1": Fraction(3), "psi_1@2": Fraction(5),
-                 "psi_2@1": Fraction(7), "psi_2@2": Fraction(11)}
-        inv = period_invariants(5, slots)
-        # t0 = 1: tau = (t11 + p - p)/t11 = 1 + (p - p t0)/.. evaluate directly
-        assert inv["tau"] == Fraction(3 + 5 - 5, 1 * 3)
-
-    def test_roundtrip_random(self):
-        rng = random.Random(6)
-        for _ in range(10):
-            slots = {"psi_1": Fraction(rng.randint(1, 40), rng.randint(1, 9))}
-            for name in ("psi_2", "psi_1@1", "psi_1@2", "psi_2@1",
-                         "psi_2@2"):
-                slots[name] = Fraction(rng.randint(1, 40), rng.randint(1, 9))
-            try:
-                inv = period_invariants(7, slots)
-                back = invert_period_invariants(
-                    7, inv["t0"], inv["tau"], inv["tau_prime"],
-                    inv["tau_dprime"], inv["tau_tprime"])
-            except DivisionByZero:
-                continue
-            for key in ("t11", "t12", "t21", "t22"):
-                assert back[key] == inv[key]
-
-    def test_zero_denominator_raises(self):
-        slots = {"psi_1": Fraction(1), "psi_2": Fraction(0),
-                 "psi_1@1": Fraction(1), "psi_1@2": Fraction(1),
-                 "psi_2@1": Fraction(1), "psi_2@2": Fraction(1)}
-        with pytest.raises(DivisionByZero):
-            period_invariants(5, slots)
 
 
 class TestForeignOperands:

@@ -35,6 +35,12 @@ its name is read somewhere in ``src/frobjet`` or ``perfbench`` other than
 its own body.  The rule works by name, so a name read on any object counts.
 What only tests read stands in ``READ_BY_TESTS`` with the reason it stays;
 that list names exactly the unread definitions, no more.
+
+Likewise every parameter with a default is set by some call in
+``src/frobjet`` or ``perfbench``, by keyword or by position (a starred
+argument sets nothing it can be seen to set).  A default that only tests
+override stands in ``SET_BY_TESTS`` with its reason, and that list too is
+exact.
 """
 
 import ast
@@ -434,9 +440,6 @@ READ_BY_TESTS = {
     ("symbols", "Symbol.coefficient"): ACCESSOR + "the word key and zero",
     ("tower", "TowerElement.equals"): ACCESSOR + "the shared precision",
     ("formal", "l_mu_series"): CLAIM,
-    ("sertate", "gamma_symbol_rows_beta"): CLAIM,
-    ("sertate", "period_invariants"): CLAIM,
-    ("sertate", "invert_period_invariants"): CLAIM,
 }
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -538,3 +541,150 @@ def test_unread_rule_allows_reads_and_dunders():
         "def k():\n    pass\n",
         "from frobjet.mod import f", "a.m()\nn = a.size", "run(h)",
         "x = [k]") == []
+
+
+# (module, qualified name, parameter) -> why only tests set it
+SET_BY_TESTS = {
+    ("cli", "main", "argv"):
+        "tests pass the arguments; the console script reads sys.argv",
+    ("crystal", "kedlaya_frobenius", "series_pad"):
+        "the deeper-series and Fraction-oracle tests run past the cut depth",
+    ("sertate", "PsiPoly.slot", "value"):
+        "tests/sertate_oracle.py writes slots with a rational coefficient",
+    ("tower", "Tower.pi", "prec"): "tests build pi below the tower's K",
+    ("tower", "Tower.zeta", "prec"): "tests build zeta below the tower's K",
+    ("tower", "Tower.random_unit", "prec"):
+        "tests draw units below the tower's K",
+    ("tower", "TowerElement.equals", "precision"):
+        "tests compare fewer digits than the shared precision",
+}
+
+
+def defaulted_parameters(tree: ast.AST, prefix: str = "",
+                         owner: str | None = None) -> list:
+    """(qualified name, called as, parameter, position) of every parameter
+    with a default.  A function is called as its name and ``__init__`` as
+    its class.  The position counts the arguments a call passes before it,
+    ``self`` and ``cls`` aside; it is None for a keyword-only parameter."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, FUNCTIONS):
+            args, name = node.args, prefix + node.name
+            positional = args.posonlyargs + args.args
+            bound = owner is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in node.decorator_list)
+            called = owner if owner and node.name == "__init__" else node.name
+            first = len(positional) - len(args.defaults)
+            found += [(name, called, a.arg, i - bound)
+                      for i, a in enumerate(positional) if i >= first]
+            found += [(name, called, a.arg, None)
+                      for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            found += defaulted_parameters(
+                node, prefix + node.name + ".",
+                node.name if isinstance(node, ast.ClassDef) else None)
+    return found
+
+
+def call_shapes(tree: ast.AST, owner: str | None = None) -> list:
+    """(called name, positional count, keywords) of every call.  Arguments
+    from the first starred one on are not counted; ``cls(...)`` and
+    ``type(x)(...)`` inside a class call that class."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name):
+                name = owner if f.id == "cls" else f.id
+            elif isinstance(f, ast.Attribute):
+                name = f.attr
+            else:
+                name = owner if (isinstance(f, ast.Call)
+                                 and isinstance(f.func, ast.Name)
+                                 and f.func.id == "type") else None
+            starred = [i for i, a in enumerate(node.args)
+                       if isinstance(a, ast.Starred)]
+            found.append((name, starred[0] if starred else len(node.args),
+                          {k.arg for k in node.keywords}))
+        found += call_shapes(
+            node, node.name if isinstance(node, ast.ClassDef) else owner)
+    return found
+
+
+def unset_defaults(tree: ast.AST, calls: list) -> list:
+    """(qualified name, parameter) of the defaults in ``tree`` that none of
+    ``calls`` sets."""
+    return [(name, param)
+            for name, called, param, pos in defaulted_parameters(tree)
+            if not any(c == called and (param in kws
+                                         or pos is not None and n > pos)
+                       for c, n, kws in calls)]
+
+
+PROGRAM_CALLS = [c for tree in PROGRAM_TREES.values()
+                 for c in call_shapes(tree)]
+
+
+def unset_in_program() -> set:
+    return {(path.stem, *entry) for path in SOURCES
+            for entry in unset_defaults(PROGRAM_TREES[path], PROGRAM_CALLS)}
+
+
+def test_every_default_is_set_by_the_program():
+    assert sorted(unset_in_program() - set(SET_BY_TESTS)) == []
+
+
+def test_set_by_tests_is_exact():
+    """Each entry is still a defaulted parameter that only tests set."""
+    defaulted = {(path.stem, name, param) for path in SOURCES
+                 for name, _, param, _ in defaulted_parameters(
+                     PROGRAM_TREES[path])}
+    assert sorted(set(SET_BY_TESTS) - defaulted) == []
+    assert sorted(set(SET_BY_TESTS) - unset_in_program()) == []
+
+
+def unset(snippet: str, *callers: str) -> list:
+    tree = ast.parse(snippet)
+    calls = call_shapes(tree) + [c for r in callers
+                                 for c in call_shapes(ast.parse(r))]
+    return unset_defaults(tree, calls)
+
+
+@pytest.mark.parametrize("snippet,names", [
+    ("def f(x, k=1):\n    return x", [("f", "k")]),
+    ("def f(x, k=1):\n    return x\ny = f(2)", [("f", "k")]),
+    ("def f(a, *, k=1):\n    pass\nf(1, 2)", [("f", "k")]),
+    ("def slot(name, value=1):\n    pass\nslot(*v)\nslot(n, *v)",
+     [("slot", "value")]),
+    ("def f(a, k=1):\n    pass\nf(1, **opts)", [("f", "k")]),
+    ("class A:\n    def m(self, k=1):\n        pass\nA().m()",
+     [("A.m", "k")]),
+    ("class A:\n    def __init__(self, k=0):\n        pass\nA()",
+     [("A.__init__", "k")]),
+    ("class A:\n    @staticmethod\n    def s(a, k=1):\n        pass\n"
+     "A.s(1)", [("A.s", "k")]),
+    ("class A:\n    @classmethod\n    def make(cls, a, k=1):\n"
+     "        pass\nA.make(1)", [("A.make", "k")]),
+    ("def f():\n    def g(k=1):\n        pass\n    return g()",
+     [("f.g", "k")])],
+    ids=lambda v: ",".join(map(".".join, v)) if isinstance(v, list)
+    else None)
+def test_default_rule_catches(snippet, names):
+    assert unset(snippet) == names
+
+
+def test_default_rule_allows_every_way_to_set():
+    assert unset(
+        "def f(x, k=1, *, t=None):\n    pass\n"
+        "class A:\n"
+        "    def __init__(self, n=0):\n        pass\n"
+        "    def m(self, k=1):\n        pass\n"
+        "    @classmethod\n    def make(cls, a=1):\n        return cls(a)\n"
+        "    @staticmethod\n    def s(a, b=2):\n        pass\n"
+        "class B:\n"
+        "    def __init__(self, r, d=0):\n        pass\n"
+        "    def copy(self):\n        return type(self)(self.r, self.d)\n",
+        "f(1, 2, t=3)", "A().m(k=2)", "A.make(5)", "A.s(1, 2)",
+        "f(*xs, k=2)") == []

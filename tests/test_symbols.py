@@ -119,14 +119,16 @@ class TestSymEval:
                 ).num.is_zero()
 
 
+# the 14 keys gamma_matrix documents: primaries, secondaries, twists
+GAMMA_KEYS = (["ft_1", "ft_2", "ft_11", "ft_22",
+               "f_1,2", "f_11,1", "f_22,2", "f_11,22"]
+              + [f"{k}@{j}" for j in (1, 2)
+                 for k in ("ft_1", "ft_2", "f_1,2")])
+
+
 class TestGammaMatrix:
     def _zero_table(self, tower):
-        z = tower.zero()
-        keys = ["ft_1", "ft_2", "ft_11", "ft_22", "ft_12", "ft_21", "f_1,2",
-                "f_11,1", "f_22,2", "f_11,22", "f_12,1"]
-        keys += [f"{k}@{j}" for k in ("ft_1", "ft_2", "f_1,2")
-                 for j in (1, 2)]
-        return {k: z for k in keys}
+        return dict.fromkeys(GAMMA_KEYS, tower.zero())
 
     def test_all_zero_inputs(self, tower):
         mat = gamma_matrix(self._zero_table(tower), tower, precision=8)
@@ -144,34 +146,18 @@ class TestGammaMatrix:
         assert row[5].num == tower.from_int(-3)
         assert row[6].num == tower.from_int(11)
 
+    def test_table_has_exactly_the_read_keys(self, tower):
+        assert sorted(st_f_table(tower, GAMMAS, tower.pi())) == sorted(
+            GAMMA_KEYS)
+
     def test_missing_class(self, tower):
-        table = self._zero_table(tower)
-        del table["ft_11"]
-        with pytest.raises(MissingClass):
-            gamma_matrix(table, tower, precision=8)
-
-    def test_gamma_prime_last_row(self, tower):
-        table = self._zero_table(tower)
-        table["ft_1"] = tower.from_int(2)
-        table["ft_12"] = tower.from_int(3)
-        table["f_12,1"] = tower.from_int(5)
-        mat = gamma_matrix(table, tower, precision=8, variant="gamma_prime")
-        row = mat.entries[5]
-        assert row[2].num == tower.from_int(2)
-        assert row[4].num == tower.from_int(-3)
-        assert row[6].num == tower.from_int(5)
-
-    def test_gamma_prime_skips_last_gamma_row(self, tower):
-        table = self._zero_table(tower)
-        del table["f_11,22"]
-        gamma_matrix(table, tower, precision=8, variant="gamma_prime")
-        with pytest.raises(MissingClass, match="f_11,22"):
-            gamma_matrix(table, tower, precision=8)
-
-    def test_gamma_tilde_shape(self, tower):
-        mat = gamma_matrix(self._zero_table(tower), tower, precision=8,
-                           variant="gamma_tilde")
-        assert (mat.rows, mat.cols) == (4, 5)
+        """Each documented key is read: without it, MissingClass names it."""
+        for key in GAMMA_KEYS:
+            table = self._zero_table(tower)
+            del table[key]
+            with pytest.raises(MissingClass) as exc:
+                gamma_matrix(table, tower, precision=8)
+            assert exc.value.args == (key,)
 
 
 class TestMinors:
