@@ -3,7 +3,10 @@
 This module packages the operations a verification run actually calls:
 
 * the multiplicative-group character  x -> p^N log(phi_i(x) / x^p)  on units,
-  an additive-in-products map whose symbol is p^(N+1) (phi_i - p);
+  an additive-in-products map whose symbol is p^(N+1) (phi_i - p).  It is
+  computed as  p^N (phi_i - p)(log x^(q-1)) / (q - 1)  with q = p^f, the
+  size of the residue field: x^(q-1) is a 1-unit, so no inverse is taken,
+  and q - 1 is prime to p, so the division is one scalar inverse mod p^prec;
 * the term-by-term congruence check on logarithm coefficients driven by a
   scaled class triple (the order-(r,s) analogue of the classical
   Atkin--Swinnerton-Dyer integrality conditions);
@@ -41,19 +44,26 @@ def gm_character_eval(tower: Tower, idx: FrobeniusIndex, x: TowerElement
                       ) -> QElement:
     """psi_i(x) = p^N log(phi_i(x)/x^p) for a unit x; additive in products.
 
-    The argument of the logarithm is 1 + pi * delta_i(x) / x^p, of positive
-    valuation for any unit, so the series always converges; LogDivergence
-    would indicate a corrupted input.
+    Computed without an inverse as
+
+        psi_i(x) = p^N (phi_i - p)(log x^(q-1)) / (q - 1),   q = p^f:
+
+    x^(q-1) is a 1-unit, phi_i(omega) = omega^p on Teichmuller lifts omega
+    and log kills roots of unity, so both sides agree on x = omega u for
+    every 1-unit u.  q - 1 is prime to p, so the division is one scalar
+    inverse mod p^prec.  On zeta-powers and Teichmuller lifts x^(q-1) = 1
+    exactly and the logarithm returns at once.
     """
     if valuation(x) != 0:
         raise NotAUnit("the multiplicative character is defined on units")
-    p = tower.p
-    xp = x ** p
-    out = _log1p((frobenius_apply(tower, idx, x) - xp) * xp.inverse())
+    p, q1 = tower.p, tower.p ** tower.f - 1
+    out = _log1p(x ** q1 - 1)
+    num = frobenius_apply(tower, idx, out.num) - out.num * p
+    num = num * pu.modinv(q1, p ** num.prec)
     N = n_of_pi_from(p, tower.e)
     if N >= 0:
-        return QElement(out.num * p ** N, out.den)
-    return QElement(out.num, out.den - N)
+        return QElement(num * p ** N, out.den)
+    return QElement(num, out.den - N)
 
 
 def unit_log(tower: Tower, x: TowerElement) -> QElement:

@@ -5,9 +5,10 @@ pole bound N, the action table of the family on pi and zeta, and the
 monomial-independence witness).  ``frobjet verify SUITE`` runs one of the
 bundled verification suites and emits a machine-readable JSON report; the
 exit code is 0 when every check passes, 1 when a check fails, 2 on invalid
-configuration.  A ``CertificateFailure`` is a bug, not bad input: it
-propagates with its traceback.  Reports are deterministic given (config,
-seed): no timestamps, sorted keys, fixed iteration orders.
+configuration and 3 on a bug: a ``CertificateFailure`` or any exception
+outside ``FrobjetError`` and ``OSError``, whose traceback goes to stderr.
+Reports are deterministic given (config, seed): no timestamps, sorted keys,
+fixed iteration orders.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import json
 import random
 import sys
+import traceback
 from dataclasses import replace
 from fractions import Fraction
 
@@ -266,7 +268,10 @@ def suite_gm(args) -> dict:
             ok_tors = False
     checks.append({"name": "gm:torsion-vanishing", "pass": ok_tors,
                    "detail": {}})
-    # two-route symbol check on 1-units: p * psi(x) = (p^(N+1)(phi - p))(log x)
+    # two-route symbol check on 1-units: p * psi(x) = (p^(N+1)(phi - p))(log x).
+    # psi itself applies phi - p to log x^(q-1) / (q - 1), so this compares
+    # two _log1p series, log x^(q-1) / (q - 1) against log x, not two
+    # formulas for the character
     N = n_of_pi_from(tower.p, tower.e)
     scale = tower.p ** (N + 1)
     sym = (Symbol(tower, (0, 1),
@@ -457,10 +462,14 @@ def main(argv=None) -> int:
         else:
             report = _SUITE_FUNCS[args.suite](args)
     except CertificateFailure:
-        raise
+        traceback.print_exc()
+        return 3
     except (FrobjetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
     text = json.dumps(report, indent=2, sort_keys=True, default=str)
     if args.out:
         with open(args.out, "w") as fh:

@@ -130,26 +130,56 @@ def subset_minors(rows, one) -> dict:
     Subset DP (Laplace): ``prev[mask]`` is the signed sum over assignments
     of the rows so far to the columns in ``mask``; adding column ``col``
     flips the sign once per used column above it, so only the relative
-    order of the columns counts.  Over the tower a product with a zero
-    entry costs nothing (``TowerElement.__mul__`` returns zero without a
-    multiply), yet that zero is at the minimum precision, so a QElement zero
-    still caps the certified precision of the products through it.
+    order of the columns counts.  The ring's elements need ``is_zero()``.
+
+    A product with a zero factor (a zero entry, or the value of a mask that
+    only zeros reached) is not formed.  Over a ring without precision it
+    adds nothing.  Over QElement the zero val * x still counts: it has den
+    val.den + x.den and the precision of its less precise factor.  A sum of
+    QElements ends with den = D the largest den, precision P the least,
+    and numerator sum num_i p^(D - den_i) mod p^P, in any order.  So each
+    mask keeps the largest den and the least precision of the products
+    skipped into it, and adds one zero at them when the row ends; a mask
+    that only zeros reached is that zero.  Every minor keeps the numerator,
+    precision and den of the full sum.
     """
     n = len(rows[0]) if rows else 0
     prev = {0: one}
     for row in rows:
-        cur = {}
+        cur, skipped = {}, {}
+        zero_cols = [x.is_zero() for x in row]
         for mask, val in prev.items():
+            val_zero = val.is_zero()
             for col in range(n):
                 if mask & (1 << col):
+                    continue
+                newmask = mask | (1 << col)
+                if val_zero or zero_cols[col]:
+                    skipped[newmask] = _skip(skipped.get(newmask), val,
+                                             row[col])
                     continue
                 term = val * row[col]
                 if bin(mask >> (col + 1)).count("1") % 2:
                     term = -term
-                newmask = mask | (1 << col)
                 cur[newmask] = cur[newmask] + term if newmask in cur else term
+        for mask, zero in skipped.items():
+            if isinstance(zero, tuple):
+                zero = QElement(one.tower.zero(zero[1]), zero[0])
+            cur[mask] = cur[mask] + zero if mask in cur else zero
         prev = cur
     return prev
+
+
+def _skip(acc, val, x):
+    """Fold the zero product val * x into ``acc`` (None at first) without
+    forming it: over QElement the pair (den, prec) of the zero that the
+    skipped products sum to, over any other ring a zero of the ring."""
+    if not isinstance(val, QElement):
+        return x if x.is_zero() else val
+    den, prec = val.den + x.den, min(val.num.prec, x.num.prec)
+    if acc is None:
+        return den, prec
+    return max(den, acc[0]), min(prec, acc[1])
 
 
 def subset_det(rows, one):

@@ -576,6 +576,10 @@ class QElement:
     def certified_precision(self) -> int:
         return self.num.prec - self.den
 
+    def is_zero(self) -> bool:
+        """The numerator is 0 mod p^prec (never a claim of exact vanishing)."""
+        return self.num.is_zero()
+
     def __add__(self, other):
         if not isinstance(other, QElement):
             return NotImplemented

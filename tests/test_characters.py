@@ -21,7 +21,7 @@ from frobjet.tower import (INF, FrobeniusIndex, QElement, TowerConfig,
                            TowerElement, build_tower, check_beta, valuation)
 
 from symbols_oracle import six_product_pairing
-from tower_oracle import schoolbook_mul, sequential_log1p
+from tower_oracle import ratio_character, schoolbook_mul, sequential_log1p
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +71,21 @@ class TestGmCharacter:
         monkeypatch.setattr(TowerElement, "__pow__", counted)
         x = t7.random_unit(random.Random(6))
         gm_character_eval(t7, FrobeniusIndex(1), x)
-        assert calls == [t7.p]
+        assert calls == [t7.p ** t7.f - 1]
+
+    def test_no_inverse(self, t7, monkeypatch):
+        calls = []
+        inverse = TowerElement.inverse
+
+        def counted(self):
+            calls.append(1)
+            return inverse(self)
+        monkeypatch.setattr(TowerElement, "inverse", counted)
+        rng = random.Random(7)
+        for gamma in range(3):
+            gm_character_eval(t7, FrobeniusIndex(gamma), t7.random_unit(rng))
+        gm_character_eval(t7, FrobeniusIndex(1), t7.zeta())
+        assert calls == []
 
     def test_additive_on_units(self, t7):
         rng = random.Random(3)
@@ -167,10 +181,30 @@ class TestLog1pOracle:
                         on_oracle(gm_character_eval, t, FrobeniusIndex(1), u))
 
 
+@pytest.mark.parametrize("cfg", ORACLE_TOWERS, ids=str)
+def test_gm_character_matches_ratio_formula(cfg):
+    """(phi_i - p)(log x^(q-1))/(q - 1) against log(phi_i(x)/x^p) itself:
+    numerator, precision and den, at every precision and gamma, on units,
+    zeta-powers times units, zeta-powers and Teichmuller lifts."""
+    t = oracle_tower(cfg)
+    rng = random.Random(sum(cfg))
+    xs = []
+    for prec in range(1, t.K + 1):
+        u = t.random_unit(rng, prec)
+        xs += [u, t.zeta(prec) ** rng.randrange(t.e) * u]
+    xs += [t.zeta() ** j for j in range(t.e)]
+    xs += [t.teichmuller(t.from_int(a)) for a in range(1, t.p)]
+    for x in xs:
+        for gamma in range(3):
+            idx = FrobeniusIndex(gamma)
+            assert_same(gm_character_eval(t, idx, x),
+                        ratio_character(t, idx, x))
+
+
 def test_log_multiplies_grow_like_sqrt(monkeypatch):
     """Ring products inside the logarithm of one character value stay
     within 2 ceil(sqrt(N)) + 4 for its N terms: one per term would be N.
-    The products of x^p and of the inverse before it are not counted."""
+    The products of x^(q - 1) before it are not counted."""
     t = oracle_tower((7, 2, 3, 2, 30))
     calls, args = [], []
     mul, log1p = TowerElement.__mul__, characters._log1p

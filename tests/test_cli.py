@@ -258,17 +258,20 @@ class TestVerify:
         cat.write_text('[{"p": 5, "a4": 1}]')
         assert main(["verify", "crystalline", "--catalog", str(cat)]) == 2
 
-    def test_internal_value_error_propagates(self, monkeypatch):
-        """A bug is never reported as bad input (exit 2): neither an
-        exception outside FrobjetError nor a CertificateFailure."""
+    def test_internal_value_error_propagates(self, monkeypatch, capsys):
+        """A bug is never reported as bad input (exit 2) or as a failed
+        check (exit 1): an exception outside FrobjetError, or a
+        CertificateFailure, exits 3 with its traceback on stderr."""
         import frobjet.cli as cli
 
         for exc_type in (ValueError, CertificateFailure):
             def broken(args):
                 raise exc_type("internal bug")
             monkeypatch.setitem(cli._SUITE_FUNCS, "gm", broken)
-            with pytest.raises(exc_type, match="internal bug"):
-                main(["verify", "gm"])
+            assert main(["verify", "gm"]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("Traceback (most recent call last):")
+            assert f"{exc_type.__name__}: internal bug" in err
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -5,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from frobjet.errors import CertificateFailure, FamilyMismatch, MissingClass
-from frobjet.sertate import st_f_table
+from frobjet.sertate import PsiPoly, st_f_table
 from frobjet.symbols import (PMatrix, Symbol, gamma_matrix,
                              pmatrix_rank_minors, subset_det, subset_minors,
                              sym_eval, sym_mul)
@@ -205,6 +206,22 @@ def same_q(a, b):
                                                   b.den)
 
 
+def assert_minors_exact(rows, one):
+    """subset_minors against leibniz_det on every column set, with the
+    numerator, precision and den of each QElement minor."""
+    k, n = len(rows), len(rows[0])
+    got = subset_minors(rows, one)
+    assert len(got) == math.comb(n, k)
+    for cols in combinations(range(n), k):
+        d = got[sum(1 << j for j in cols)]
+        want = leibniz_det([[row[j] for j in cols] for row in rows])
+        if isinstance(d, QElement):
+            assert same_q(d, want), cols
+        else:
+            assert d.terms == want.terms, cols
+    return got
+
+
 def leibniz_minors(M, k):
     """Every k x k minor of a PMatrix by the Leibniz sum, keyed (rows, cols)."""
     return {(rows, cols): leibniz_det([[M.entries[i][j] for j in cols]
@@ -255,6 +272,55 @@ class TestMinorsAgainstLeibniz:
         for (_, cols), d in want.items():
             assert same_q(got[sum(1 << j for j in cols)], d), cols
         assert pmatrix_rank_minors(M, 6)[1] == oracle_reports(M, want)
+
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    @pytest.mark.parametrize("shape", [(6, 7), (4, 6), (3, 3)])
+    def test_zeros_at_several_dens_and_precs(self, tower, seed, shape):
+        """Half the entries zero, every entry at a den 0..3 and a precision
+        below K of its own."""
+        rng = random.Random(seed)
+
+        def entry():
+            prec = rng.randrange(1, tower.K)
+            num = (tower.zero(prec) if rng.random() < 0.5
+                   else tower.random_element(rng, prec))
+            return QElement(num, rng.randrange(4))
+        k, n = shape
+        assert_minors_exact([[entry() for _ in range(n)] for _ in range(k)],
+                            QElement(tower.one(), 0))
+
+    @pytest.mark.parametrize("zero_row", [0, 1])
+    def test_skipped_zero_raises_den(self, tower, zero_row):
+        rng = random.Random(8)
+        a, b, c = (QElement(tower.random_unit(rng), 0) for _ in range(3))
+        z = QElement(tower.zero(), 3)
+        rows = [[a, z], [b, c]] if zero_row == 0 else [[a, b], [z, c]]
+        got = assert_minors_exact(rows, QElement(tower.one(), 0))
+        assert got[0b11].den == 3
+
+    def test_skipped_zero_lowers_prec(self, tower):
+        rng = random.Random(9)
+        a, b, c = (QElement(tower.random_unit(rng), 1) for _ in range(3))
+        z = QElement(tower.zero(2), 0)
+        got = assert_minors_exact([[a, b], [z, c]], QElement(tower.one(), 0))
+        assert (got[0b11].num.prec, got[0b11].den) == (2, 2)
+
+    def test_mask_reached_only_through_zeros(self, tower):
+        rng = random.Random(10)
+        a, b = (QElement(tower.random_unit(rng), 0) for _ in range(2))
+        zeros = [QElement(tower.zero(prec), den)
+                 for prec, den in ((9, 1), (7, 0), (11, 3), (10, 3))]
+        rows = [[a, zeros[0], zeros[1]], [b, zeros[2], zeros[3]]]
+        got = assert_minors_exact(rows, QElement(tower.one(), 0))
+        assert got[0b110].is_zero()
+        assert (got[0b110].num.prec, got[0b110].den) == (7, 4)
+
+    def test_mask_reached_only_through_zeros_psipoly(self):
+        a, b, c = (PsiPoly.slot(("x", i, "")) for i in range(3))
+        zero = PsiPoly()
+        got = assert_minors_exact([[a, zero, zero], [b, zero, c]],
+                                  PsiPoly.const(1))
+        assert got[0b110].is_zero()
 
     def test_det_of_non_square_rejected(self, tower):
         rows = random_matrix(tower, random.Random(6), 2, 3)

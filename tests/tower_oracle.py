@@ -7,6 +7,8 @@ Paterson-Stockmeyer evaluation.  The multiply loops over every pair of
 entries, scaling by p where pi^(j1 + j2) wraps past pi^e, and reduces the
 zeta-rows k >= f through ``zred2``.  The logarithm multiplies by z once per
 term and stops at the first power that is zero mod p^prec.
+``ratio_character`` is ``characters.gm_character_eval`` as it ran before it
+dropped the inverse: the logarithm of the quotient phi_i(x)/x^p itself.
 ``zeta_tables`` builds ``zpow`` and ``zred2`` as ``Tower`` did before they
 came from ``polyutils.pdivmod_monic``: it multiplies by x mod g by hand,
 one power after the other.  They are kept here only so that the tests can
@@ -17,7 +19,8 @@ from __future__ import annotations
 
 from frobjet import polyutils as pu
 from frobjet.errors import CertificateFailure, LogDivergence
-from frobjet.tower import INF, QElement, TowerElement, valuation
+from frobjet.tower import (INF, QElement, TowerElement, frobenius_apply,
+                           n_of_pi_from, valuation)
 
 
 def schoolbook_mul(self, other):
@@ -95,6 +98,18 @@ def sequential_log1p(z: TowerElement) -> QElement:
             c = -c
         acc = acc + zn * c
     return QElement(acc, dmax)
+
+
+def ratio_character(tower, idx, x):
+    """psi_i(x) = p^N log(1 + (phi_i(x) - x^p) (x^p)^(-1)) for a unit x."""
+    p = tower.p
+    xp = x ** p
+    out = sequential_log1p((frobenius_apply(tower, idx, x) - xp)
+                           * xp.inverse())
+    N = n_of_pi_from(p, tower.e)
+    if N >= 0:
+        return QElement(out.num * p ** N, out.den)
+    return QElement(out.num, out.den - N)
 
 
 def zeta_tables(t):
