@@ -8,9 +8,10 @@ W(s) = 1 + a4 s^2 W^2 + a6 s^3 W^3 is solved by Newton iteration at half
 the length, on the lengths ceil(n / 2^j) of ``polyutils.newton_lengths``,
 so that the last step lands on n exactly.  The invariant differential
 dx/(2y) expands as (t w' - w)/(2w) dt, whose coefficient (W + s W')/W is
-a series in s = t^2 with leading coefficient 1.  The logarithm
-l(T) = sum b_m/m T^m stores only the integral numerators b_m, and is odd:
-b_m = 0 for every even m.
+a series in s = t^2 with leading coefficient 1; it is read off W and the
+W^2 and W^3 that W's certificate computes, with no further product (see
+``formal_log``).  The logarithm l(T) = sum b_m/m T^m stores only the
+integral numerators b_m, and is odd: b_m = 0 for every even m.
 
 The group law F(T1, T2) comes from the chord construction: the slope
 lambda = (w(t2) - w(t1))/(t2 - t1) is a polynomial identity (no division),
@@ -20,7 +21,11 @@ degree-3 coefficient ratio, and negation in this chart is t -> -t.
 Every series here runs on the one Kronecker product kernel of
 :mod:`frobjet.polyutils` (the logarithm needs degree p^2 * Nmax for the
 congruence checks).  A bivariate series of total degree <= D is packed by
-T1 -> X^(D+2), T2 -> X^(D+1) into a univariate list of length (D+1)^2.
+T1 -> X^(D+2), T2 -> X^(D+1) into a univariate list of length (D+1)^2,
+where the indices below (d+1)(D+1) hold exactly the degrees <= d (d <= D).
+A product of which only the degrees <= d can reach the result is cut
+there, and ``ser_mul`` skips the leading zeros of each operand, so a
+series that starts at degree d costs nothing below index d(D+1).
 
 The jet-side constructions evaluate phi_mu on the logarithm inside a
 truncated jet ring and read off character series; coefficients carry one
@@ -87,7 +92,8 @@ def _one_minus(x: list, y: list, c4: int, c6: int, n: int, mod: int) -> list:
 
 
 def _curve_w_half(curve: WeierstrassCurve, n: int, mod: int) -> tuple:
-    """(W, W^2) to length ``n`` >= 1, where W = 1 + a4 s^2 W^2 + a6 s^3 W^3.
+    """(W, W^2, W^3) to lengths n, n and max(n - 3, 0), for ``n`` >= 1,
+    where W = 1 + a4 s^2 W^2 + a6 s^3 W^3.
 
     Newton on G(W) = W - 1 - a4 s^2 W^2 - a6 s^3 W^3, lifting W from length
     m to the next of ``pu.newton_lengths(n)``, at most 2m.  V = 1/G'(W) is
@@ -95,12 +101,14 @@ def _curve_w_half(curve: WeierstrassCurve, n: int, mod: int) -> tuple:
     to length m, which is enough for the correction W -= V G(W) from m to
     m2 <= 2m because G(W) = O(s^m).  The certificate squares and cubes
     the returned W again, so it does not trust the products of the last
-    step that it checks.
+    step that it checks; those W^2 and W^3 are what ``formal_log`` reads
+    beside W.
     """
     a4, a6 = curve.a4 % mod, curve.a6 % mod
 
     def residual(W, lo, hi):
-        """(G(W) on the indices lo..hi-1, W^2 to length hi)."""
+        """(G(W) on the indices lo..hi-1, W^2 to length hi, W^3 to length
+        hi - 3)."""
         W2 = pu.ser_mul(W, W, mod, hi)
         W3 = pu.ser_mul(W2, W, mod, max(hi - 3, 0))
         G = W[lo:hi] + [0] * (hi - max(len(W), lo))
@@ -111,21 +119,21 @@ def _curve_w_half(curve: WeierstrassCurve, n: int, mod: int) -> tuple:
             for i, x in enumerate(X[start - shift:max(hi - shift, 0)],
                                   start - lo):
                 G[i] -= c * x
-        return [c % mod for c in G], W2
+        return [c % mod for c in G], W2, W3
 
     W, V, m = [1], [1], 1
     for m2 in pu.newton_lengths(n):
-        G, W2 = residual(W, m, m2)
+        G, W2, _ = residual(W, m, m2)
         h = len(V)  # E = G'V = 1 + O(s^h)
         E = pu.ser_mul(_one_minus(W, W2, 2 * a4, 3 * a6, m, mod), V, mod, m)
         V = V + pu.ser_mul(V, [(-c) % mod for c in E[h:]], mod, m - h)
         W = W + [(-c) % mod for c in pu.ser_mul(V, G, mod, m2 - m)]
         m = m2
-    G, W2 = residual(W, 0, n)
+    G, W2, W3 = residual(W, 0, n)
     if any(G):
         raise CertificateFailure(
             "Newton iteration for W(s) failed to converge")
-    return W, W2
+    return W, W2, W3
 
 
 def curve_w_series(curve: WeierstrassCurve, n: int, mod: int) -> list:
@@ -147,10 +155,17 @@ def formal_log(curve: WeierstrassCurve, D: int, prec: int) -> LogSeries:
     """Logarithm of the curve normalized so b_1 = 1 (omega = dx/2y).
 
     With s = t^2 and w = t^3 W(s), omega = (t w' - w)/(2w) dt is the even
-    series (W + s W')/W = (W + s W')(1 - a4 s^2 W - a6 s^3 W^2), the
-    inverse read off the equation for W.  So b_(2k+1) = omega_k and every
-    even b_m is 0.  Needs every 1/m for m <= D to stay within the
-    precision budget, so floor(log_p D) must be below ``prec``.
+    series (W + s W')/W, and b_(2k+1) = omega_k while every even b_m is 0.
+    The inverse is read off the equation for W: 1/W = 1 - a4 s^2 W -
+    a6 s^3 W^2 mod s^n, exact because the certificate of ``_curve_w_half``
+    has proved G(W) = 0 mod s^n.  Expanding (W + s W')/W with
+    W W' = (W^2)'/2 and W^2 W' = (W^3)'/3 leaves no product to take:
+
+        omega_k = (k + 1) W_k - (k/2) a4 W^2_(k-2) - (k/3) a6 W^3_(k-3),
+
+    with W^2 and W^3 the certificate's own, and 2 and 3 units as p >= 5.
+    Needs every 1/m for m <= D to stay within the precision budget, so
+    floor(log_p D) must be below ``prec``.
     """
     if D < 1:
         raise SeriesTooShort(f"logarithm needs degree D >= 1, got {D}")
@@ -161,11 +176,13 @@ def formal_log(curve: WeierstrassCurve, D: int, prec: int) -> LogSeries:
             f"denominators up to p^{dmax} do not fit in prec {prec}")
     mod = p ** prec
     n = (D + 1) // 2  # one omega_k per odd m <= D
-    W, W2 = _curve_w_half(curve, n, mod)
-    dsW = [((k + 1) * c) % mod for k, c in enumerate(W)]
+    W, W2, W3 = _curve_w_half(curve, n, mod)
+    inv6 = pu.modinv(6, mod)
+    h4, h6 = 3 * curve.a4 * inv6 % mod, 2 * curve.a6 * inv6 % mod  # a4/2, a6/3
     b = [0] * (D + 1)
-    b[1::2] = pu.ser_mul(dsW, _one_minus(W, W2, curve.a4, curve.a6, n, mod),
-                         mod, n)
+    b[1::2] = [((k + 1) * w - k * (h4 * x2 + h6 * x3)) % mod
+               for k, (w, x2, x3) in enumerate(zip(W, [0, 0] + W2,
+                                                   [0, 0, 0] + W3))]
     if b[1] != 1:
         raise CertificateFailure("logarithm does not start with T")
     return LogSeries(p, prec, b)
@@ -250,7 +267,9 @@ def formal_group_law(curve: WeierstrassCurve, D: int,
     A[0] = (A[0] + 1) % mod
     B = pu.ser_mul([(2 * curve.a4 * x + 3 * curve.a6 * y) % mod
                     for x, y in zip(lam, lam2)], nu, mod, n)
-    F = pu.ser_mul(B, pu.ser_inv(A, mod, n), mod, n)
+    # B has v leading zeros, so F = B/A reads 1/A only below n - v
+    v = next((i for i, x in enumerate(B) if x), n - 1)
+    F = pu.ser_mul(B, pu.ser_inv(A, mod, n - v), mod, n)
     # F = t1 + t2 + B/A, with t1 at index D + 2 and t2 at D + 1
     F[D + 2] = (F[D + 2] + 1) % mod
     F[D + 1] = (F[D + 1] + 1) % mod
@@ -279,6 +298,15 @@ def compose_log_with_law(log: LogSeries, law: FormalGroupLaw, D: int):
 
     Returns (dict, dmax); the homomorphism law holds iff every entry is
     divisible by p^dmax at the working precision.
+
+    l(F) runs by Horner in G = F^2 over pairs of coefficients, from the
+    top index k = D // 2 down: the product at step k is multiplied by G
+    another k - 1 times, and G = O(deg 2) since F = T1 + T2 + ..., so each
+    of those steps raises the total degree by at least 2.  Only the
+    degrees <= D - 2k + 2 of that product can land at degree <= D, so it
+    is cut at index (D - 2k + 3)(D + 1): the product shrinks with the
+    degree it can still reach, from 3(D + 1) or 4(D + 1) at the top step
+    to (D + 1)^2 at k = 1.
     """
     if D < 1:
         raise SeriesTooShort(f"log composition needs degree D >= 1, got {D}")
@@ -288,16 +316,16 @@ def compose_log_with_law(log: LogSeries, law: FormalGroupLaw, D: int):
     c = scaled_log_coefficients(log, D, dmax, mod)
     n = (D + 1) ** 2
     F = _pack({k: v % mod for k, v in law.coeffs.items() if sum(k) <= D}, D)
-    G = pu.Packed(pu.ser_mul(F, F, mod, n), mod, n)
-    # Horner in G = F^2 over pairs: sum_k (c_2k + c_(2k+1) F) G^k; the
-    # exact products are reduced by the next step
+    G = pu.ser_mul(F, F, mod, n)
+    # sum_k (c_2k + c_(2k+1) F) G^k; each product is as long as the next
+    # step's sum reads, the degrees <= D - 2(k - 1)
     c.append(0)  # c_(D+1), the odd half of the top pair when D is even
-    acc = [0] * n
+    acc = [0] * ((D % 2 + 1) * (D + 1))
     for k in range(D // 2, -1, -1):
         acc = [(a + c[2 * k + 1] * x) % mod for a, x in zip(acc, F)]
         acc[0] = (acc[0] + c[2 * k]) % mod
         if k:
-            acc = pu.packed_mul(pu.Packed(acc, mod, n), G, n)
+            acc = pu.ser_mul(acc, G, mod, (D - 2 * k + 3) * (D + 1))
     for m in range(1, D + 1):
         for k in (m * (D + 2), m * (D + 1)):
             acc[k] = (acc[k] - c[m]) % mod

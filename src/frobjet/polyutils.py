@@ -380,23 +380,39 @@ def fixed_mul(a: list, y: Packed, n: int) -> list:
 
 
 def ser_mul(a: list, b: list, mod: int, n: int) -> list:
-    """Truncated product of dense coefficient lists modulo ``mod``; a
-    square (``a is b``) stays one list through the cut, so it packs once."""
-    square = a is b
-    a = a[:n]
-    b = a if square else b[:n]
-    if not a or not b:
+    """Truncated product of dense coefficient lists modulo ``mod``: its
+    min(len a + len b - 1, n) entries, reduced.  The leading entries of
+    each operand that are 0 mod ``mod``, za and zb of them, come back as
+    the product's first za + zb zeros without being multiplied, and each
+    operand is cut to what the rest of the product reads; a square
+    (``a is b``) stays one list through the cuts, so it packs once."""
+    size = min(len(a) + len(b) - 1, n)
+    if size <= 0 or not a or not b:
         return []
+    square = a is b
+    za, top = 0, min(len(a), size)
+    while za < top and a[za] % mod == 0:
+        za += 1
+    zb = za
+    if not square:
+        zb, top = 0, min(len(b), size - za)
+        while zb < top and b[zb] % mod == 0:
+            zb += 1
+    z = za + zb
+    a = a[za:size - zb]
+    b = a if square else b[zb:size - za]
+    if not a or not b:
+        return [0] * size
     if min(len(a), len(b)) < KRONECKER_MIN_TERMS:
-        out = [0] * min(len(a) + len(b) - 1, n)
-        for i, c in enumerate(a):
+        out = [0] * size
+        for i, c in enumerate(a, z):
             if c == 0:
                 continue
-            top = min(len(b), n - i)
-            for j in range(top):
+            for j in range(min(len(b), size - i)):
                 out[i + j] = (out[i + j] + c * b[j]) % mod
         return out
-    return [c % mod for c in kron_mul(a, b, mod, n)]
+    out = [c % mod for c in kron_mul(a, b, mod, size - z)]
+    return [0] * z + out if z else out
 
 
 def fadic_expand(nums: list, f: list, n: int, mod: int) -> list:

@@ -11,6 +11,10 @@ by ``(i, j)``, multiplied term by term with total degree capped at ``D``.
 It is slow and is kept here only so the tests can compare
 ``formal_group_law`` and ``compose_log_with_law`` against it key by key.
 
+``log_numerators`` writes the logarithm down in closed form, with neither
+Newton nor a series product: the route of the tests to ``formal_log`` that
+shares no code with it.
+
 ``exp_series`` reverts the logarithm over exact Fractions, an independent
 route to the group law at small degree.
 """
@@ -18,6 +22,7 @@ route to the group law at small degree.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from frobjet import polyutils as pu
 from frobjet.errors import (CertificateFailure, FamilyMismatch,
@@ -97,6 +102,27 @@ def formal_log(curve: WeierstrassCurve, D: int, prec: int) -> LogSeries:
     if b[1] != 1:
         raise CertificateFailure("logarithm does not start with T")
     return LogSeries(p, prec, b)
+
+
+def log_numerators(curve: WeierstrassCurve, D: int, mod: int) -> list:
+    """[0, b_1, ..., b_D] of ``formal_log`` mod ``mod``, from the closed form.
+
+    In the chart t = -x/y, omega = dx/2y = sum_m [x^(2m)] f(x)^m t^(2m) dt
+    for f = x^3 + a4 x + a6, so b_(2m+1) = [x^(2m)] f^m: the terms
+    x^(3i) (a4 x)^j a6^k of f^m with i + j + k = m and 3i + j = 2m, that is
+    2j + 3k = m and i = j + 2k, each with its multinomial coefficient.
+    Every even b_m is 0.
+    """
+    b = [0] * (D + 1)
+    for m in range((D + 1) // 2):
+        total = 0
+        for k in range(m % 2, m // 3 + 1, 2):  # j = (m - 3k)/2 whole
+            j = (m - 3 * k) // 2
+            total += (factorial(m) // (factorial(j + 2 * k) * factorial(j)
+                                       * factorial(k))
+                      * curve.a4 ** j * curve.a6 ** k)
+        b[2 * m + 1] = total % mod
+    return b
 
 
 def log_coefficients_exact(log: LogSeries, D: int) -> list:

@@ -148,28 +148,51 @@ class TestGroupLaw:
                 assert (compose_log_with_law(log, law, Dc)
                         == formal_oracle.compose_log_with_law(log, law, Dc))
 
-    def test_compose_packs_square_once(self, monkeypatch):
-        """At D = 24 the Horner loop multiplies by G = F^2 packed once: F is
-        packed once for its square, G once and the accumulator at each of
-        the 12 steps, 14 lists in all."""
-        log, law = formal_log(C7, 26, 10), formal_group_law(C7, 24, 10)
-        mod, n = 7 ** log.prec, 25 ** 2
-        F = formal._pack({k: v % mod for k, v in law.coeffs.items()
-                          if sum(k) <= 24}, 24)
-        G = pu.ser_mul(F, F, mod, n)
-        packed = []
+    @pytest.mark.parametrize("D", [1, 2, 3, 24, 25])
+    def test_compose_horner_shrinks_with_degree(self, monkeypatch, D):
+        """G = F^2 is taken at n = (D + 1)^2; the product of the Horner
+        step at index k, which G multiplies k - 1 more times, asks only for
+        its degrees <= D - 2k + 2, the (D - 2k + 3)(D + 1) coefficients
+        below; the result is the dict oracle's.  An odd D is where a
+        curve's odd law and log have terms at that top degree."""
+        log, law = formal_log(C7, 26, 10), formal_group_law(C7, D, 10)
+        asked, ser_mul = [], pu.ser_mul
 
-        class Counting(pu.Packed):
-            def __init__(self, a, mod, bound):
-                packed.append(list(a))
-                super().__init__(a, mod, bound)
+        def recording(a, b, mod, n):
+            asked.append(n)
+            return ser_mul(a, b, mod, n)
 
-        monkeypatch.setattr(pu, "Packed", Counting)
-        got = compose_log_with_law(log, law, 24)
-        assert len(packed) == 14
-        assert packed.count(F) == packed.count(G) == 1
+        monkeypatch.setattr(pu, "ser_mul", recording)
+        got = compose_log_with_law(log, law, D)
         monkeypatch.undo()
-        assert got == formal_oracle.compose_log_with_law(log, law, 24)
+        assert asked == [(D + 1) ** 2] + [(D - 2 * k + 3) * (D + 1)
+                                          for k in range(D // 2, 0, -1)]
+        assert got == formal_oracle.compose_log_with_law(log, law, D)
+
+    @pytest.mark.parametrize("curve", [C7, WeierstrassCurve(7, 0, 1)],
+                             ids=lambda c: f"a4={c.a4}")
+    @pytest.mark.parametrize("D", [1, 4, 5, 6, 7, 24])
+    def test_group_law_inverts_a_to_what_b_reads(self, monkeypatch, curve,
+                                                 D):
+        """B = (2 a4 lambda + 3 a6 lambda^2) nu starts at T1 T2^4 (T1 T2^6
+        when a4 = 0), index v = 5(D + 1) + 1 (7(D + 1) + 1), so 1/A is
+        taken to n - v; a B that is 0 below degree D + 1 still takes 1/A
+        to length 1.  The law is the dict oracle's."""
+        low = 5 if curve.a4 else 7
+        n = (D + 1) ** 2
+        v = low * (D + 1) + 1 if D >= low else n - 1
+        lengths, ser_inv = [], pu.ser_inv
+
+        def recording(a, mod, k):
+            lengths.append(k)
+            return ser_inv(a, mod, k)
+
+        monkeypatch.setattr(pu, "ser_inv", recording)
+        law = formal_group_law(curve, D, 10)
+        monkeypatch.undo()
+        assert lengths == [n - v]
+        assert law.coeffs == formal_oracle.formal_group_law(
+            curve, D, 10).coeffs
 
     @pytest.mark.parametrize("D", [1, 3, 8])
     def test_multiplicative_matches_dict_oracle(self, D):
@@ -336,6 +359,20 @@ class TestFormalLog:
         mod = curve.p ** 8
         assert (curve_w_series(curve, 253, mod)
                 == formal_oracle.curve_w_series(curve, 253, mod))
+
+    @pytest.mark.parametrize("curve", ORACLE_CURVES, ids=lambda c: c.label)
+    def test_matches_closed_form(self, curve):
+        """Against b_(2m+1) = sum_{2j+3k=m} m!/((j+2k)! j! k!) a4^j a6^k,
+        which takes neither Newton nor a series product: every degree up
+        to 40, and the degrees whose half length n = (D + 1) // 2 is a
+        length of newton_lengths(200) or one off it, up to D = 401; a4 = 0
+        and a6 = 0 included, at precision 10 (p = 11 is the benchmark's)."""
+        mod = curve.p ** 10
+        want = formal_oracle.log_numerators(curve, 401, mod)
+        edges = {2 * m + e for m in pu.newton_lengths(200)
+                 for e in (-3, -1, 1)}
+        for D in sorted(set(range(1, 41)) | edges):
+            assert formal_log(curve, D, 10).b == want[:D + 1]
 
     @pytest.mark.parametrize("curve", ORACLE_CURVES, ids=lambda c: c.label)
     def test_odd_coefficients_are_constant_terms(self, curve):

@@ -164,6 +164,78 @@ def test_ser_mul_square_packs_once(monkeypatch, length):
     assert calls == [length, length] and CountingInt.log == [False, False]
 
 
+def zero_led(rng, zeros, length):
+    """``length`` entries: the first ``zeros`` are 0 mod MOD (0, +-MOD or
+    2 MOD), the next is not, the rest are any integers."""
+    head = [rng.choice([0, MOD, -MOD, 2 * MOD]) for _ in range(zeros)]
+    tail = [rng.randrange(1, MOD) + rng.choice([0, MOD, -MOD])]
+    tail += [rng.randrange(-MOD, 2 * MOD) for _ in range(length - zeros - 1)]
+    return (head + tail)[:length]
+
+
+KMIN = pu.KRONECKER_MIN_TERMS
+
+
+@pytest.mark.parametrize("la, lb", [
+    (KMIN - 1, KMIN - 1), (KMIN, KMIN), (KMIN + 1, 40), (KS2 - 1, KS2),
+    (KS2, KS2), (KS2 + 1, 3 * KS2), (3 * KS2, KMIN), (100, 100)])
+@pytest.mark.parametrize("za, zb", [
+    (1, 0), (0, 3), (2, 5), ("half", 0), (0, "half"), ("half", "half"),
+    ("last", "last"), ("all", 0), (0, "all"), ("all", "all")])
+def test_ser_mul_skips_leading_zeros(la, lb, za, zb):
+    """Leading entries 0 mod MOD in one operand, in both, and in all of
+    them, with the cut operands on both sides of KRONECKER_MIN_TERMS and
+    KS2_MIN_TERMS: the product against the one-point oracle, for n below,
+    at and past the zeros' reach za + zb and the full length."""
+    def count(z, length):
+        return {"half": length // 2, "last": length - 1,
+                "all": length}.get(z, z)
+
+    za, zb = count(za, la), count(zb, lb)
+    rng = random.Random(la * 10 ** 6 + lb * 10 ** 3 + za * 10 + zb)
+    a, b = zero_led(rng, za, la), zero_led(rng, zb, lb)
+    full = la + lb - 1
+    for n in sorted({0, 1, za + zb - 1, za + zb, za + zb + 1, full // 2,
+                     full - 1, full, full + 5}):
+        want = [c % MOD for c in kron_mul_one_point(a, b, MOD, n)]
+        assert len(want) == max(min(full, n), 0)
+        assert pu.ser_mul(a, b, MOD, n) == want
+        assert pu.ser_mul(a, a, MOD, n) == [
+            c % MOD for c in kron_mul_one_point(a, a, MOD, n)]
+
+
+@pytest.mark.parametrize("za, zb", [(5, 5), (10, 3), (0, 7)])
+def test_ser_mul_packs_only_past_the_zeros(monkeypatch, za, zb):
+    """Each operand is packed from its first entry that is not 0 mod MOD
+    up to what the kept product reads, a square ``a is b`` once, with two
+    squarings, and one ``ser_mul`` call makes no other."""
+    calls, packed = [], []
+    mul = pu.ser_mul
+
+    class Counting(pu.Packed):
+        def __init__(self, a, mod, bound):
+            super().__init__(a, mod, bound)
+            packed.append(len(a))
+            self.big, self.minus = CountingInt(self.big), CountingInt(
+                self.minus)
+
+    monkeypatch.setattr(pu, "Packed", Counting)
+    monkeypatch.setattr(CountingInt, "log", [])
+    monkeypatch.setattr(pu, "ser_mul",
+                        lambda *args: calls.append(1) or mul(*args))
+    rng = random.Random(za * 100 + zb)
+    length = 3 * KS2
+    a, b = zero_led(rng, za, length), zero_led(rng, zb, length)
+    n = 2 * length - 8
+    assert pu.ser_mul(a, a, MOD, n) == double_loop(a, a, MOD, n)
+    assert packed == [min(length, n - za) - za]
+    assert CountingInt.log == [True, True]
+    del packed[:], CountingInt.log[:]
+    assert pu.ser_mul(a, b, MOD, n) == double_loop(a, b, MOD, n)
+    assert packed == [min(length, n - zb) - za, min(length, n - za) - zb]
+    assert CountingInt.log == [False, False] and len(calls) == 2
+
+
 @pytest.mark.parametrize("bound", [3, KS2])
 def test_packed_mul_zero_operand_multiplies_nothing(monkeypatch, bound):
     """A list of residues that are all 0 gives zeros of the product's
