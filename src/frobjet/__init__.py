@@ -12,13 +12,12 @@ __version__ = "0.1.0"
 from .errors import FrobjetError
 from .tower import (FrobeniusIndex, QElement, Tower, TowerConfig,
                     TowerElement, build_tower, frobenius_apply,
-                    frobenius_word_apply, n_of_pi, pi_derivation, valuation)
-from .words import (Weight, check_monomial_independence, cocycle_weight,
-                    lambda_pow, words_up_to)
+                    frobenius_word_apply, pi_derivation, valuation)
+from .words import check_monomial_independence, words_up_to
 
 __all__ = [
     "FrobjetError", "FrobeniusIndex", "QElement", "Tower", "TowerConfig",
-    "TowerElement", "Weight", "build_tower", "check_monomial_independence",
-    "cocycle_weight", "frobenius_apply", "frobenius_word_apply", "lambda_pow",
-    "n_of_pi", "pi_derivation", "valuation", "words_up_to", "__version__",
+    "TowerElement", "build_tower", "check_monomial_independence",
+    "frobenius_apply", "frobenius_word_apply", "pi_derivation", "valuation",
+    "words_up_to", "__version__",
 ]

@@ -37,7 +37,7 @@ from .sertate import (load_relation_catalog, st_f_table,
                       verify_all_identities, verify_identity)
 from .symbols import Symbol, gamma_matrix, pmatrix_rank_minors, sym_eval
 from .tower import (INF, FrobeniusIndex, QElement, Tower, TowerConfig,
-                    build_tower, frobenius_apply, n_of_pi, n_of_pi_from)
+                    build_tower, frobenius_apply, n_of_pi_from)
 from .words import check_monomial_independence
 
 
@@ -82,7 +82,7 @@ def cmd_tower_info(args) -> dict:
         "command": "tower-info",
         "config": {"p": cfg.p, "l": cfg.l, "m": cfg.m, "f": cfg.f, "K": cfg.K},
         "pi_minimal_polynomial": f"x^{tower.e} - {tower.p}",
-        "pole_bound_N": n_of_pi(tower),
+        "pole_bound_N": n_of_pi_from(tower.p, tower.e),
         "frobenius_table": table,
         "independence": {"gammas": list(gammas), "order": args.indep_order,
                          "independent": ok, "witness": witness},
@@ -412,14 +412,17 @@ _FLAGS = {
 TOWER_INFO_FLAGS = ("--config", "--precision", "--p", "--l", "--m", "--f",
                     "--gammas", "--indep-order")
 
-SUITE_FLAGS = {
-    "st-identities": (),
-    "asd": ("--catalog", "--curve", "--precision", "--mu", "--nu", "--nmax"),
-    "gamma": ("--config", "--precision", "--beta", "--threshold"),
-    "pairing": ("--seed", "--precision"),
-    "gm": ("--seed", "--precision"),
-    "strassman": ("--seed",),
-    "crystalline": ("--catalog", "--precision"),
+# suite name -> (function, the flags it reads)
+SUITES = {
+    "st-identities": (suite_st_identities, ()),
+    "asd": (suite_asd, ("--catalog", "--curve", "--precision", "--mu",
+                        "--nu", "--nmax")),
+    "gamma": (suite_gamma, ("--config", "--precision", "--beta",
+                            "--threshold")),
+    "pairing": (suite_pairing, ("--seed", "--precision")),
+    "gm": (suite_gm, ("--seed", "--precision")),
+    "strassman": (suite_strassman, ("--seed",)),
+    "crystalline": (suite_crystalline, ("--catalog", "--precision")),
 }
 
 
@@ -433,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(ti, TOWER_INFO_FLAGS)
     vf = sub.add_parser("verify", help="run a verification suite")
     suites = vf.add_subparsers(dest="suite", required=True)
-    for name, flags in SUITE_FLAGS.items():
+    for name, (_, flags) in SUITES.items():
         _add_flags(suites.add_parser(name), flags)
     return ap
 
@@ -443,24 +446,13 @@ def _add_flags(parser, names):
         parser.add_argument(name, **_FLAGS[name])
 
 
-_SUITE_FUNCS = {
-    "st-identities": suite_st_identities,
-    "asd": suite_asd,
-    "gamma": suite_gamma,
-    "pairing": suite_pairing,
-    "gm": suite_gm,
-    "strassman": suite_strassman,
-    "crystalline": suite_crystalline,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "tower-info":
             report = cmd_tower_info(args)
         else:
-            report = _SUITE_FUNCS[args.suite](args)
+            report = SUITES[args.suite][0](args)
     except CertificateFailure:
         traceback.print_exc()
         return 3

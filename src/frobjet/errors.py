@@ -34,10 +34,6 @@ class NotAUnit(FrobjetError, ValueError):
     """Element with nonzero valuation used where a unit is required."""
 
 
-class EmptyWord(FrobjetError, ValueError):
-    """The empty word is not allowed here."""
-
-
 class FamilyMismatch(FrobjetError, ValueError):
     """Operands belong to different towers or Frobenius families."""
 

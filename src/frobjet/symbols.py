@@ -56,10 +56,6 @@ class Symbol:
     def scalar(cls, tower, gammas, c) -> "Symbol":
         return cls(tower, gammas, {(): c})
 
-    @classmethod
-    def letter(cls, tower, gammas, i: int) -> "Symbol":
-        return cls(tower, gammas, {(i,): QElement(tower.one(), 0)})
-
     def __add__(self, other):
         self._check(other)
         t = dict(self.terms)

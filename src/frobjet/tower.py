@@ -532,12 +532,9 @@ def check_beta(tower: Tower, beta: TowerElement):
         raise BetaTooLarge(f"need v > 1/(p-1) = 1/{tower.p - 1}, got {v}")
 
 
-def n_of_pi(tower: Tower) -> int:
-    """Smallest integer N with v_p(pi^n / n) >= -N for all n >= 1."""
-    return n_of_pi_from(tower.p, tower.e)
-
-
 def n_of_pi_from(p: int, e: int) -> int:
+    """Smallest integer N with v_p(pi^n / n) >= -N for all n >= 1, where
+    pi^e = p."""
     best = None
     k = 0
     while True:

@@ -5,6 +5,9 @@ image of a variable power was cut to the terms of degree at most D: it
 builds every binomial term C(e, j) pi^j of (T^p + pi delta T)^e and drops
 those above D only where it uses them.  It is kept here only so that the
 tests can compare the fast path against it.
+
+``remainder_pi_power`` is the pi-power of the prolongation remainder
+identity phi_mu T = pi^w(mu) * delta_mu T + (lower order).
 """
 
 from __future__ import annotations
@@ -13,6 +16,14 @@ import math
 
 from frobjet.errors import FamilyMismatch, OrderOverflow
 from frobjet.jets import SeriesRing, SparseSeries, _degree, _mono_mul
+from frobjet.tower import Tower, TowerElement, frobenius_word_apply
+
+
+def remainder_pi_power(tower: Tower, gammas, mu: tuple) -> TowerElement:
+    """pi^w(mu) = prod over the proper prefixes nu of mu of phi_nu(pi),
+    the empty prefix included: pi * phi_(i1)(pi) * ... for mu = i1 i2 ..."""
+    return math.prod((frobenius_word_apply(tower, gammas, mu[:k], tower.pi())
+                      for k in range(len(mu))), start=tower.one())
 
 
 def full_phi_endomorphism(ring: SeriesRing, i: int, F: SparseSeries

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from frobjet.cli import SUITE_FLAGS, TOWER_INFO_FLAGS, main
+from frobjet.cli import SUITES, TOWER_INFO_FLAGS, main
 from frobjet.config import (load_curve_catalog, parse_keyvalue,
                             tower_config_from_text)
 from frobjet.errors import CertificateFailure
@@ -100,7 +100,7 @@ def test_config_file_precision(command, extra, K, tmp_path):
 
 
 PRECISION_COMMANDS = [["tower-info"]] + [
-    ["verify", suite] for suite, flags in SUITE_FLAGS.items()
+    ["verify", suite] for suite, (_, flags) in SUITES.items()
     if "--precision" in flags]
 
 
@@ -155,12 +155,10 @@ class TestVerify:
         assert main(["verify", "strassman", "--out", str(out)]) == 0
 
     def test_failing_suite_exit_code(self, tmp_path, monkeypatch):
-        import frobjet.cli as cli
-
         def broken(args):
             return {"suite": "gm", "checks": [
                 {"name": "x", "pass": False, "detail": {}}], "pass": False}
-        monkeypatch.setitem(cli._SUITE_FUNCS, "gm", broken)
+        monkeypatch.setitem(SUITES, "gm", (broken, SUITES["gm"][1]))
         assert main(["verify", "gm"]) == 1
 
     def test_unknown_curve_exit_code(self, capsys):
@@ -262,12 +260,10 @@ class TestVerify:
         """A bug is never reported as bad input (exit 2) or as a failed
         check (exit 1): an exception outside FrobjetError, or a
         CertificateFailure, exits 3 with its traceback on stderr."""
-        import frobjet.cli as cli
-
         for exc_type in (ValueError, CertificateFailure):
             def broken(args):
                 raise exc_type("internal bug")
-            monkeypatch.setitem(cli._SUITE_FUNCS, "gm", broken)
+            monkeypatch.setitem(SUITES, "gm", (broken, SUITES["gm"][1]))
             assert main(["verify", "gm"]) == 3
             err = capsys.readouterr().err
             assert err.startswith("Traceback (most recent call last):")
@@ -283,7 +279,7 @@ VERIFY_FLAGS = {"--config": "x.cfg", "--seed": "1", "--precision": "9",
                 "--curve": "5a-generic", "--catalog": "x.json", "--mu": "1",
                 "--nu": "2", "--nmax": "3", "--beta": "p", "--threshold": "4"}
 UNREAD = sorted(
-    [(("verify", suite), flag) for suite, read in SUITE_FLAGS.items()
+    [(("verify", suite), flag) for suite, (_, read) in SUITES.items()
      for flag in VERIFY_FLAGS if flag not in read]
     + [(("tower-info",), flag) for flag in VERIFY_FLAGS
        if flag not in TOWER_INFO_FLAGS])
@@ -319,6 +315,6 @@ def test_each_subcommand_declares_exactly_what_it_reads():
     def declared(flags):
         return {f[2:].replace("-", "_") for f in flags}
 
-    for suite, fn in cli._SUITE_FUNCS.items():
-        assert read(fn) == declared(cli.SUITE_FLAGS[suite]), suite
+    for suite, (fn, flags) in SUITES.items():
+        assert read(fn) == declared(flags), suite
     assert read(cli.cmd_tower_info) == declared(TOWER_INFO_FLAGS)

@@ -12,9 +12,7 @@ from frobjet.jets import (JetElement, JetRing, JetRingConfig, delta_operator,
 from frobjet.sertate import STRing, STSeries
 from frobjet.tower import (FrobeniusIndex, TowerConfig, TowerElement,
                            build_tower, frobenius_word_apply, pi_derivation)
-from frobjet.words import cocycle_weight, lambda_pow
-
-from jets_oracle import full_phi_endomorphism
+from jets_oracle import full_phi_endomorphism, remainder_pi_power
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +161,7 @@ class TestRemainderIdentity:
         # phi_mu T - pi^w(mu) delta_mu T involves only lower-order jets
         t = ring.tower
         for mu in ((1,), (2,), (1, 2), (2, 1), (1, 1), (2, 2)):
-            piw = lambda_pow(t.pi(), cocycle_weight(mu), t, (0, 1))
+            piw = remainder_pi_power(t, (0, 1), mu)
             G = phi_word(ring, mu, ring.T()) - ring.delta_var(mu).scale(piw)
             top = len(mu)
             for mono in G.terms:
@@ -178,7 +176,7 @@ class TestRemainderIdentity:
         t = ring.tower
         rng = random.Random(14)
         mu = (1, 2)
-        piw = lambda_pow(t.pi(), cocycle_weight(mu), t, (0, 1))
+        piw = remainder_pi_power(t, (0, 1), mu)
         G = phi_word(ring, mu, ring.T()) - ring.delta_var(mu).scale(piw)
 
         def eval_with_assignment(F, assignment):

@@ -32,9 +32,12 @@ uses.
 
 Every function and method of ``src/frobjet`` has a reader outside ``tests/``:
 its name is read somewhere in ``src/frobjet`` or ``perfbench`` other than
-its own body.  The rule works by name, so a name read on any object counts.
-What only tests read stands in ``READ_BY_TESTS`` with the reason it stays;
-that list names exactly the unread definitions, no more.
+its own body.  The rule works by name, so a name read on any object counts;
+a method counts as read only through an attribute (``x.name``), never
+through a bare local of the same name.  ``__init__.py`` reads nothing: a
+re-export makes a name importable, not read.  What only tests read stands
+in ``READ_BY_TESTS`` with the reason it stays; that list names exactly the
+unread definitions, no more.
 
 Likewise every parameter with a default is set by some call in
 ``src/frobjet`` or ``perfbench``, by keyword or by position (a starred
@@ -49,6 +52,7 @@ from pathlib import Path
 
 import pytest
 
+import frobjet
 from frobjet.cli import _FLAGS
 
 FLOAT_MATH = {"log", "log2", "log10", "sqrt", "exp"}
@@ -445,45 +449,57 @@ READ_BY_TESTS = {
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def definitions(tree: ast.AST, prefix: str = "") -> list:
-    """(qualified name, node) of every function and method in ``tree``; a
-    nested definition is named through its class or function."""
+def definitions(tree: ast.AST, prefix: str = "",
+                in_class: bool = False) -> list:
+    """(qualified name, node, read as) of every function and method in
+    ``tree``; a nested definition is named through its class or function.
+    A function is read as its name, a method as ``.name``: only through an
+    attribute."""
     found = []
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, FUNCTIONS):
-            found.append((prefix + node.name, node))
+            found.append((prefix + node.name, node,
+                          "." * in_class + node.name))
         inner = (prefix + node.name + "."
                  if isinstance(node, (*FUNCTIONS, ast.ClassDef)) else prefix)
-        found.extend(definitions(node, inner))
+        found.extend(definitions(
+            node, inner, isinstance(node, ast.ClassDef)
+            or in_class and not isinstance(node, FUNCTIONS)))
     return found
 
 
 def names_read(tree: ast.AST) -> Counter:
     """How often each name is read: as a name, as an attribute, or in a
-    ``from ... import``."""
+    ``from ... import``.  A read as an attribute also counts as ``.name``."""
     counts = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             counts[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            counts[node.attr] += 1
+            counts.update((node.attr, "." + node.attr))
         elif isinstance(node, ast.ImportFrom):
             counts.update(a.name for a in node.names)
     return counts
+
+
+def package_reads(trees: dict) -> Counter:
+    """The reads of ``trees`` (path -> tree), ``__init__.py`` aside."""
+    return sum((names_read(tree) for path, tree in trees.items()
+                if path.name != "__init__.py"), Counter())
 
 
 def unread_definitions(tree: ast.AST, reads: Counter) -> list:
     """Qualified names of the functions and methods in ``tree``, dunders
     aside, that ``reads`` (which counts ``tree`` too) reads only inside
     their own body."""
-    return [name for name, node in definitions(tree)
+    return [name for name, node, key in definitions(tree)
             if not (node.name.startswith("__") and node.name.endswith("__"))
-            and reads[node.name] == names_read(node)[node.name]]
+            and reads[key] == names_read(node)[key]]
 
 
 PROGRAM_TREES = {path: ast.parse(path.read_text(), str(path))
                  for path in PROGRAM}
-PROGRAM_READS = sum(map(names_read, PROGRAM_TREES.values()), Counter())
+PROGRAM_READS = package_reads(PROGRAM_TREES)
 
 
 def unread_in_program() -> set:
@@ -503,15 +519,28 @@ def test_every_definition_has_a_reader():
 def test_read_by_tests_is_exact():
     """Each entry is still defined, and still read by nothing but tests."""
     defined = {(path.stem, name) for path in SOURCES
-               for name, _ in definitions(PROGRAM_TREES[path])}
+               for name, _, _ in definitions(PROGRAM_TREES[path])}
     assert sorted(set(READ_BY_TESTS) - defined) == []
     assert sorted(set(READ_BY_TESTS) - unread_in_program()) == []
 
 
-def unread(snippet: str, *readers: str) -> list:
+def test_package_exports_resolve():
+    """``frobjet.__all__`` names each export once, and each one exists."""
+    assert len(set(frobjet.__all__)) == len(frobjet.__all__)
+    assert [name for name in frobjet.__all__
+            if not hasattr(frobjet, name)] == []
+
+
+def unread(snippet: str, *readers) -> list:
+    """The unread definitions of ``snippet``, read by itself and by
+    ``readers``: each a source, or a (file name, source) pair."""
     tree = ast.parse(snippet)
-    reads = sum((names_read(ast.parse(r)) for r in readers), names_read(tree))
-    return unread_definitions(tree, reads)
+    trees = {Path("snippet.py"): tree}
+    for i, reader in enumerate(readers):
+        name, source = (reader if isinstance(reader, tuple)
+                        else (f"reader{i}.py", reader))
+        trees[Path(name)] = ast.parse(source)
+    return unread_definitions(tree, package_reads(trees))
 
 
 @pytest.mark.parametrize("snippet,names", [
@@ -523,10 +552,16 @@ def unread(snippet: str, *readers: str) -> list:
      "    @property\n    def size(self):\n        pass",
      ["A.make", "A.size"]),
     ("def f():\n    def g():\n        pass\n    return 1", ["f", "f.g"]),
-    ("if X:\n    def f():\n        pass", ["f"])],
+    ("if X:\n    def f():\n        pass", ["f"]),
+    ("class A:\n    def letter(self):\n        pass\n"
+     "for letter in word:\n    x = letter", ["A.letter"]),
+    pytest.param(("def f():\n    pass",
+                  ("__init__.py", "from .snippet import f\n__all__ = ['f']")),
+                 ["f"], id="read only by an __init__ re-export")],
     ids=lambda v: ",".join(v) if isinstance(v, list) else None)
 def test_unread_rule_catches(snippet, names):
-    assert unread(snippet) == names
+    snippet, *readers = snippet if isinstance(snippet, tuple) else (snippet,)
+    assert unread(snippet, *readers) == names
 
 
 def test_unread_rule_allows_reads_and_dunders():

@@ -44,14 +44,14 @@ def sym_equal(a, b):
 
 class TestSymMul:
     def test_phi1_commutes_with_pi(self, tower):
-        s1 = Symbol.letter(tower, GAMMAS, 1)
+        s1 = Symbol(tower, GAMMAS, {(1,): tower.one()})
         s2 = Symbol.scalar(tower, GAMMAS, tower.pi())
         got = sym_mul(s1, s2)
         # gamma_1 = 0 fixes pi
         assert got.coefficient((1,)).num == tower.pi()
 
     def test_phi2_twists_pi(self, tower):
-        s1 = Symbol.letter(tower, GAMMAS, 2)
+        s1 = Symbol(tower, GAMMAS, {(2,): tower.one()})
         s2 = Symbol.scalar(tower, GAMMAS, tower.pi())
         got = sym_mul(s1, s2)
         assert got.coefficient((2,)).num == tower.zeta() * tower.pi()
@@ -81,9 +81,9 @@ class TestSymMul:
                              sym_mul(a, sym_mul(b, c)))
 
     def test_family_mismatch(self, tower):
-        other = Symbol.letter(tower, (0, 2), 1)
+        other = Symbol(tower, (0, 2), {(1,): tower.one()})
         with pytest.raises(FamilyMismatch):
-            sym_mul(Symbol.letter(tower, GAMMAS, 1), other)
+            sym_mul(Symbol(tower, GAMMAS, {(1,): tower.one()}), other)
 
 
 class TestSymEval:

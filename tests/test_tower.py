@@ -13,7 +13,7 @@ from frobjet.errors import (CertificateFailure, FamilyMismatch, NotAUnit,
                             PrecisionTooLow, UnreducedCoefficients)
 from frobjet.tower import (INF, FrobeniusIndex, QElement, TowerConfig,
                            TowerElement, apply_automorphism, build_tower,
-                           frobenius_apply, frobenius_word_apply, n_of_pi,
+                           frobenius_apply, frobenius_word_apply,
                            n_of_pi_from, pi_derivation, pi_valuation,
                            valuation, word_exponents_for)
 from frobjet.words import check_monomial_independence
@@ -420,7 +420,8 @@ class TestNOfPi:
         assert n_of_pi_from(11, 2) == 0
 
     def test_tower_method(self, t7):
-        assert n_of_pi(t7) == 0  # e = 2: v_p(pi) = 1/2 forces N = 0
+        # the bound tower-info reports; e = 2: v_p(pi) = 1/2 forces N = 0
+        assert n_of_pi_from(t7.p, t7.e) == 0
 
     def test_brute_force_agreement(self):
         # oracle: scan v_p(pi^n / n) over a modest range
