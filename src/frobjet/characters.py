@@ -6,7 +6,11 @@ This module packages the operations a verification run actually calls:
   an additive-in-products map whose symbol is p^(N+1) (phi_i - p).  It is
   computed as  p^N (phi_i - p)(log x^(q-1)) / (q - 1)  with q = p^f, the
   size of the residue field: x^(q-1) is a 1-unit, so no inverse is taken,
-  and q - 1 is prime to p, so the division is one scalar inverse mod p^prec;
+  and q - 1 is prime to p, so the division is one scalar inverse mod p^prec.
+  The logarithm is a Paterson-Stockmeyer sum: its coefficients
+  (-1)^(n+1) / n come from a table each tower builds once, each block of
+  terms is one sum of packed integers, and its products are the tower's
+  own row product;
 * the term-by-term congruence check on logarithm coefficients driven by a
   scaled class triple (the order-(r,s) analogue of the classical
   Atkin--Swinnerton-Dyer integrality conditions);
@@ -27,13 +31,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt
-from operator import mul
+from operator import add
 
 from . import polyutils as pu
 from .errors import (DistinctWordsRequired, LogDivergence, NotAUnit,
                      PrecisionExhausted, SeriesTooShort, ZeroSeries)
-from .formal import LogSeries, gm_log, scaled_log_coefficients
+from .formal import LogSeries
 from .linalg import padic_nullspace
 from .tower import (INF, FrobeniusIndex, QElement, Tower, TowerElement,
                     check_beta, frobenius_apply, n_of_pi_from, pi_valuation,
@@ -76,10 +81,15 @@ def _log1p(z: TowerElement) -> QElement:
 
     R is a DVR with the orthonormal basis zeta^i pi^j, so z^n = 0 mod p^prec
     exactly when n v_pi(z) >= e prec: the sum stops at N = ceil(e prec /
-    v_pi(z)) - 1.  Paterson-Stockmeyer: with m = isqrt(N), each block
-    Q_b = sum_{k=1..m} c_(bm+k) z^k is one integer combination of z, ..., z^m
-    reduced once, and Horner in z^m runs over the blocks, about 2 sqrt(N)
-    ring products.  p^dmax covers every n <= nmax = e (prec + 2) + 1 > N.
+    v_pi(z)) - 1 < e K.  Paterson-Stockmeyer: with m = isqrt(N), the powers
+    z, ..., z^m are packed once (``polyutils.PackedVectors``), so each block
+    Q_b = sum_{k=1..m} c_(bm+k) z^k is one integer sum read back once, and
+    Horner in z^m runs over the blocks.  Every power and Horner step is one
+    ``Tower.product_rows``, about 2 sqrt(N) in all; a Horner step adds its
+    block to the unreduced product and reduces once, when it is packed for
+    the next step.  The coefficients c_n = p^dmax (-1)^(n+1) / n come from
+    the table the tower built; p^dmax covers every n <= nmax = e (prec + 2)
+    + 1 > N.
     """
     u = pi_valuation(z)
     if u == 0:
@@ -92,24 +102,29 @@ def _log1p(z: TowerElement) -> QElement:
         return QElement(tower.zero(prec), dmax)
     N = -(-e * prec // u) - 1
     m = isqrt(N)
-    powers = [z]
+    pk = p ** prec
+    # packs[k - 1] holds the rows of z^k for the products, flats[k - 1] the
+    # same entries flattened, slot i e + j for zeta^i pi^j; both packings
+    # reduce mod p^prec
+    packs, flats = [pu.FoldRows(z.coeffs, pk, p)], [sum(z.coeffs, ())]
     for _ in range(m - 1):
-        powers.append(powers[-1] * z)
-    # cols[s] = slot s of z, z^2, ..., z^m in the flattened f x e matrix
-    cols = list(zip(*(sum(x.coeffs, ()) for x in powers)))
-    # c[n] = p^dmax (-1)^(n+1) / n mod p^prec
-    c = scaled_log_coefficients(gm_log(p, N, prec), N, dmax, p ** prec)
+        rows = tower.product_rows(packs[-1], packs[0])
+        packs.append(pu.FoldRows(rows, pk, p))
+        flats.append(sum(rows, []))
+    powers = pu.PackedVectors(flats, pk)
+    c = tower.log_coefficients(N, dmax, prec)
 
     def block(b):
-        cs = c[b * m + 1:b * m + m + 1]
-        return _from_flat(tower, [sum(map(mul, cs, col)) for col in cols],
-                          prec)
+        return powers.combine(c[b * m + 1:b * m + m + 1])
 
     blocks = -(-N // m)
     acc = block(blocks - 1)
     for b in range(blocks - 2, -1, -1):
-        acc = acc * powers[-1] + block(b)
-    return QElement(acc, dmax)
+        acc_rows = pu.FoldRows(
+            [acc[i:i + e] for i in range(0, len(acc), e)], pk, p)
+        rows = tower.product_rows(acc_rows, packs[-1])
+        acc = list(map(add, chain.from_iterable(rows), block(b)))
+    return QElement(_from_flat(tower, acc, prec), dmax)
 
 
 def asd_check(log: LogSeries, fvals: dict, mu, nu, Nmax: int,

@@ -188,13 +188,6 @@ def formal_log(curve: WeierstrassCurve, D: int, prec: int) -> LogSeries:
     return LogSeries(p, prec, b)
 
 
-def gm_log(p: int, D: int, prec: int) -> LogSeries:
-    """Logarithm of the multiplicative group: b_m = (-1)^(m+1)."""
-    mod = p ** prec
-    return LogSeries(p, prec,
-                     [0] + [(1 if m % 2 else mod - 1) for m in range(1, D + 1)])
-
-
 # ---------------------------------------------------------------------------
 # bivariate group law
 # ---------------------------------------------------------------------------

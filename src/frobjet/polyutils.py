@@ -9,7 +9,9 @@ elements are multiplied by Kronecker substitution: a list is packed once
 into big integers, and the product is CPython's native big-int product with
 its limbs read back.  ``Packed`` and ``packed_mul`` do this for truncated
 series; ``FoldRows`` for the rows of a matrix multiplied mod X^e - c, each
-row product folded on the whole integer.
+row product folded on the whole integer.  ``PackedVectors`` packs fixed
+vectors the same way, so that an integer combination of them is one
+integer sum read back once.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import functools
 import random
 from itertools import zip_longest
 from math import gcd
+from operator import mul
 
 from .errors import CertificateFailure, DivisionByZero
 
@@ -357,6 +360,32 @@ class FoldRows:
         for prod in reversed(sums):
             acc = (acc << shift) + (prod & low) + c * (prod >> shift)
         return _unpack(acc, w, size * e, size * e)
+
+
+class PackedVectors:
+    """The residues mod ``mod`` of a nonempty list of r equally long
+    vectors, each packed once as one integer in limbs of w =
+    ``_limb_bytes(mod, r)`` bytes, for integer combinations sum c_k x_k
+    with at most r coefficients 0 <= c_k < ``mod``: an entry of such a sum
+    is at most r (mod - 1)^2.
+    """
+
+    __slots__ = ("w", "length", "packed")
+
+    def __init__(self, vectors, mod: int):
+        self.length = len(vectors[0])
+        self.w = w = _limb_bytes(mod, len(vectors))
+        self.packed = [_pack(x, mod, w) for x in vectors]
+
+    def combine(self, cs) -> list:
+        """sum_k cs[k] x_k, entry by entry, as exact integers; callers
+        reduce.  One integer sum and one read-back; ``cs`` may be shorter
+        than the list of vectors, never longer."""
+        if len(cs) > len(self.packed):
+            raise CertificateFailure(
+                f"{len(cs)} coefficients for {len(self.packed)} vectors")
+        return _unpack(sum(map(mul, cs, self.packed)), self.w, self.length,
+                       self.length)
 
 
 def kron_mul(a: list, b: list, mod: int, n: int) -> list:

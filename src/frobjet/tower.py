@@ -21,10 +21,12 @@ pi of degree < e, is packed as one integer of e limbs, with no gap limbs.
 Row k of the product is the integer sum of the row products x_i y_j,
 i + j = k, and pi^(e+j) folds to p pi^j on that whole integer; the rows come
 back e limbs each.  The zeta-rows k >= f then reduce through ``zred2``, and
-everything is reduced once mod p^prec.  Each element keeps its packed rows
-in one slot, so an operand used again at the same modulus p^k is packed
-once.  A product with an operand that packs to 0 is zero at the minimum
-precision.  At f = e = 1 a product is one integer product.
+everything is reduced once mod p^prec.  ``Tower.product_rows`` is this
+product up to the reduction; ``TowerElement.__mul__`` and the character
+logarithm both call it.  Each element keeps its packed rows in one slot,
+so an operand used again at the same modulus p^k is packed once.  A
+product with an operand that packs to 0 is zero at the minimum precision.
+At f = e = 1 a product is one integer product.
 
 Frobenius family
 ----------------
@@ -41,10 +43,12 @@ Precision accounting
 --------------------
 Binary operations certify min(prec_a, prec_b); division by pi or p costs one
 digit.  Zero tests mean "congruent to 0 mod p^prec", never exact vanishing.
-Elements are immutable; a built Tower is read-only, so everything can be
-shared freely between threads.  The packed slot is filled lazily with a
-value that depends only on the coefficients and the modulus, so a racing
-fill writes an equal value.
+Elements are immutable.  A Tower fills all its tables when it is built,
+the zeta tables and the table of the logarithm coefficients
+(-1)^(n+1) / n for n < e K, so a built Tower is read-only and everything
+can be shared freely between threads.  The packed slot is filled lazily
+with a value that depends only on the coefficients and the modulus, so a
+racing fill writes an equal value.
 """
 
 from __future__ import annotations
@@ -105,6 +109,13 @@ class Tower:
         self.pK = p ** K
         self._mul_moduli = [p ** k for k in range(K + 1)]
         self._build_zeta_tables()
+        # _log_table[n] = ((-1)^(n+1) (n / p^v)^(-1) mod p^K, v = v_p(n)) for
+        # 0 < n < e K, every index a logarithm on this tower can reach
+        self._log_table = [(0, 0)]
+        for n in range(1, e * K):
+            v = pu.vp(n, p)
+            u = pu.modinv(n // p ** v, self.pK)
+            self._log_table.append((u if n % 2 else self.pK - u, v))
 
     def _build_zeta_tables(self):
         p, e, f, K = self.p, self.e, self.f, self.K
@@ -210,6 +221,37 @@ class Tower:
                 return nxt
             x = nxt
         return x
+
+    # -- products and logarithm coefficients --------------------------------
+
+    def product_rows(self, x: pu.FoldRows, y: pu.FoldRows) -> list:
+        """The f zeta-rows of the product of two elements packed mod the same
+        p^k as ``x`` and ``y`` (c = p), as exact integers; callers reduce.
+        The product's rows k >= f reduce through ``zred2``."""
+        e, f = self.e, self.f
+        # zeta^k pi^j of the product, pi^e folded to p, is flat[k e + j]
+        flat = x.mul(y)
+        rows = [flat[s:s + e] for s in range(0, (2 * f - 1) * e, e)]
+        out = rows[:f]
+        for k in range(f, 2 * f - 1):
+            rowk = rows[k]
+            for r, oi in zip(self.zred2[k], out):
+                if r:
+                    for j in range(e):
+                        oi[j] += r * rowk[j]
+        return out
+
+    def log_coefficients(self, N: int, dmax: int, prec: int) -> list:
+        """c_n = p^dmax (-1)^(n+1) / n mod p^prec at index n = 1..N (index 0
+        is 0), read off the table built with the tower.  Needs N < e K and
+        dmax >= v_p(n) for every n <= N."""
+        table = self._log_table
+        if N >= len(table):
+            raise CertificateFailure(
+                f"log coefficients reach n = {len(table) - 1}, not {N}")
+        pk = self.p ** prec
+        scale = [self.p ** (dmax - v) for v in range(dmax + 1)]
+        return [0] + [u * scale[v] % pk for u, v in table[1:N + 1]]
 
     def __repr__(self):
         c = self.config
@@ -327,25 +369,15 @@ class TowerElement:
         self._check(other)
         prec = min(self.prec, other.prec)
         pk = t._mul_moduli[prec]
-        f, e = t.f, t.e
-        if f * e == 1:
+        if t.f * t.e == 1:
             return _element(
                 t, [[self.coeffs[0][0] * other.coeffs[0][0] % pk]], prec)
         x = self._packed_at(pk)
         y = x if other is self else other._packed_at(pk)
         if x.zero or y.zero:
             return t.zero(prec)
-        # zeta^k pi^j of the product, pi^e folded to p, is flat[k e + j]
-        flat = x.mul(y)
-        rows = [flat[s:s + e] for s in range(0, (2 * f - 1) * e, e)]
-        out = rows[:f]
-        for k in range(f, 2 * f - 1):
-            rowk = rows[k]
-            for r, oi in zip(t.zred2[k], out):
-                if r:
-                    for j in range(e):
-                        oi[j] += r * rowk[j]
-        return _element(t, [[c % pk for c in row] for row in out], prec)
+        return _element(t, [[c % pk for c in row]
+                            for row in t.product_rows(x, y)], prec)
 
     __rmul__ = __mul__
 

@@ -17,6 +17,11 @@ shares no code with it.
 
 ``exp_series`` reverts the logarithm over exact Fractions, an independent
 route to the group law at small degree.
+
+``gm_log`` is the logarithm of the multiplicative group as a ``LogSeries``,
+b_m = (-1)^(m+1): the input of the group-law tests on G_m and, through
+``formal.scaled_log_coefficients``, the route by which the unit character
+took its coefficients before the tower built them.
 """
 
 from __future__ import annotations
@@ -123,6 +128,14 @@ def log_numerators(curve: WeierstrassCurve, D: int, mod: int) -> list:
                       * curve.a4 ** j * curve.a6 ** k)
         b[2 * m + 1] = total % mod
     return b
+
+
+def gm_log(p: int, D: int, prec: int) -> LogSeries:
+    """Logarithm of the multiplicative group, log(1 + T): b_m = (-1)^(m+1)
+    mod p^prec."""
+    mod = p ** prec
+    return LogSeries(p, prec,
+                     [0] + [(1 if m % 2 else mod - 1) for m in range(1, D + 1)])
 
 
 def log_coefficients_exact(log: LogSeries, D: int) -> list:

@@ -8,18 +8,21 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from frobjet import characters
+from frobjet import polyutils as pu
 from frobjet.characters import (PairingContext, RestrictedSeries, asd_check,
                                 count_roots_zp, gm_character_eval,
                                 kernel_dimension, pairing, reciprocity_check,
                                 strassman_count, unit_log)
 from frobjet.crystal import crystalline_classes, kedlaya_frobenius
-from frobjet.errors import (BetaTooLarge, DistinctWordsRequired,
-                            FamilyMismatch, NotAUnit, PrecisionExhausted,
-                            SeriesTooShort, ZeroSeries)
-from frobjet.formal import WeierstrassCurve, formal_log
-from frobjet.tower import (INF, FrobeniusIndex, QElement, TowerConfig,
+from frobjet.errors import (BetaTooLarge, CertificateFailure,
+                            DistinctWordsRequired, FamilyMismatch, NotAUnit,
+                            PrecisionExhausted, SeriesTooShort, ZeroSeries)
+from frobjet.formal import (WeierstrassCurve, formal_log,
+                            scaled_log_coefficients)
+from frobjet.tower import (INF, FrobeniusIndex, QElement, Tower, TowerConfig,
                            TowerElement, build_tower, check_beta, valuation)
 
+from formal_oracle import gm_log
 from symbols_oracle import six_product_pairing
 from tower_oracle import ratio_character, schoolbook_mul, sequential_log1p
 
@@ -202,28 +205,53 @@ def test_gm_character_matches_ratio_formula(cfg):
 
 
 def test_log_multiplies_grow_like_sqrt(monkeypatch):
-    """Ring products inside the logarithm of one character value stay
-    within 2 ceil(sqrt(N)) + 4 for its N terms: one per term would be N.
-    The products of x^(q - 1) before it are not counted."""
+    """The logarithm of one character value takes exactly (m - 1) +
+    (ceil(N / m) - 1) tower products for its N terms, m = isqrt(N): the
+    powers z^2, ..., z^m and one Horner step per block after the first; one
+    per term would be N.  Every tower product runs through
+    ``Tower.product_rows``, a plain multiply too; the products of x^(q - 1)
+    before the logarithm are not counted."""
     t = oracle_tower((7, 2, 3, 2, 30))
-    calls, args = [], []
-    mul, log1p = TowerElement.__mul__, characters._log1p
+    calls, logs = [], []
+    rows, log1p = Tower.product_rows, characters._log1p
 
-    def counted_mul(self, other):
-        if args and not isinstance(other, int):
-            calls.append(1)
-        return mul(self, other)
+    def counted_rows(self, x, y):
+        calls.append(1)
+        return rows(self, x, y)
 
     def traced_log1p(z):
-        args.append(z)
-        return log1p(z)
-    monkeypatch.setattr(TowerElement, "__mul__", counted_mul)
+        start = len(calls)
+        out = log1p(z)
+        logs.append((z, len(calls) - start))
+        return out
+    monkeypatch.setattr(Tower, "product_rows", counted_rows)
     monkeypatch.setattr(characters, "_log1p", traced_log1p)
-    gm_character_eval(t, FrobeniusIndex(1), t.random_unit(random.Random(8)))
-    (z,) = args
+    x = t.random_unit(random.Random(8))
+    gm_character_eval(t, FrobeniusIndex(1), x)
+    ((z, products),) = logs
     N = math.ceil(z.prec / valuation(z)) - 1
+    m = math.isqrt(N)
     assert N >= 200
-    assert len(calls) <= 2 * (math.isqrt(N - 1) + 1) + 4
+    assert products == (m - 1) + (-(-N // m) - 1)
+    calls.clear()
+    x * z
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("cfg", ORACLE_TOWERS, ids=str)
+def test_log_table_matches_scaled_gm_log(cfg):
+    """The coefficients read off the table the tower built equal the scaled
+    coefficients of the G_m logarithm, the per-call route they replaced, at
+    every precision and every n <= e prec - 1, the last term a logarithm
+    at that precision can keep; past e K - 1 the table refuses."""
+    t = oracle_tower(cfg)
+    for prec in range(1, t.K + 1):
+        N = t.e * prec - 1
+        dmax = pu.floor_log(t.p, t.e * (prec + 2) + 1)
+        assert t.log_coefficients(N, dmax, prec) == scaled_log_coefficients(
+            gm_log(t.p, N, prec), N, dmax, t.p ** prec)
+    with pytest.raises(CertificateFailure):
+        t.log_coefficients(t.e * t.K, dmax, t.K)
 
 
 @pytest.fixture(scope="module")

@@ -11,13 +11,13 @@ from frobjet.errors import (BadReduction, CertificateFailure,
                             SeriesTooShort)
 from frobjet.formal import (FormalGroupLaw, WeierstrassCurve,
                             compose_log_with_law, curve_w_series,
-                            formal_group_law, formal_log, gm_log,
-                            l_mu_series, psi_series)
+                            formal_group_law, formal_log, l_mu_series,
+                            psi_series)
 from frobjet.jets import JetRing, JetRingConfig, eval_jet
 from frobjet.tower import TowerConfig, build_tower, n_of_pi_from
 
 import formal_oracle
-from formal_oracle import exp_series, log_coefficients_exact
+from formal_oracle import exp_series, gm_log, log_coefficients_exact
 from test_crystal import random_ordinary_curve
 
 CM5 = WeierstrassCurve(5, 1, 0, "cm5")

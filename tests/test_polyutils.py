@@ -333,6 +333,50 @@ def test_fold_rows_mismatch_raises(other):
         other(x).mul(a)
 
 
+def combine_loop(vectors, cs, mod):
+    """sum_k cs[k] (vectors[k] mod ``mod``), entry by entry, term by term."""
+    out = [0] * len(vectors[0])
+    for c, x in zip(cs, vectors):
+        for i, v in enumerate(x):
+            out[i] += c * (v % mod)
+    return out
+
+
+@pytest.mark.parametrize("mod", (7, 7 ** 2) + BENCH_MODS)
+@pytest.mark.parametrize("r, n", [(1, 1), (2, 16), (5, 16), (15, 16),
+                                  (16, 8), (3, 30)])
+def test_packed_vectors_worst_case_limb(mod, r, n):
+    """All-(mod - 1) vectors and coefficients, as many coefficients as
+    vectors: every entry r (mod - 1)^2, the most a limb must hold."""
+    x = [[mod - 1] * n for _ in range(r)]
+    cs = [mod - 1] * r
+    got = pu.PackedVectors(x, mod).combine(cs)
+    assert got == combine_loop(x, cs, mod) == [r * (mod - 1) ** 2] * n
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_packed_vectors_match_loop(data):
+    """Vectors of any integers, reduced at packing, and any number of
+    coefficients up to the number of vectors."""
+    mod = data.draw(st.sampled_from([1, 2, 7 ** 3, 5 ** 40]))
+    r, n = data.draw(st.integers(1, 16)), data.draw(st.integers(1, 30))
+    entries = st.integers(-2 * mod, 2 * mod)
+    x = [data.draw(st.lists(entries, min_size=n, max_size=n))
+         for _ in range(r)]
+    cs = data.draw(st.lists(st.integers(0, mod - 1), max_size=r))
+    assert pu.PackedVectors(x, mod).combine(cs) == combine_loop(x, cs, mod)
+
+
+def test_packed_vectors_refuse_more_terms():
+    """More coefficients than packed vectors would overflow a limb: refused,
+    not misread."""
+    x = [[MOD - 1] * 4, [3] * 4]
+    packed = pu.PackedVectors(x, MOD)
+    with pytest.raises(CertificateFailure):
+        packed.combine([MOD - 1] * 3)
+
+
 @st.composite
 def monic_division(draw):
     """(a, b, mod): b monic mod ``mod`` of degree 0..5, its leading entry
