@@ -371,7 +371,11 @@ def _parse_beta(tower, text: str):
     if text == "p":
         return tower.from_int(tower.p)
     if text.startswith("pi^"):
-        return tower.pi() ** parse_int(text[3:], "--beta")
+        k = parse_int(text[3:], "--beta")
+        if k < 0:
+            # pi is no unit, so no negative power of it lies in the ring
+            raise ConfigError(f"--beta pi^k needs k >= 0, not {k}")
+        return tower.pi() ** k
     return tower.from_int(parse_int(text, "--beta"))
 
 

@@ -200,9 +200,6 @@ class FormalGroupLaw:
         self.coeffs = {k: v % p ** prec for k, v in coeffs.items()
                        if v % p ** prec}
 
-    def coefficient(self, i: int, j: int) -> int:
-        return self.coeffs.get((i, j), 0)
-
     def add_points(self, a: TowerElement, b: TowerElement) -> TowerElement:
         """Evaluate the law at tower points of positive valuation."""
         if not (valuation(a) > 0 and valuation(b) > 0):

@@ -104,9 +104,6 @@ class SeriesRing:
                 if bad else f"word {w} exceeds order {self.r}")
         return self.word_to_var[w]
 
-    def delta_var(self, word) -> "SparseSeries":
-        return self.variable(self.var_index(word))
-
 
 class SparseSeries:
     """Sparse truncated polynomial num / p^den over a SeriesRing.
@@ -186,18 +183,12 @@ class SparseSeries:
             n >>= 1
         return result
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def truncate(self, D: int) -> "SparseSeries":
         """Restriction to monomials of total degree <= D (<= ring's D)."""
         return type(self)(self.ring,
                           {m: c for m, c in self.terms.items()
                            if _degree(m) <= D},
                           self.den)
-
-    def coefficient(self, mono):
-        return self.terms.get(tuple(sorted(mono)), self.ring.from_int(0))
 
 
 class JetElement(SparseSeries):

@@ -265,7 +265,6 @@ class Packed:
     ``KS2_MIN_TERMS`` on, where the halved multiply saves more than the
     extra packing costs, they are A(2^s) and A(-2^s) with s = 4w bits,
     A_even(2^2s) +- 2^s A_odd(2^2s) (Harvey's KS2, arXiv:0712.4046).
-    ``big`` is 0 exactly when every residue is.
 
     A list that several products share is packed once, with its own length
     as the term bound, and ``fixed_mul`` packs only each partner: f^p and
@@ -293,13 +292,11 @@ def packed_mul(x: Packed, y: Packed, n: int) -> list:
     +-2^s the half sum of the two products holds the even coefficients and
     the half difference, shifted down s + 1 bits, the odd ones; only product
     coefficients are read back, so a residue need not fit in s bits.
-    ``x is y`` squares; a zero operand gives zeros without a multiply."""
+    ``x is y`` squares."""
     la, lb, w = x.length, y.length, x.w
     if x.mod != y.mod or x.bound != y.bound or min(la, lb) > x.bound:
         raise CertificateFailure("operands packed for different products")
     size = min(la + lb - 1, n)
-    if not x.big or not y.big:
-        return [0] * size
     if x.minus is None:
         return _unpack(x.big * y.big, w, la + lb, size)
     pp, pm = x.big * y.big, x.minus * y.minus
@@ -317,17 +314,16 @@ class FoldRows:
     is its own integer, the residues at 2^(8w) in e limbs of w =
     ``_limb_bytes(mod, (1 + c) r e)`` bytes, with no gap limbs: a folded
     coefficient c_j + c c_(e+j) of a product row is at most (1 + c) r e
-    times (mod - 1)^2.  ``zero`` is true exactly when every residue is 0.
+    times (mod - 1)^2.
     """
 
-    __slots__ = ("mod", "c", "e", "w", "rows", "zero")
+    __slots__ = ("mod", "c", "e", "w", "rows")
 
     def __init__(self, rows, mod: int, c: int):
         e = len(rows[0])
         self.mod, self.c, self.e = mod, c, e
         self.w = w = _limb_bytes(mod, (1 + c) * len(rows) * e)
         self.rows = [_pack(row, mod, w) for row in rows]
-        self.zero = not any(self.rows)
 
     def mul(self, other: "FoldRows") -> list:
         """The r + r' - 1 rows sum_{i+j=k} x_i y_j mod X^e - c of the product

@@ -70,9 +70,6 @@ class Symbol:
     def __sub__(self, other):
         return self + (-other)
 
-    def coefficient(self, w) -> QElement:
-        return self.terms.get(tuple(w), QElement(self.tower.zero(), 0))
-
     def __repr__(self):
         return f"Symbol({ {word_to_string(w): c for w, c in self.terms.items()} })"
 

@@ -24,9 +24,8 @@ back e limbs each.  The zeta-rows k >= f then reduce through ``zred2``, and
 everything is reduced once mod p^prec.  ``Tower.product_rows`` is this
 product up to the reduction; ``TowerElement.__mul__`` and the character
 logarithm both call it.  Each element keeps its packed rows in one slot,
-so an operand used again at the same modulus p^k is packed once.  A
-product with an operand that packs to 0 is zero at the minimum precision.
-At f = e = 1 a product is one integer product.
+so an operand used again at the same modulus p^k is packed once.  At
+f = e = 1 a product is one integer product.
 
 Frobenius family
 ----------------
@@ -208,7 +207,8 @@ class Tower:
         """Teichmuller representative of the W-part residue of ``a``.
 
         Requires ``a`` to lie in W (zero pi-part); iterates x -> x^(p^f),
-        gaining at least one certified digit per step.
+        gaining at least one certified digit per step, so it settles within
+        prec + 1 steps, else a CertificateFailure.
         """
         if any(a.coeffs[i][j] % a.tower.p ** a.prec
                for i in range(self.f) for j in range(1, self.e)):
@@ -220,7 +220,8 @@ class Tower:
             if nxt == x:
                 return nxt
             x = nxt
-        return x
+        raise CertificateFailure(
+            f"x -> x^(p^f) did not settle in {a.prec + 1} steps")
 
     # -- products and logarithm coefficients --------------------------------
 
@@ -312,9 +313,6 @@ class TowerElement:
         self._check(other)
         return (self - other).is_zero()
 
-    def __hash__(self):
-        raise TypeError("TowerElement equality is precision-relative")
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
@@ -374,8 +372,6 @@ class TowerElement:
                 t, [[self.coeffs[0][0] * other.coeffs[0][0] % pk]], prec)
         x = self._packed_at(pk)
         y = x if other is self else other._packed_at(pk)
-        if x.zero or y.zero:
-            return t.zero(prec)
         return _element(t, [[c % pk for c in row]
                             for row in t.product_rows(x, y)], prec)
 
@@ -383,7 +379,7 @@ class TowerElement:
 
     def __pow__(self, n: int):
         if n < 0:
-            return self.inverse() ** (-n)
+            raise ValueError(f"negative power {n} of a tower element")
         if n == 0:
             return self.tower.one(self.prec)
         # left to right over the bits below the top one

@@ -30,7 +30,7 @@ def psi_series_form_sparse(ring: STRing, i: int, sign_exponent_offset: int
     p, D = ring.p, ring.D
     # delta_i(1+T) = delta_i T + C_p(1, T)
     cp = {((0, j),): Fraction(-math.comb(p, j), p) for j in range(1, p)}
-    z_num = ring.delta_var((i,)) + STSeries(ring, cp)
+    z_num = ring.variable(ring.var_index((i,))) + STSeries(ring, cp)
     # (1+T)^(-p) = sum_k (-1)^k C(p+k-1, k) T^k
     inv = STSeries(ring, {((0, k),) if k else ():
                           Fraction((-1) ** k * math.comb(p + k - 1, k))

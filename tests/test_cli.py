@@ -171,6 +171,11 @@ class TestVerify:
     def test_malformed_value_exit_code(self, flags):
         assert main(flags) == 2
 
+    def test_negative_pi_power_beta_exit_code(self, capsys):
+        # pi is no unit, so pi^-1 is not in the ring
+        assert main(["verify", "gamma", "--beta", "pi^-1"]) == 2
+        assert "--beta" in capsys.readouterr().err
+
     @pytest.mark.parametrize("nmax", ["-1", "0"])
     def test_nmax_below_one_exit_code(self, nmax, capsys):
         # -1 would reach ser_inv with an empty series, 0 would check nothing

@@ -37,8 +37,8 @@ ORACLE_DEGREES = (1, 2, 6, 9, 10, 12, 24)
 class TestGroupLaw:
     def test_multiplicative_builtin(self):
         law = FormalGroupLaw(5, 10, 6, {(1, 0): 1, (0, 1): 1, (1, 1): 1})
-        assert law.coefficient(1, 1) == 1
-        assert law.coefficient(1, 0) == 1 and law.coefficient(0, 1) == 1
+        assert law.coeffs[1, 1] == 1
+        assert law.coeffs[1, 0] == 1 and law.coeffs[0, 1] == 1
         assert len(law.coeffs) == 3
 
     def test_neutral_section(self):
@@ -50,7 +50,7 @@ class TestGroupLaw:
     def test_commutative(self):
         law = formal_group_law(C7, 10, 10)
         for (i, j), c in law.coeffs.items():
-            assert law.coefficient(j, i) == c
+            assert law.coeffs.get((j, i), 0) == c
 
     def test_linear_truncation(self):
         law = formal_group_law(CM5, 9, 10)
@@ -129,7 +129,7 @@ class TestGroupLaw:
         mod = 5 ** 8
         for i in range(D + 1):
             for j in range(D + 1 - i):
-                want = law.coefficient(i, j)
+                want = law.coeffs.get((i, j), 0)
                 got = acc.get((i, j), Fraction(0))
                 assert got.denominator % 5
                 lifted = got.numerator * pu.modinv(got.denominator, mod)

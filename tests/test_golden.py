@@ -125,7 +125,7 @@ def test_jet_series():
     got["log jet square"] = json_digest((lj * lj).to_dict())
     rt = build_tower(TowerConfig(7, 2, 1, 1, 8))
     rr = JetRing(JetRingConfig(rt, 2, 2, 8, (0, 1)))
-    G = (rr.T() + rr.delta_var((2,)).scale(rt.pi())
+    G = (rr.T() + rr.variable(rr.var_index((2,))).scale(rt.pi())
          + rr.scalar(rt.zeta())) ** 5
     for i in (1, 2):
         got[f"ramified phi {i}"] = json_digest(

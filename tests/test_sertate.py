@@ -35,16 +35,16 @@ class TestFundamentalSeries:
         # coefficient after dividing by p is exactly 1
         psi = psi_st_series(ring, 1)
         var = ring.word_to_var[(1,)]
-        assert psi.coefficient(((var, 1),)) == 1
+        assert psi.terms[((var, 1),)] == 1
         # and the pure-T tail of degree < p comes only from -log(1+T):
         # (1/p)(-p) * (-1)^(m+1)/m = -(-1)^(m+1)/m ... plus T^p terms
-        assert psi.coefficient(((0, 1),)) == -1
-        assert psi.coefficient(((0, 2),)) == Fraction(1, 2)
+        assert psi.terms[((0, 1),)] == -1
+        assert psi.terms[((0, 2),)] == Fraction(1, 2)
 
     def test_series_form_sign_convention(self, ring):
         psi = psi_st_series(ring, 2)
-        assert (psi_series_form(ring, 2, 1) - psi).is_zero()
-        assert not (psi_series_form(ring, 2, 0) - psi).is_zero()
+        assert not (psi_series_form(ring, 2, 1) - psi).terms
+        assert (psi_series_form(ring, 2, 0) - psi).terms
 
     def test_vanishes_when_increment_dies(self, ring):
         # substituting delta_i T = ((1+T)^p - 1 - T^p)/p makes
@@ -54,7 +54,7 @@ class TestFundamentalSeries:
                               for j in range(1, p)})
         psi = psi_st_series(ring, 1)
         out = psi.substitute(ring.word_to_var[(1,)], sub)
-        assert out.truncate(ring.D - p).is_zero()
+        assert not out.truncate(ring.D - p).terms
 
 
 def _oracle_cases():
@@ -124,11 +124,11 @@ class TestSerreOperator:
     def test_normalization(self, ring):
         psi1 = psi_st_series(ring, 1)
         got = serre_operator(ring, (1,), psi1) - 1
-        assert got.truncate(ring.D - ring.p).is_zero()
+        assert not got.truncate(ring.D - ring.p).terms
 
     def test_other_direction_killed(self, ring):
         psi2 = psi_st_series(ring, 2)
-        assert serre_operator(ring, (1,), psi2).is_zero()
+        assert not serre_operator(ring, (1,), psi2).terms
 
     def test_twisted_log_chain_rule(self, ring):
         # dcan_i (phi_i log(1+T)) = p * phi_i(dcan log(1+T)) = p * 1
@@ -136,12 +136,12 @@ class TestSerreOperator:
         got = serre_operator(ring, (1,), phi_endomorphism(ring, 1, L))
         dcan = (ring.one() + ring.T()) * L.derivative(0)
         expect = Fraction(ring.p) * phi_endomorphism(ring, 1, dcan)
-        assert (got - expect).is_zero()
+        assert not (got - expect).terms
 
     def test_property_two_on_base(self, ring):
         L = ring.log1p().truncate(6)
-        assert serre_operator(ring, (1,),
-                              phi_endomorphism(ring, 2, L)).is_zero()
+        assert not serre_operator(ring, (1,),
+                                  phi_endomorphism(ring, 2, L)).terms
 
     def test_unknown_word(self, ring):
         with pytest.raises(OrderOverflow):
@@ -475,11 +475,11 @@ class TestForeignOperands:
 
     def test_computed_cells(self, operands):
         st, psi = operands["st"], operands["psi"]
-        assert (st + Fraction(1, 2) - 1).coefficient(()) == Fraction(1, 2)
-        assert (2 * st - st - st).is_zero()
-        assert (psi * psi - psi * psi).is_zero()
+        assert (st + Fraction(1, 2) - 1).terms[()] == Fraction(1, 2)
+        assert not (2 * st - st - st).terms
+        assert not (psi * psi - psi * psi).terms
         jet = operands["jet"]
-        assert (jet - 1).coefficient(()).is_zero()
+        assert () not in (jet - 1).terms
 
     def test_series_equality_with_foreign_operand(self, operands):
         assert operands["st"] != "a"
