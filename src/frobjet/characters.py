@@ -8,9 +8,9 @@ This module packages the operations a verification run actually calls:
   size of the residue field: x^(q-1) is a 1-unit, so no inverse is taken,
   and q - 1 is prime to p, so the division is one scalar inverse mod p^prec.
   The logarithm is a Paterson-Stockmeyer sum: its coefficients
-  (-1)^(n+1) / n come from a table each tower builds once, each block of
-  terms is one sum of packed integers, and its products are the tower's
-  own row product;
+  (-1)^(n+1) / n come from a table each tower builds once, each power is
+  packed once, each block of terms is one sum of those packed integers per
+  row, and its products are the tower's own row product;
 * the term-by-term congruence check on logarithm coefficients driven by a
   scaled class triple (the order-(r,s) analogue of the classical
   Atkin--Swinnerton-Dyer integrality conditions);
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import gcd, isqrt
 from operator import add
 
@@ -81,15 +80,17 @@ def _log1p(z: TowerElement) -> QElement:
 
     R is a DVR with the orthonormal basis zeta^i pi^j, so z^n = 0 mod p^prec
     exactly when n v_pi(z) >= e prec: the sum stops at N = ceil(e prec /
-    v_pi(z)) - 1 < e K.  Paterson-Stockmeyer: with m = isqrt(N), the powers
-    z, ..., z^m are packed once (``polyutils.PackedVectors``), so each block
-    Q_b = sum_{k=1..m} c_(bm+k) z^k is one integer sum read back once, and
-    Horner in z^m runs over the blocks.  Every power and Horner step is one
+    v_pi(z)) - 1 < e K.  Paterson-Stockmeyer: the powers z, ..., z^m are
+    packed once each (``polyutils.FoldRows``), for the products and for the
+    block sums Q_b = sum_{k=1..m} c_(bm+k) z^k, each one
+    ``polyutils.fold_combine``, and Horner in z^m runs over the blocks.
+    m = isqrt(N), capped at the (1 + p) f e terms a limb of a pack holds;
+    any m gives the same sum.  Every power and Horner step is one
     ``Tower.product_rows``, about 2 sqrt(N) in all; a Horner step adds its
-    block to the unreduced product and reduces once, when it is packed for
-    the next step.  The coefficients c_n = p^dmax (-1)^(n+1) / n come from
-    the table the tower built; p^dmax covers every n <= nmax = e (prec + 2)
-    + 1 > N.
+    block to the product, row by row, and reduces once, when it is packed
+    for the next step.  The coefficients c_n = p^dmax (-1)^(n+1) / n come
+    from the table the tower built; p^dmax covers every n <= nmax = e (prec
+    + 2) + 1 > N.
     """
     u = pi_valuation(z)
     if u == 0:
@@ -101,30 +102,24 @@ def _log1p(z: TowerElement) -> QElement:
     if u == INF:
         return QElement(tower.zero(prec), dmax)
     N = -(-e * prec // u) - 1
-    m = isqrt(N)
+    m = min(isqrt(N), (1 + p) * tower.f * e)
     pk = p ** prec
-    # packs[k - 1] holds the rows of z^k for the products, flats[k - 1] the
-    # same entries flattened, slot i e + j for zeta^i pi^j; both packings
-    # reduce mod p^prec
-    packs, flats = [pu.FoldRows(z.coeffs, pk, p)], [sum(z.coeffs, ())]
+    # packs[k - 1] holds the rows of z^k, reduced mod p^prec
+    packs = [pu.FoldRows(z.coeffs, pk, p)]
     for _ in range(m - 1):
-        rows = tower.product_rows(packs[-1], packs[0])
-        packs.append(pu.FoldRows(rows, pk, p))
-        flats.append(sum(rows, []))
-    powers = pu.PackedVectors(flats, pk)
+        packs.append(pu.FoldRows(tower.product_rows(packs[-1], packs[0]),
+                                 pk, p))
     c = tower.log_coefficients(N, dmax, prec)
 
     def block(b):
-        return powers.combine(c[b * m + 1:b * m + m + 1])
+        return pu.fold_combine(packs, c[b * m + 1:b * m + m + 1])
 
     blocks = -(-N // m)
     acc = block(blocks - 1)
     for b in range(blocks - 2, -1, -1):
-        acc_rows = pu.FoldRows(
-            [acc[i:i + e] for i in range(0, len(acc), e)], pk, p)
-        rows = tower.product_rows(acc_rows, packs[-1])
-        acc = list(map(add, chain.from_iterable(rows), block(b)))
-    return QElement(_from_flat(tower, acc, prec), dmax)
+        rows = tower.product_rows(pu.FoldRows(acc, pk, p), packs[-1])
+        acc = [list(map(add, r, s)) for r, s in zip(rows, block(b))]
+    return QElement(tower.element(acc, prec), dmax)
 
 
 def asd_check(log: LogSeries, fvals: dict, mu, nu, Nmax: int,
@@ -230,10 +225,10 @@ def kernel_dimension(ctx: PairingContext, beta: TowerElement) -> dict:
     return data
 
 
-def _from_flat(tower: Tower, flat, prec=None) -> TowerElement:
-    """The element whose zeta^i pi^j coefficient is flat[i e + j] mod p^prec."""
+def _from_flat(tower: Tower, flat) -> TowerElement:
+    """The element whose zeta^i pi^j coefficient is flat[i e + j] mod p^K."""
     e = tower.e
-    return tower.element([flat[i:i + e] for i in range(0, len(flat), e)], prec)
+    return tower.element([flat[i:i + e] for i in range(0, len(flat), e)])
 
 
 def reciprocity_check(ctx: PairingContext, alpha: TowerElement,

@@ -7,11 +7,11 @@ All modular routines keep coefficients reduced into ``[0, mod)``.
 Long series (curve logarithms to degree several thousand) and tower
 elements are multiplied by Kronecker substitution: a list is packed once
 into big integers, and the product is CPython's native big-int product with
-its limbs read back.  ``Packed`` and ``packed_mul`` do this for truncated
-series; ``FoldRows`` for the rows of a matrix multiplied mod X^e - c, each
-row product folded on the whole integer.  ``PackedVectors`` packs fixed
-vectors the same way, so that an integer combination of them is one
-integer sum read back once.
+its limbs read back, each reduced as it is read.  ``Packed`` and
+``packed_mul`` do this for truncated series; ``FoldRows`` for the rows of a
+matrix multiplied mod X^e - c, each row product folded on the whole
+integer, and ``fold_combine`` for an integer combination of such matrices,
+one integer sum and one read-back per row.
 """
 
 from __future__ import annotations
@@ -244,15 +244,16 @@ def _pack(a: list, mod: int, w: int) -> int:
         b"".join([(c % mod).to_bytes(w, "little") for c in a]), "little")
 
 
-def _unpack(x: int, w: int, size: int, count: int) -> list:
-    """The first ``count`` w-byte limbs of ``x`` < 2^(8 w size)."""
+def _unpack(x: int, w: int, size: int, count: int, mod: int) -> list:
+    """The first ``count`` w-byte limbs of ``x`` < 2^(8 w size), each
+    reduced mod ``mod`` as it is read."""
     if count <= SHIFT_LIMBS_MAX:
         s = 8 * w
         mask = (1 << s) - 1
-        return [x >> k & mask for k in range(0, s * count, s)]
+        return [(x >> k & mask) % mod for k in range(0, s * count, s)]
     raw = x.to_bytes(w * size, "little")
     fb = int.from_bytes     # looked up once, not once per limb
-    return [fb(raw[k:k + w], "little")
+    return [fb(raw[k:k + w], "little") % mod
             for k in range(0, count * w, w)]
 
 
@@ -260,7 +261,8 @@ class Packed:
     """The residues mod ``mod`` of a nonempty list, packed for products with
     lists packed at the same modulus and term ``bound`` (the shorter
     operand's length) in limbs of w = ``_limb_bytes(mod, bound)`` bytes: a
-    product coefficient sums at most ``bound`` products.  ``big`` is the
+    product coefficient sums at most ``bound`` products, and ``packed_mul``
+    reduces each limb mod ``mod`` as it reads it back.  ``big`` is the
     polynomial A of the residues at 2^(8w) and ``minus`` None; from
     ``KS2_MIN_TERMS`` on, where the halved multiply saves more than the
     extra packing costs, they are A(2^s) and A(-2^s) with s = 4w bits,
@@ -288,7 +290,7 @@ class Packed:
 
 def packed_mul(x: Packed, y: Packed, n: int) -> list:
     """First ``n`` coefficients of the product of two lists packed at the
-    same modulus and term bound, as exact integers; callers reduce.  At
+    same modulus and term bound, reduced mod that modulus.  At
     +-2^s the half sum of the two products holds the even coefficients and
     the half difference, shifted down s + 1 bits, the odd ones; only product
     coefficients are read back, so a residue need not fit in s bits.
@@ -297,13 +299,14 @@ def packed_mul(x: Packed, y: Packed, n: int) -> list:
     if x.mod != y.mod or x.bound != y.bound or min(la, lb) > x.bound:
         raise CertificateFailure("operands packed for different products")
     size = min(la + lb - 1, n)
+    mod = x.mod
     if x.minus is None:
-        return _unpack(x.big * y.big, w, la + lb, size)
+        return _unpack(x.big * y.big, w, la + lb, size, mod)
     pp, pm = x.big * y.big, x.minus * y.minus
     half = (la + 1) // 2 + (lb + 1) // 2
     out = [0] * size
-    out[0::2] = _unpack((pp + pm) >> 1, w, half, (size + 1) // 2)
-    out[1::2] = _unpack((pp - pm) >> (4 * w + 1), w, half, size // 2)
+    out[0::2] = _unpack((pp + pm) >> 1, w, half, (size + 1) // 2, mod)
+    out[1::2] = _unpack((pp - pm) >> (4 * w + 1), w, half, size // 2, mod)
     return out
 
 
@@ -314,7 +317,8 @@ class FoldRows:
     is its own integer, the residues at 2^(8w) in e limbs of w =
     ``_limb_bytes(mod, (1 + c) r e)`` bytes, with no gap limbs: a folded
     coefficient c_j + c c_(e+j) of a product row is at most (1 + c) r e
-    times (mod - 1)^2.
+    times (mod - 1)^2.  ``mul`` and ``fold_combine`` read each limb back
+    reduced mod ``mod``.
     """
 
     __slots__ = ("mod", "c", "e", "w", "rows")
@@ -327,8 +331,8 @@ class FoldRows:
 
     def mul(self, other: "FoldRows") -> list:
         """The r + r' - 1 rows sum_{i+j=k} x_i y_j mod X^e - c of the product
-        with ``other`` (r' rows), flattened, as exact integers; callers
-        reduce.  Each row sum P, of 2e - 1 limbs, folds as one integer,
+        with ``other`` (r' rows), flattened and reduced mod ``mod``.  Each
+        row sum P, of 2e - 1 limbs, folds as one integer,
         (P & low) + c (P >> 8we): the limbs of X^(e+j) land on X^j, c times.
         Zero rows are skipped, ``other is self`` squares (each x_i x_j,
         i < j, once and doubled), and the folded rows are read back at once,
@@ -355,53 +359,46 @@ class FoldRows:
         low, c, acc = (1 << shift) - 1, self.c, 0
         for prod in reversed(sums):
             acc = (acc << shift) + (prod & low) + c * (prod >> shift)
-        return _unpack(acc, w, size * e, size * e)
+        return _unpack(acc, w, size * e, size * e, self.mod)
 
 
-class PackedVectors:
-    """The residues mod ``mod`` of a nonempty list of r equally long
-    vectors, each packed once as one integer in limbs of w =
-    ``_limb_bytes(mod, r)`` bytes, for integer combinations sum c_k x_k
-    with at most r coefficients 0 <= c_k < ``mod``: an entry of such a sum
-    is at most r (mod - 1)^2.
-    """
-
-    __slots__ = ("w", "length", "packed")
-
-    def __init__(self, vectors, mod: int):
-        self.length = len(vectors[0])
-        self.w = w = _limb_bytes(mod, len(vectors))
-        self.packed = [_pack(x, mod, w) for x in vectors]
-
-    def combine(self, cs) -> list:
-        """sum_k cs[k] x_k, entry by entry, as exact integers; callers
-        reduce.  One integer sum and one read-back; ``cs`` may be shorter
-        than the list of vectors, never longer."""
-        if len(cs) > len(self.packed):
-            raise CertificateFailure(
-                f"{len(cs)} coefficients for {len(self.packed)} vectors")
-        return _unpack(sum(map(mul, cs, self.packed)), self.w, self.length,
-                       self.length)
+def fold_combine(packs: list, cs) -> list:
+    """sum_k cs[k] x_k of matrices ``packs`` packed as ``FoldRows`` at one
+    modulus, c and shape, reduced mod that modulus: its rows, each one
+    integer sum read back once.  A limb holds (1 + c) r e (mod - 1)^2, so
+    at most (1 + c) r e coefficients 0 <= c_k < mod fit, and at most one
+    per matrix: ``cs`` may be shorter than ``packs``, never longer."""
+    x = packs[0]
+    top = min(len(packs), (1 + x.c) * len(x.rows) * x.e)
+    if len(cs) > top:
+        raise CertificateFailure(
+            f"{len(cs)} coefficients for a sum of at most {top}")
+    w, e, mod = x.w, x.e, x.mod
+    # zip over a list: zip(*generator) resizes its argument tuple, and the
+    # resized tuples fill CPython's tuple free lists, call after call
+    return [_unpack(sum(map(mul, cs, rows)), w, e, e, mod)
+            for rows in zip(*[y.rows for y in packs])]
 
 
 def kron_mul(a: list, b: list, mod: int, n: int) -> list:
     """``packed_mul`` of two nonempty lists, each packed with the term bound
-    min(len a, len b); ``a is b`` packs once and squares."""
+    min(len a, len b): the first ``n`` coefficients of their product,
+    reduced mod ``mod``; ``a is b`` packs once and squares."""
     x = Packed(a, mod, min(len(a), len(b)))
     return packed_mul(x, x if a is b else Packed(b, mod, x.bound), n)
 
 
 def fixed_mul(a: list, y: Packed, n: int) -> list:
-    """Truncated product mod ``y.mod`` of ``a`` and a list packed once as
-    ``y``, reduced; ``a[:n]`` is packed with ``y``'s term bound, so ``y``
-    packed with its own length as the bound serves a partner of any length.
-    The product has min(len a + y.length - 1, n) entries, as in ``ser_mul``.
+    """``packed_mul`` of ``a[:n]``, packed with ``y``'s term bound, and a
+    list packed once as ``y``: their truncated product, reduced mod
+    ``y.mod``.  ``y`` packed with its own length as the bound serves a
+    partner of any length.  The product has min(len a + y.length - 1, n)
+    entries, as in ``ser_mul``.
     """
     a = a[:n]
     if not a:
         return []
-    mod = y.mod
-    return [c % mod for c in packed_mul(Packed(a, mod, y.bound), y, n)]
+    return packed_mul(Packed(a, y.mod, y.bound), y, n)
 
 
 def ser_mul(a: list, b: list, mod: int, n: int) -> list:
@@ -436,7 +433,7 @@ def ser_mul(a: list, b: list, mod: int, n: int) -> list:
             for j in range(min(len(b), size - i)):
                 out[i + j] = (out[i + j] + c * b[j]) % mod
         return out
-    out = [c % mod for c in kron_mul(a, b, mod, size - z)]
+    out = kron_mul(a, b, mod, size - z)
     return [0] * z + out if z else out
 
 

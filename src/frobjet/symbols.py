@@ -57,6 +57,8 @@ class Symbol:
         return cls(tower, gammas, {(): c})
 
     def __add__(self, other):
+        if not isinstance(other, Symbol):
+            return NotImplemented
         self._check(other)
         t = dict(self.terms)
         for w, c in other.terms.items():
@@ -68,6 +70,8 @@ class Symbol:
                       {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, Symbol):
+            return NotImplemented
         return self + (-other)
 
     def __repr__(self):

@@ -20,12 +20,13 @@ A product runs on ``polyutils.FoldRows``: each zeta-row, a polynomial in
 pi of degree < e, is packed as one integer of e limbs, with no gap limbs.
 Row k of the product is the integer sum of the row products x_i y_j,
 i + j = k, and pi^(e+j) folds to p pi^j on that whole integer; the rows come
-back e limbs each.  The zeta-rows k >= f then reduce through ``zred2``, and
-everything is reduced once mod p^prec.  ``Tower.product_rows`` is this
-product up to the reduction; ``TowerElement.__mul__`` and the character
-logarithm both call it.  Each element keeps its packed rows in one slot,
-so an operand used again at the same modulus p^k is packed once.  At
-f = e = 1 a product is one integer product.
+back e limbs each, every limb reduced mod p^prec as it is read.  The
+zeta-rows k >= f then reduce through ``zred2``, each multiple reduced as it
+is added.  ``Tower.product_rows`` is this product, its rows residues;
+``TowerElement.__mul__`` and the character logarithm both call it.  Each
+element keeps its packed rows in one slot, so an operand used again at the
+same modulus p^k is packed once.  At f = e = 1 a product is one integer
+product.
 
 Frobenius family
 ----------------
@@ -227,9 +228,9 @@ class Tower:
 
     def product_rows(self, x: pu.FoldRows, y: pu.FoldRows) -> list:
         """The f zeta-rows of the product of two elements packed mod the same
-        p^k as ``x`` and ``y`` (c = p), as exact integers; callers reduce.
-        The product's rows k >= f reduce through ``zred2``."""
-        e, f = self.e, self.f
+        p^k as ``x`` and ``y`` (c = p), reduced mod p^k.  The product's rows
+        k >= f reduce through ``zred2``."""
+        e, f, pk = self.e, self.f, x.mod
         # zeta^k pi^j of the product, pi^e folded to p, is flat[k e + j]
         flat = x.mul(y)
         rows = [flat[s:s + e] for s in range(0, (2 * f - 1) * e, e)]
@@ -239,7 +240,7 @@ class Tower:
             for r, oi in zip(self.zred2[k], out):
                 if r:
                     for j in range(e):
-                        oi[j] += r * rowk[j]
+                        oi[j] = (oi[j] + r * rowk[j]) % pk
         return out
 
     def log_coefficients(self, N: int, dmax: int, prec: int) -> list:
@@ -372,8 +373,7 @@ class TowerElement:
                 t, [[self.coeffs[0][0] * other.coeffs[0][0] % pk]], prec)
         x = self._packed_at(pk)
         y = x if other is self else other._packed_at(pk)
-        return _element(t, [[c % pk for c in row]
-                            for row in t.product_rows(x, y)], prec)
+        return _element(t, t.product_rows(x, y), prec)
 
     __rmul__ = __mul__
 

@@ -20,7 +20,8 @@ from frobjet.errors import (BetaTooLarge, CertificateFailure,
 from frobjet.formal import (WeierstrassCurve, formal_log,
                             scaled_log_coefficients)
 from frobjet.tower import (INF, FrobeniusIndex, QElement, Tower, TowerConfig,
-                           TowerElement, build_tower, check_beta, valuation)
+                           TowerElement, build_tower, check_beta, pi_valuation,
+                           valuation)
 
 from formal_oracle import gm_log
 from symbols_oracle import six_product_pairing
@@ -37,16 +38,27 @@ def t7():
     return build_tower(TowerConfig(7, 2, 1, 1, 14))
 
 
+@pytest.fixture(scope="module", params=[(7, 2, 1, 1, 14), (7, 2, 2, 2, 14)],
+                ids=str)
+def tq(request):
+    """The unit character's towers at f = 1, where q = p, and at f = 2."""
+    return build_tower(TowerConfig(*request.param))
+
+
 class TestGmCharacter:
     def test_one_maps_to_zero(self, t7):
         assert gm_character_eval(t7, FrobeniusIndex(1), t7.one()).num.is_zero()
 
-    def test_teichmuller_vanishes(self, t7):
+    def test_teichmuller_vanishes(self, tq):
+        """On Teichmuller lifts of random residues in F_q, not only in F_p,
+        and on zeta."""
         rng = random.Random(1)
         for _ in range(5):
-            u = t7.teichmuller(t7.from_int(1 + rng.randrange(t7.p - 1)))
-            assert gm_character_eval(t7, FrobeniusIndex(1), u).num.is_zero()
-        assert gm_character_eval(t7, FrobeniusIndex(1), t7.zeta()
+            w = [[row[0]] + [0] * (tq.e - 1)
+                 for row in tq.random_unit(rng).coeffs]
+            u = tq.teichmuller(tq.element(w))
+            assert gm_character_eval(tq, FrobeniusIndex(1), u).num.is_zero()
+        assert gm_character_eval(tq, FrobeniusIndex(1), tq.zeta()
                                  ).num.is_zero()
 
     def test_units_required(self, t7):
@@ -90,13 +102,13 @@ class TestGmCharacter:
         gm_character_eval(t7, FrobeniusIndex(1), t7.zeta())
         assert calls == []
 
-    def test_additive_on_units(self, t7):
+    def test_additive_on_units(self, tq):
         rng = random.Random(3)
         for _ in range(100):
-            x, y = t7.random_unit(rng), t7.random_unit(rng)
-            d = gm_character_eval(t7, FrobeniusIndex(1), x * y) - (
-                gm_character_eval(t7, FrobeniusIndex(1), x)
-                + gm_character_eval(t7, FrobeniusIndex(1), y))
+            x, y = tq.random_unit(rng), tq.random_unit(rng)
+            d = gm_character_eval(tq, FrobeniusIndex(1), x * y) - (
+                gm_character_eval(tq, FrobeniusIndex(1), x)
+                + gm_character_eval(tq, FrobeniusIndex(1), y))
             v = d.valuation()
             assert v == INF or v >= 12
 
@@ -182,6 +194,30 @@ class TestLog1pOracle:
             u = t.zeta() ** j
             assert_same(gm_character_eval(t, FrobeniusIndex(1), u),
                         on_oracle(gm_character_eval, t, FrobeniusIndex(1), u))
+
+
+def test_log_block_capped_by_the_limb(monkeypatch):
+    """At (7, 2, 1, 1, 200) with v_pi(z) = 1 the sum runs to N = 399, and
+    isqrt(N) = 19 blocks of terms would overflow a limb of the packed
+    powers, which holds (1 + p) f e = 16: every block sums at most 16
+    powers, and the log and the unit character still equal the sequential
+    oracle's, numerator, precision and den."""
+    t = oracle_tower((7, 2, 1, 1, 200))
+    rng = random.Random(200)
+    blocks, combine = [], pu.fold_combine
+    monkeypatch.setattr(pu, "fold_combine", lambda packs, cs: (
+        blocks.append((len(packs), len(cs))) or combine(packs, cs)))
+    x = 1 + t.pi() * t.random_unit(rng)
+    assert_same(unit_log(t, x), on_oracle(unit_log, t, x))
+    assert blocks and set(blocks) == {(16, 16), (16, 399 % 16)}
+    del blocks[:]
+    for gamma in range(2):
+        u = t.random_unit(rng)
+        assert pi_valuation(u ** (t.p - 1) - 1) == 1
+        idx = FrobeniusIndex(gamma)
+        assert_same(gm_character_eval(t, idx, u),
+                    on_oracle(gm_character_eval, t, idx, u))
+    assert blocks and {n for n, _ in blocks} == {16}
 
 
 @pytest.mark.parametrize("cfg", ORACLE_TOWERS, ids=str)

@@ -45,7 +45,9 @@ def test_ser_mul_both_branches(la, lb, cut):
 def test_kron_mul_worst_case_limb(mod, la, lb):
     """All-(mod - 1) operands: the middle coefficients reach the bound
     (mod - 1)^2 * min(la, lb) that the limb is sized to, on the one-point
-    path and the two-point path, and the limb has no spare byte."""
+    path and the two-point path, and the limb has no spare byte.  The
+    product comes back reduced; a carry out of a limb would shift a residue
+    by 2^(8w), which an odd modulus > 2 sees."""
     a, b = [mod - 1] * la, [mod - 1] * lb
     bound = (mod - 1) ** 2 * min(la, lb)
     w = pu._limb_bytes(mod, min(la, lb))
@@ -56,10 +58,10 @@ def test_kron_mul_worst_case_limb(mod, la, lb):
         return [(mod - 1) ** 2 * (min(k, la - 1) - max(0, k - lb + 1) + 1)
                 for k in range(la + lb - 1)]
 
+    assert max(exact(la, lb)) == bound
     got = pu.kron_mul(a, b, mod, la + lb - 1)
-    assert max(got) == bound
-    assert got == exact(la, lb)
-    assert pu.kron_mul(a, a, mod, 2 * la) == exact(la, la)
+    assert got == [c % mod for c in exact(la, lb)]
+    assert pu.kron_mul(a, a, mod, 2 * la) == [c % mod for c in exact(la, la)]
 
 
 @pytest.mark.parametrize("n", [
@@ -67,15 +69,20 @@ def test_kron_mul_worst_case_limb(mod, la, lb):
 def test_pack_and_unpack_on_both_sides_of_shift_limit(n):
     """Limbs shifted in and out one by one, and as a byte string from
     SHIFT_LIMBS_MAX + 1 on, against a plain sum: any integers go in as
-    residues and come back out, all of them or a prefix."""
+    residues and come back out, all of them or a prefix; limbs that hold
+    residues mod mod^2 come back reduced mod ``mod``."""
     mod = 7 ** 30
     w = pu._limb_bytes(mod, 16)
     rng = random.Random(n)
     a = [rng.randrange(-2 * mod, 2 * mod) for _ in range(n)]
     big = pu._pack(a, mod, w)
     assert big == sum((c % mod) << (8 * w * i) for i, c in enumerate(a))
-    assert pu._unpack(big, w, n, n) == [c % mod for c in a]
-    assert pu._unpack(big, w, n + 1, n // 2) == [c % mod for c in a[:n // 2]]
+    assert pu._unpack(big, w, n, n, mod) == [c % mod for c in a]
+    assert pu._unpack(big, w, n + 1, n // 2, mod) == [
+        c % mod for c in a[:n // 2]]
+    wide = pu._pack(a, mod ** 2, w)
+    assert pu._unpack(wide, w, n, n, mod) == [c % mod for c in a]
+    assert pu._unpack(wide, w, n, n, mod ** 2) == [c % mod ** 2 for c in a]
 
 
 def test_limb_bytes_mod_one():
@@ -108,8 +115,8 @@ def test_kron_mul_matches_oracle(mod, shape, where, square, data):
          "at": full, "above": full + data.draw(st.integers(1, 8))}[where]
     want = double_loop(a, b, mod, n)
     got = pu.kron_mul(a, b, mod, n)
-    assert got == kron_mul_one_point(a, b, mod, n)
-    assert [c % mod for c in got] == want
+    assert got == [c % mod for c in kron_mul_one_point(a, b, mod, n)]
+    assert got == want
     assert pu.ser_mul(a, b, mod, n) == want
 
 
@@ -121,8 +128,8 @@ def test_kron_mul_longest_log_product():
     a = [rng.randrange(mod) for _ in range(2421)]
     b = [rng.randrange(-mod, 2 * mod) for _ in range(2421)]
     for x, y in ((a, b), (a, a)):
-        assert pu.kron_mul(x, y, mod, 4841) == kron_mul_one_point(
-            x, y, mod, 4841)
+        assert pu.kron_mul(x, y, mod, 4841) == [
+            c % mod for c in kron_mul_one_point(x, y, mod, 4841)]
     assert pu.ser_mul(b, b, mod, 2421) == [
         c % mod for c in kron_mul_one_point(b, b, mod, 2421)]
 
@@ -262,8 +269,8 @@ def test_packed_mul_mismatch_raises(other):
 
 
 def fold_loop(x, y, mod, c):
-    """The rows sum_{i+j=k} x_i y_j mod X^e - c of the residues, flattened,
-    by a loop over every pair of entries."""
+    """The rows sum_{i+j=k} x_i y_j mod X^e - c of the residues, flattened
+    and reduced mod ``mod``, by a loop over every pair of entries."""
     e = len(x[0])
     out = [[0] * e for _ in range(len(x) + len(y) - 1)]
     for i, xi in enumerate(x):
@@ -272,7 +279,7 @@ def fold_loop(x, y, mod, c):
                 for b, v in enumerate(yk):
                     scale = c if a + b >= e else 1
                     out[i + k][(a + b) % e] += (u % mod) * (v % mod) * scale
-    return [v for row in out for v in row]
+    return [v % mod for row in out for v in row]
 
 
 @pytest.mark.parametrize("mod", BENCH_MODS)
@@ -281,7 +288,9 @@ def fold_loop(x, y, mod, c):
     (4, 5, 13), (2, 16, 7), (3, 3, 0)])
 def test_fold_rows_worst_case_limb(mod, r, e, c):
     """All-(mod - 1) rows, the largest sums a limb must hold, against the
-    loop: a product of two packs, a square, and a pack with a zero row."""
+    loop: a product of two packs, a square, and a pack with a zero row.  The
+    rows come back reduced, so every modulus here is odd and > 2: a carry
+    out of a limb shifts a residue by 2^(8w)."""
     x = [[mod - 1] * e for _ in range(r)]
     a, b = pu.FoldRows(x, mod, c), pu.FoldRows(x, mod, c)
     assert a.mul(b) == a.mul(a) == fold_loop(x, x, mod, c)
@@ -326,48 +335,75 @@ def test_fold_rows_mismatch_raises(other):
         other(x).mul(a)
 
 
-def combine_loop(vectors, cs, mod):
-    """sum_k cs[k] (vectors[k] mod ``mod``), entry by entry, term by term."""
-    out = [0] * len(vectors[0])
-    for c, x in zip(cs, vectors):
-        for i, v in enumerate(x):
-            out[i] += c * (v % mod)
-    return out
+def combine_loop(packs, cs, mod):
+    """sum_k cs[k] (packs[k] mod ``mod``), row by row and entry by entry,
+    term by term, reduced mod ``mod``."""
+    out = [[0] * len(packs[0][0]) for _ in packs[0]]
+    for c, x in zip(cs, packs):
+        for i, row in enumerate(x):
+            for j, v in enumerate(row):
+                out[i][j] += c * (v % mod)
+    return [[v % mod for v in row] for row in out]
 
 
 @pytest.mark.parametrize("mod", (7, 7 ** 2) + BENCH_MODS)
 @pytest.mark.parametrize("r, n", [(1, 1), (2, 16), (5, 16), (15, 16),
                                   (16, 8), (3, 30)])
 def test_packed_vectors_worst_case_limb(mod, r, n):
-    """All-(mod - 1) vectors and coefficients, as many coefficients as
-    vectors: every entry r (mod - 1)^2, the most a limb must hold."""
-    x = [[mod - 1] * n for _ in range(r)]
-    cs = [mod - 1] * r
-    got = pu.PackedVectors(x, mod).combine(cs)
-    assert got == combine_loop(x, cs, mod) == [r * (mod - 1) ** 2] * n
+    """``fold_combine`` of all-(mod - 1) matrices of n entries packed with
+    c = r - 1, with all-(mod - 1) coefficients, as many as a limb holds:
+    (1 + c) n = r n of them, every entry r n (mod - 1)^2, the most a limb
+    must hold, and the limb has no spare byte.  The sum comes back
+    reduced; every modulus here is odd and > 2."""
+    rows, e = (2, n // 2) if n % 2 == 0 else (1, n)
+    x = [[mod - 1] * e for _ in range(rows)]
+    packs = [pu.FoldRows(x, mod, r - 1) for _ in range(r * n)]
+    bound = r * n * (mod - 1) ** 2
+    assert 256 ** (packs[0].w - 1) <= bound < 256 ** packs[0].w
+    cs = [mod - 1] * (r * n)
+    got = pu.fold_combine(packs, cs)
+    assert got == combine_loop([x] * (r * n), cs, mod) == [
+        [bound % mod] * e] * rows
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data())
 def test_packed_vectors_match_loop(data):
-    """Vectors of any integers, reduced at packing, and any number of
-    coefficients up to the number of vectors."""
+    """``fold_combine`` of matrices of any integers, reduced at packing, and
+    any number of coefficients up to the number of matrices or the most a
+    limb holds."""
     mod = data.draw(st.sampled_from([1, 2, 7 ** 3, 5 ** 40]))
-    r, n = data.draw(st.integers(1, 16)), data.draw(st.integers(1, 30))
+    k, rows = data.draw(st.integers(1, 16)), data.draw(st.integers(1, 3))
+    e, c = data.draw(st.integers(1, 10)), data.draw(st.integers(0, 7))
     entries = st.integers(-2 * mod, 2 * mod)
-    x = [data.draw(st.lists(entries, min_size=n, max_size=n))
-         for _ in range(r)]
-    cs = data.draw(st.lists(st.integers(0, mod - 1), max_size=r))
-    assert pu.PackedVectors(x, mod).combine(cs) == combine_loop(x, cs, mod)
+    x = [[data.draw(st.lists(entries, min_size=e, max_size=e))
+          for _ in range(rows)] for _ in range(k)]
+    top = min(k, (1 + c) * rows * e)
+    cs = data.draw(st.lists(st.integers(0, mod - 1), max_size=top))
+    packs = [pu.FoldRows(m, mod, c) for m in x]
+    assert pu.fold_combine(packs, cs) == combine_loop(x, cs, mod)
 
 
 def test_packed_vectors_refuse_more_terms():
-    """More coefficients than packed vectors would overflow a limb: refused,
-    not misread."""
+    """More coefficients than packed matrices: refused, not misread."""
     x = [[MOD - 1] * 4, [3] * 4]
-    packed = pu.PackedVectors(x, MOD)
+    packs = [pu.FoldRows(x, MOD, 7)] * 2
     with pytest.raises(CertificateFailure):
-        packed.combine([MOD - 1] * 3)
+        pu.fold_combine(packs, [MOD - 1] * 3)
+
+
+@pytest.mark.parametrize("rows, e, c", [(1, 1, 0), (1, 3, 2), (2, 4, 7)])
+def test_fold_combine_refuses_past_its_limb(rows, e, c):
+    """(1 + c) rows e all-(mod - 1) terms fill a limb exactly; one more
+    would overflow it and is refused, even with a matrix to spare."""
+    mod = 7 ** 3
+    top = (1 + c) * rows * e
+    x = [[mod - 1] * e for _ in range(rows)]
+    packs = [pu.FoldRows(x, mod, c)] * (top + 2)
+    assert pu.fold_combine(packs, [mod - 1] * top) == [
+        [top * (mod - 1) ** 2 % mod] * e] * rows
+    with pytest.raises(CertificateFailure):
+        pu.fold_combine(packs, [mod - 1] * (top + 1))
 
 
 @st.composite

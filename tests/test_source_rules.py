@@ -18,8 +18,11 @@ The Kronecker format (limb width, packing, evaluation points) stays in
 ``polyutils.py``: no other module reads a private ``polyutils`` name
 (``pu._pack``, ``pu._unpack``, ``pu._limb_bytes``, ...), and none converts
 an integer to or from bytes (``to_bytes``, ``from_bytes``), so none packs
-inline either; they use ``Packed`` and ``packed_mul`` for series and
-``FoldRows`` for tower products.  Tests may still spy on those names.
+inline either; they use ``Packed`` and ``packed_mul`` for series, and
+``FoldRows`` and ``fold_combine`` for tower products and sums.  The one
+read-back, ``_unpack``, reduces each limb mod the modulus it is given, so
+every packed product and sum comes back as residues and no caller reduces
+it again.  Tests may still spy on those names.
 
 ``cli.py`` never takes an integer flag as a truth value (``args.precision or
 12``, ``if args.precision:``): 0 is a value the user gave, and it must reach

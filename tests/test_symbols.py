@@ -84,6 +84,20 @@ class TestSymMul:
         with pytest.raises(FamilyMismatch):
             sym_mul(Symbol(tower, GAMMAS, {(1,): tower.one()}), other)
 
+    @pytest.mark.parametrize("other", [
+        lambda t: 1, lambda t: t.one(), lambda t: QElement(t.one()),
+        lambda t: "phi"], ids=["int", "tower", "qelement", "str"])
+    def test_foreign_operand_is_a_type_error(self, tower, other):
+        """A sum or difference with anything but a Symbol is a TypeError,
+        as for the other ring elements, not an AttributeError."""
+        s, x = Symbol(tower, GAMMAS, {(1,): tower.one()}), other(tower)
+        for op in (lambda: s + x, lambda: x + s, lambda: s - x,
+                   lambda: x - s):
+            with pytest.raises(TypeError):
+                op()
+        assert s.__add__(x) is NotImplemented
+        assert s.__sub__(x) is NotImplemented
+
 
 class TestSymEval:
     def test_identity_word(self, tower):
