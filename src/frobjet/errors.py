@@ -90,6 +90,10 @@ class SeriesTooShort(FrobjetError, ValueError):
     """Supplied series does not reach the required degree."""
 
 
+class NotOdd(FrobjetError, ValueError):
+    """A series that must be odd has a term of even total degree."""
+
+
 class LogDivergence(FrobjetError, ArithmeticError):
     """Logarithm argument outside the domain of convergence."""
 

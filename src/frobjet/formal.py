@@ -20,12 +20,13 @@ degree-3 coefficient ratio, and negation in this chart is t -> -t.
 
 Every series here runs on the one Kronecker product kernel of
 :mod:`frobjet.polyutils` (the logarithm needs degree p^2 * Nmax for the
-congruence checks).  A bivariate series of total degree <= D is packed by
-T1 -> X^(D+2), T2 -> X^(D+1) into a univariate list of length (D+1)^2,
-where the indices below (d+1)(D+1) hold exactly the degrees <= d (d <= D).
-A product of which only the degrees <= d can reach the result is cut
-there, and ``ser_mul`` skips the leading zeros of each operand, so a
-series that starts at degree d costs nothing below index d(D+1).
+congruence checks).  A curve's law and log are odd, so every bivariate
+series the group law multiplies has one parity r of total degree, and is
+packed on those degrees alone: T1^i T2^j in row (i + j - r)/2 of D + 1
+entries (``_pack``), half the (D + 1)^2 that every degree would take.  A
+product of which only the degrees <= d can reach the result is cut at the
+last row of degree <= d (``_mul``), and ``ser_mul`` skips the leading
+zeros of each operand, so a series costs nothing below its first row.
 
 The jet-side constructions evaluate phi_mu on the logarithm inside a
 truncated jet ring and read off character series; coefficients carry one
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 from . import polyutils as pu
 from .errors import (BadReduction, CertificateFailure, DistinctWordsRequired,
-                     IntegralityViolation, NotTopologicallyNilpotent,
+                     IntegralityViolation, NotOdd, NotTopologicallyNilpotent,
                      OrderOverflow, PrecisionExhausted, SeriesTooShort)
 from .jets import JetElement, JetRing, phi_word
 from .tower import TowerElement, n_of_pi_from, valuation
@@ -197,8 +198,8 @@ class FormalGroupLaw:
 
     def __init__(self, p: int, prec: int, D: int, coeffs: dict):
         self.p, self.prec, self.D = p, prec, D
-        self.coeffs = {k: v % p ** prec for k, v in coeffs.items()
-                       if v % p ** prec}
+        mod = p ** prec
+        self.coeffs = {k: v % mod for k, v in coeffs.items() if v % mod}
 
     def add_points(self, a: TowerElement, b: TowerElement) -> TowerElement:
         """Evaluate the law at tower points of positive valuation."""
@@ -218,52 +219,61 @@ class FormalGroupLaw:
         return out
 
 
-def _pack(a: dict, D: int) -> list:
-    """Kronecker image of a bivariate series of total degree <= D.
+def _pack(a: dict, D: int, r: int) -> list:
+    """Kronecker image of a bivariate series of total degree <= D whose
+    terms all have a total degree of parity r.
 
-    T1 -> X^(D+2), T2 -> X^(D+1) sends T1^i T2^j to index (i+j)(D+1) + i:
-    injective on total degree <= D, while every higher degree lands at index
-    >= (D+1)^2, so truncated bivariate products are ``ser_mul`` at that n.
+    T1^i T2^j goes to index ((i + j - r)/2)(D + 1) + i, which is T1 ->
+    X^(D+2), T2 -> X^(D+1) with the rows of the other parity left out:
+    ((D - r)//2 + 1)(D + 1) entries, past which every higher degree lands.
     """
-    out = [0] * (D + 1) ** 2
+    out = [0] * (((D - r) // 2 + 1) * (D + 1))
     for (i, j), c in a.items():
-        out[(i + j) * (D + 1) + i] = c
+        out[(i + j - r) // 2 * (D + 1) + i] = c
     return out
 
 
-def _unpack(a: list, D: int) -> dict:
-    return {(i, s - i): a[s * (D + 1) + i] for s in range(D + 1)
-            for i in range(s + 1) if a[s * (D + 1) + i]}
+def _unpack(a: list, D: int, r: int) -> dict:
+    return {(i, s - i): x for s in range(r, D + 1, 2) for i in range(s + 1)
+            if (x := a[(s - r) // 2 * (D + 1) + i])}
+
+
+def _mul(a: list, ra: int, b: list, rb: int, D: int, mod: int, d: int):
+    """``_pack`` of the product of packs of parities ra, rb to degree d.
+    Two odd terms' indices add up to one row below their product's, so an
+    odd-by-odd product is cut a row early and shifted up a row."""
+    n = ((d - (ra ^ rb)) // 2 + 1) * (D + 1)
+    if ra and rb:
+        return [0] * (D + 1) + pu.ser_mul(a, b, mod, n - D - 1)
+    return pu.ser_mul(a, b, mod, n)
 
 
 def formal_group_law(curve: WeierstrassCurve, D: int,
                      prec: int) -> FormalGroupLaw:
-    """Group law of the curve via the chord construction."""
+    """Group law of the curve via the chord construction; lambda, its
+    powers and A are even, nu, B and F odd, as w is (see ``_pack``)."""
     if D < 1:
         raise SeriesTooShort(f"group law needs degree D >= 1, got {D}")
     p = curve.p
     mod = p ** prec
-    n = (D + 1) ** 2
     w = curve_w_series(curve, D + 2, mod)
-    # lambda = sum_k w_k * (t1^(k-1) + t1^(k-2) t2 + ... + t2^(k-1))
-    lam = _pack({(a_, k - 1 - a_): w[k] for k in range(1, D + 2)
-                 for a_ in range(k)}, D)
-    # nu = w(t1) - lambda * t1; multiplying by t1 shifts by D + 2
-    w1 = _pack({(i, 0): w[i] for i in range(D + 1)}, D)
-    nu = [(x - y) % mod for x, y in zip(w1, [0] * (D + 2) + lam)]
-    lam2 = pu.ser_mul(lam, lam, mod, n)
-    lam3 = pu.ser_mul(lam2, lam, mod, n)
+    # lambda = sum_k w_k * (t1^(k-1) + t1^(k-2) t2 + ... + t2^(k-1)), k odd
+    lam = _pack({(a_, k - 1 - a_): w[k] for k in range(1, D + 2, 2)
+                 for a_ in range(k)}, D, 0)
+    # nu = w(t1) - lambda * t1; multiplying by t1 shifts by 1
+    w1 = _pack({(i, 0): w[i] for i in range(1, D + 1, 2)}, D, 1)
+    nu = [(x - y) % mod for x, y in zip(w1, [0] + lam)]
+    lam2 = _mul(lam, 0, lam, 0, D, mod, D)
+    lam3 = _mul(lam2, 0, lam, 0, D, mod, D)
     A = [(curve.a4 * x + curve.a6 * y) % mod for x, y in zip(lam2, lam3)]
     A[0] = (A[0] + 1) % mod
-    B = pu.ser_mul([(2 * curve.a4 * x + 3 * curve.a6 * y) % mod
-                    for x, y in zip(lam, lam2)], nu, mod, n)
-    # B has v leading zeros, so F = B/A reads 1/A only below n - v
-    v = next((i for i, x in enumerate(B) if x), n - 1)
-    F = pu.ser_mul(B, pu.ser_inv(A, mod, n - v), mod, n)
-    # F = t1 + t2 + B/A, with t1 at index D + 2 and t2 at D + 1
-    F[D + 2] = (F[D + 2] + 1) % mod
-    F[D + 1] = (F[D + 1] + 1) % mod
-    return FormalGroupLaw(p, prec, D, _unpack(F, D))
+    B = _mul([(2 * curve.a4 * x + 3 * curve.a6 * y) % mod
+              for x, y in zip(lam, lam2)], 0, nu, 1, D, mod, D)
+    # B has v leading zeros, so F = B/A reads 1/A only below len(B) - v
+    v = next((i for i, x in enumerate(B) if x), len(B) - 1)
+    F = _mul(B, 1, pu.ser_inv(A, mod, len(B) - v), 0, D, mod, D)
+    F[0], F[1] = (F[0] + 1) % mod, (F[1] + 1) % mod  # F = t2 + t1 + B/A
+    return FormalGroupLaw(p, prec, D, _unpack(F, D, 1))
 
 
 def scaled_log_coefficients(log: LogSeries, D: int, dmax: int,
@@ -287,16 +297,15 @@ def compose_log_with_law(log: LogSeries, law: FormalGroupLaw, D: int):
     """l(F(T1,T2)) - l(T1) - l(T2) as a bivariate dict scaled by p^dmax.
 
     Returns (dict, dmax); the homomorphism law holds iff every entry is
-    divisible by p^dmax at the working precision.
+    divisible by p^dmax at the working precision.  A law with a term of
+    even total degree, or a log with an even b_m != 0, is refused with
+    ``NotOdd``: a curve's law and log are odd, and the packs rely on it.
 
-    l(F) runs by Horner in G = F^2 over pairs of coefficients, from the
-    top index k = D // 2 down: the product at step k is multiplied by G
-    another k - 1 times, and G = O(deg 2) since F = T1 + T2 + ..., so each
-    of those steps raises the total degree by at least 2.  Only the
-    degrees <= D - 2k + 2 of that product can land at degree <= D, so it
-    is cut at index (D - 2k + 3)(D + 1): the product shrinks with the
-    degree it can still reach, from 3(D + 1) or 4(D + 1) at the top step
-    to (D + 1)^2 at k = 1.
+    l(F) = F sum_k c_(2k+1) G^k runs by Horner in G = F^2 from the top
+    k = (D - 1) // 2 down: the product at step k is multiplied by G another
+    k - 1 times, and G = O(deg 2) since F = T1 + T2 + ..., so only its
+    degrees <= D - 2k + 2 can land at degree <= D, and it is cut at that
+    odd row: from 2(D + 1) entries at the top step to all of F's at k = 1.
     """
     if D < 1:
         raise SeriesTooShort(f"log composition needs degree D >= 1, got {D}")
@@ -304,22 +313,20 @@ def compose_log_with_law(log: LogSeries, law: FormalGroupLaw, D: int):
     mod = p ** log.prec
     dmax = pu.floor_log(p, D)
     c = scaled_log_coefficients(log, D, dmax, mod)
-    n = (D + 1) ** 2
-    F = _pack({k: v % mod for k, v in law.coeffs.items() if sum(k) <= D}, D)
-    G = pu.ser_mul(F, F, mod, n)
-    # sum_k (c_2k + c_(2k+1) F) G^k; each product is as long as the next
-    # step's sum reads, the degrees <= D - 2(k - 1)
-    c.append(0)  # c_(D+1), the odd half of the top pair when D is even
-    acc = [0] * ((D % 2 + 1) * (D + 1))
-    for k in range(D // 2, -1, -1):
+    if any((i + j) % 2 == 0 for i, j in law.coeffs) or any(log.b[2::2]):
+        raise NotOdd("log composition needs an odd law and an odd log")
+    F = _pack({k: v % mod for k, v in law.coeffs.items() if sum(k) <= D},
+              D, 1)
+    G = _mul(F, 1, F, 1, D, mod, D)
+    acc = [0] * (D + 1)
+    for k in range((D - 1) // 2, -1, -1):
         acc = [(a + c[2 * k + 1] * x) % mod for a, x in zip(acc, F)]
-        acc[0] = (acc[0] + c[2 * k]) % mod
         if k:
-            acc = pu.ser_mul(acc, G, mod, (D - 2 * k + 3) * (D + 1))
-    for m in range(1, D + 1):
-        for k in (m * (D + 2), m * (D + 1)):
+            acc = _mul(acc, 1, G, 0, D, mod, D - 2 * k + 2)
+    for m in range(1, D + 1, 2):  # T1^m and T2^m, in row (m - 1)/2
+        for k in ((m - 1) // 2 * (D + 1) + m, (m - 1) // 2 * (D + 1)):
             acc[k] = (acc[k] - c[m]) % mod
-    return _unpack(acc, D), dmax
+    return _unpack(acc, D, 1), dmax
 
 
 # ---------------------------------------------------------------------------
@@ -355,27 +362,20 @@ def l_mu_series(log: LogSeries, mu, ring: JetRing):
     L = JetElement(ring, {m: c for m, c in L.terms.items()
                           if all(v != 0 for v, _ in m)}, L.den)
     N = n_of_pi_from(ring.tower.p, ring.tower.e)
-    if N >= 0:
-        Lt = L.scale(ring.tower.p ** N)
-    else:
-        Lt = JetElement(ring, L.terms, L.den - N)
-    Lt = _normalize_integral(Lt)
-    return L, Lt
+    Lt = (L.scale(ring.tower.p ** N) if N >= 0
+          else JetElement(ring, L.terms, L.den - N))
+    return L, _normalize_integral(Lt)
 
 
 def _normalize_integral(F: JetElement) -> JetElement:
-    p = F.ring.tower.p
-    den = F.den
     terms = dict(F.terms)
-    for _ in range(den):
+    for _ in range(F.den):
         try:
-            nxt = {m: c.divide_by_p() for m, c in terms.items()}
+            terms = {m: c.divide_by_p() for m, c in terms.items()}
         except PrecisionExhausted:
             raise IntegralityViolation(
                 "scaled character series has a non-integral coefficient")
-        terms = nxt
-        den -= 1
-    return JetElement(F.ring, terms, den)
+    return JetElement(F.ring, terms, min(F.den, 0))
 
 
 def psi_series(ft_mu: TowerElement, ft_nu: TowerElement,

@@ -10,6 +10,9 @@ the Kronecker-packed univariate kernel: every series is a sparse dict keyed
 by ``(i, j)``, multiplied term by term with total degree capped at ``D``.
 It is slow and is kept here only so the tests can compare
 ``formal_group_law`` and ``compose_log_with_law`` against it key by key.
+Its composition takes any law and log, also the G_m law T1 + T2 + T1 T2
+and ``gm_log``, which are not odd and which ``compose_log_with_law``
+refuses.
 
 ``log_numerators`` writes the logarithm down in closed form, with neither
 Newton nor a series product: the route of the tests to ``formal_log`` that

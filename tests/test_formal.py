@@ -2,12 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import frobjet.polyutils as pu
 from frobjet import formal
 from frobjet.crystal import crystalline_classes, kedlaya_frobenius
 from frobjet.errors import (BadReduction, CertificateFailure,
-                            DistinctWordsRequired, PrecisionExhausted,
+                            DistinctWordsRequired, NotOdd, PrecisionExhausted,
                             SeriesTooShort)
 from frobjet.formal import (FormalGroupLaw, WeierstrassCurve,
                             compose_log_with_law, curve_w_series,
@@ -148,13 +149,30 @@ class TestGroupLaw:
                 assert (compose_log_with_law(log, law, Dc)
                         == formal_oracle.compose_log_with_law(log, law, Dc))
 
+    @pytest.mark.parametrize("curve", ORACLE_CURVES, ids=lambda c: c.label)
+    def test_log_is_a_homomorphism_of_the_law(self, curve):
+        """l(F(T1, T2)) = l(T1) + l(T2) exactly mod p^10, at every degree
+        of ``ORACLE_DEGREES`` and 25.  A law off by 1 at T1^5 T2^6 leaves
+        c_1 = p^dmax there, an entry that a check of divisibility by
+        p^dmax alone would pass."""
+        log = formal_log(curve, 25, 10)
+        for D in ORACLE_DEGREES + (25,):
+            law = formal_group_law(curve, D, 10)
+            assert compose_log_with_law(log, law, D)[0] == {}
+            if D >= 11:
+                law.coeffs[5, 6] = law.coeffs.get((5, 6), 0) + 1
+                resid, dmax = compose_log_with_law(log, law, D)
+                assert resid[5, 6] == curve.p ** dmax
+
     @pytest.mark.parametrize("D", [1, 2, 3, 24, 25])
     def test_compose_horner_shrinks_with_degree(self, monkeypatch, D):
-        """G = F^2 is taken at n = (D + 1)^2; the product of the Horner
-        step at index k, which G multiplies k - 1 more times, asks only for
-        its degrees <= D - 2k + 2, the (D - 2k + 3)(D + 1) coefficients
-        below; the result is the dict oracle's.  An odd D is where a
-        curve's odd law and log have terms at that top degree."""
+        """G = F^2, a product of two odd packs, asks for the D // 2 even
+        rows below its top one and is then shifted up a row; the product
+        of the Horner step at index k, which G multiplies k - 1 more times,
+        asks only for its degrees <= D - 2k + 2, the ((D + 3) // 2 - k)
+        odd rows of D + 1 coefficients below; the result is the dict
+        oracle's.  An odd D is where a curve's odd law and log have terms
+        at that top degree."""
         log, law = formal_log(C7, 26, 10), formal_group_law(C7, D, 10)
         asked, ser_mul = [], pu.ser_mul
 
@@ -165,8 +183,8 @@ class TestGroupLaw:
         monkeypatch.setattr(pu, "ser_mul", recording)
         got = compose_log_with_law(log, law, D)
         monkeypatch.undo()
-        assert asked == [(D + 1) ** 2] + [(D - 2 * k + 3) * (D + 1)
-                                          for k in range(D // 2, 0, -1)]
+        assert asked == [D // 2 * (D + 1)] + [
+            ((D + 3) // 2 - k) * (D + 1) for k in range((D - 1) // 2, 0, -1)]
         assert got == formal_oracle.compose_log_with_law(log, law, D)
 
     @pytest.mark.parametrize("curve", [C7, WeierstrassCurve(7, 0, 1)],
@@ -175,12 +193,13 @@ class TestGroupLaw:
     def test_group_law_inverts_a_to_what_b_reads(self, monkeypatch, curve,
                                                  D):
         """B = (2 a4 lambda + 3 a6 lambda^2) nu starts at T1 T2^4 (T1 T2^6
-        when a4 = 0), index v = 5(D + 1) + 1 (7(D + 1) + 1), so 1/A is
-        taken to n - v; a B that is 0 below degree D + 1 still takes 1/A
-        to length 1.  The law is the dict oracle's."""
+        when a4 = 0), in odd row 2 (3), index v = 2(D + 1) + 1 (3(D + 1) +
+        1), so 1/A is taken to n - v, n the (D + 1) // 2 odd rows; a B that
+        is 0 below degree D + 1 still takes 1/A to length 1.  The law is
+        the dict oracle's."""
         low = 5 if curve.a4 else 7
-        n = (D + 1) ** 2
-        v = low * (D + 1) + 1 if D >= low else n - 1
+        n = (D + 1) // 2 * (D + 1)
+        v = low // 2 * (D + 1) + 1 if D >= low else n - 1
         lengths, ser_inv = [], pu.ser_inv
 
         def recording(a, mod, k):
@@ -195,11 +214,17 @@ class TestGroupLaw:
             curve, D, 10).coeffs
 
     @pytest.mark.parametrize("D", [1, 3, 8])
-    def test_multiplicative_matches_dict_oracle(self, D):
+    def test_multiplicative_refused(self, D):
+        """The G_m law T1 + T2 + T1 T2 and log(1 + T) are not odd, so the
+        composition refuses them, with either odd partner; the dict oracle
+        composes them, to 0 exactly."""
         law = FormalGroupLaw(5, 10, 5, {(1, 0): 1, (0, 1): 1, (1, 1): 1})
         log = gm_log(5, 8, 10)
-        assert (compose_log_with_law(log, law, D)
-                == formal_oracle.compose_log_with_law(log, law, D))
+        for lg, lw in ((log, law), (formal_log(CM5, 8, 10), law),
+                       (log, formal_group_law(CM5, 8, 10))):
+            with pytest.raises(NotOdd):
+                compose_log_with_law(lg, lw, D)
+        assert formal_oracle.compose_log_with_law(log, law, D)[0] == {}
 
     @pytest.mark.parametrize("D", [0, -1])
     def test_degree_below_one_rejected(self, D):
@@ -243,6 +268,24 @@ class TestGroupLaw:
         lhs = log_at(c)
         rhs = log_at(a) + log_at(b)
         assert lhs.equals(rhs, precision=8)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(D=st.integers(1, 13), ra=st.integers(0, 1), rb=st.integers(0, 1),
+       cut=st.integers(0, 13), seed=st.integers(0, 2 ** 32))
+def test_parity_packs_multiply_as_dicts(D, ra, rb, cut, seed):
+    """The product of two packs of parities ra and rb, cut at degree
+    d <= D, has the ((d - r)//2 + 1)(D + 1) entries of its parity r and
+    reads back as the dict product key by key: this pins the row shift of
+    an odd-by-odd product and the row counts at even D."""
+    rng, mod, d, r = random.Random(seed), 7 ** 3, min(cut, D), ra ^ rb
+    a, b = ({(i, s - i): rng.randrange(mod) for s in range(q, D + 1, 2)
+             for i in range(s + 1) if rng.random() < 0.7} for q in (ra, rb))
+    got = formal._mul(formal._pack(a, D, ra), ra, formal._pack(b, D, rb),
+                      rb, D, mod, d)
+    assert len(got) == ((d - r) // 2 + 1) * (D + 1)
+    full = got + [0] * (((D - r) // 2 + 1) * (D + 1) - len(got))
+    assert formal._unpack(full, D, r) == formal_oracle._biv_mul(a, b, mod, d)
 
 
 class TestFormalLog:
