@@ -7,10 +7,8 @@ This module packages the operations a verification run actually calls:
   computed as  p^N (phi_i - p)(log x^(q-1)) / (q - 1)  with q = p^f, the
   size of the residue field: x^(q-1) is a 1-unit, so no inverse is taken,
   and q - 1 is prime to p, so the division is one scalar inverse mod p^prec.
-  The logarithm is a Paterson-Stockmeyer sum: its coefficients
-  (-1)^(n+1) / n come from a table each tower builds once, each power is
-  packed once, each block of terms is one sum of those packed integers per
-  row, and its products are the tower's own row product;
+  The logarithm is ``tower.log1p``, which owns the tower's packed rows, its
+  row product and its table of log coefficients;
 * the term-by-term congruence check on logarithm coefficients driven by a
   scaled class triple (the order-(r,s) analogue of the classical
   Atkin--Swinnerton-Dyer integrality conditions);
@@ -31,16 +29,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
-from operator import add
+from math import gcd
 
 from . import polyutils as pu
-from .errors import (DistinctWordsRequired, LogDivergence, NotAUnit,
-                     PrecisionExhausted, SeriesTooShort, ZeroSeries)
+from .errors import (DistinctWordsRequired, NotAUnit, PrecisionExhausted,
+                     SeriesTooShort, ZeroSeries)
 from .formal import LogSeries
 from .linalg import padic_nullspace
 from .tower import (INF, FrobeniusIndex, QElement, Tower, TowerElement,
-                    check_beta, frobenius_apply, n_of_pi_from, pi_valuation,
+                    check_beta, frobenius_apply, log1p, n_of_pi_from,
                     primary_class, raise_if_bad_word, valuation)
 
 
@@ -61,65 +58,13 @@ def gm_character_eval(tower: Tower, idx: FrobeniusIndex, x: TowerElement
     if valuation(x) != 0:
         raise NotAUnit("the multiplicative character is defined on units")
     p, q1 = tower.p, tower.p ** tower.f - 1
-    out = _log1p(x ** q1 - 1)
+    out = log1p(x ** q1 - 1)
     num = frobenius_apply(tower, idx, out.num) - out.num * p
     num = num * pu.modinv(q1, p ** num.prec)
     N = n_of_pi_from(p, tower.e)
     if N >= 0:
         return QElement(num * p ** N, out.den)
     return QElement(num, out.den - N)
-
-
-def unit_log(tower: Tower, x: TowerElement) -> QElement:
-    """log of a 1-unit: sum (-1)^(n+1) (x-1)^n / n, v(x-1) > 0 required."""
-    return _log1p(x - tower.one())
-
-
-def _log1p(z: TowerElement) -> QElement:
-    """log(1 + z) = sum (-1)^(n+1) z^n / n as num / p^dmax, v(z) > 0.
-
-    R is a DVR with the orthonormal basis zeta^i pi^j, so z^n = 0 mod p^prec
-    exactly when n v_pi(z) >= e prec: the sum stops at N = ceil(e prec /
-    v_pi(z)) - 1 < e K.  Paterson-Stockmeyer: the powers z, ..., z^m are
-    packed once each (``polyutils.FoldRows``), for the products and for the
-    block sums Q_b = sum_{k=1..m} c_(bm+k) z^k, each one
-    ``polyutils.fold_combine``, and Horner in z^m runs over the blocks.
-    m = isqrt(N), capped at the (1 + p) f e terms a limb of a pack holds;
-    any m gives the same sum.  Every power and Horner step is one
-    ``Tower.product_rows``, about 2 sqrt(N) in all; a Horner step adds its
-    block to the product, row by row, and reduces once, when it is packed
-    for the next step.  The coefficients c_n = p^dmax (-1)^(n+1) / n come
-    from the table the tower built; p^dmax covers every n <= nmax = e (prec
-    + 2) + 1 > N.
-    """
-    u = pi_valuation(z)
-    if u == 0:
-        raise LogDivergence("log(1 + z) needs v(z) > 0")
-    tower, prec = z.tower, z.prec
-    p, e = tower.p, tower.e
-    nmax = e * (prec + 2) + 1
-    dmax = pu.floor_log(p, nmax)
-    if u == INF:
-        return QElement(tower.zero(prec), dmax)
-    N = -(-e * prec // u) - 1
-    m = min(isqrt(N), (1 + p) * tower.f * e)
-    pk = p ** prec
-    # packs[k - 1] holds the rows of z^k, reduced mod p^prec
-    packs = [pu.FoldRows(z.coeffs, pk, p)]
-    for _ in range(m - 1):
-        packs.append(pu.FoldRows(tower.product_rows(packs[-1], packs[0]),
-                                 pk, p))
-    c = tower.log_coefficients(N, dmax, prec)
-
-    def block(b):
-        return pu.fold_combine(packs, c[b * m + 1:b * m + m + 1])
-
-    blocks = -(-N // m)
-    acc = block(blocks - 1)
-    for b in range(blocks - 2, -1, -1):
-        rows = tower.product_rows(pu.FoldRows(acc, pk, p), packs[-1])
-        acc = [list(map(add, r, s)) for r, s in zip(rows, block(b))]
-    return QElement(tower.element(acc, prec), dmax)
 
 
 def asd_check(log: LogSeries, fvals: dict, mu, nu, Nmax: int,
@@ -135,7 +80,8 @@ def asd_check(log: LogSeries, fvals: dict, mu, nu, Nmax: int,
     must land in p * (integral elements); an entry passes when its valuation
     is >= 1 with a precision certificate of at least 2 (below that the claim
     would be vacuous).  The words must differ: f_{mu,mu} is not a class, and
-    every combination for mu = nu would vanish identically.
+    every combination for mu = nu would vanish identically.  A logarithm at
+    another prime than the tower's is refused with FamilyMismatch.
     """
     mu, nu = tuple(mu), tuple(nu)
     r, s = len(mu), len(nu)
@@ -144,6 +90,7 @@ def asd_check(log: LogSeries, fvals: dict, mu, nu, Nmax: int,
     if r < s:
         raise DistinctWordsRequired("need |mu| >= |nu|")
     p = tower.p
+    log.check_prime(p)
     if log.degree < p ** r * Nmax:
         raise SeriesTooShort(
             f"need logarithm degree >= {p ** r * Nmax}, have {log.degree}")

@@ -35,7 +35,7 @@ class NotAUnit(FrobjetError, ValueError):
 
 
 class FamilyMismatch(FrobjetError, ValueError):
-    """Operands belong to different towers or Frobenius families."""
+    """Operands belong to different towers, Frobenius families or primes."""
 
 
 class MissingClass(FrobjetError, KeyError):

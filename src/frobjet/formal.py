@@ -39,8 +39,9 @@ from dataclasses import dataclass
 
 from . import polyutils as pu
 from .errors import (BadReduction, CertificateFailure, DistinctWordsRequired,
-                     IntegralityViolation, NotOdd, NotTopologicallyNilpotent,
-                     OrderOverflow, PrecisionExhausted, SeriesTooShort)
+                     FamilyMismatch, IntegralityViolation, NotOdd,
+                     NotTopologicallyNilpotent, OrderOverflow,
+                     PrecisionExhausted, SeriesTooShort)
 from .jets import JetElement, JetRing, phi_word
 from .tower import TowerElement, n_of_pi_from, valuation
 
@@ -80,6 +81,11 @@ class LogSeries:
     @property
     def degree(self) -> int:
         return len(self.b) - 1
+
+    def check_prime(self, p: int):
+        """Raise FamilyMismatch unless this is a logarithm at the prime p."""
+        if self.p != p:
+            raise FamilyMismatch(f"log at p = {self.p}, not at p = {p}")
 
 
 def _one_minus(x: list, y: list, c4: int, c6: int, n: int, mod: int) -> list:
@@ -297,9 +303,10 @@ def compose_log_with_law(log: LogSeries, law: FormalGroupLaw, D: int):
     """l(F(T1,T2)) - l(T1) - l(T2) as a bivariate dict scaled by p^dmax.
 
     Returns (dict, dmax); the homomorphism law holds iff every entry is
-    divisible by p^dmax at the working precision.  A law with a term of
-    even total degree, or a log with an even b_m != 0, is refused with
-    ``NotOdd``: a curve's law and log are odd, and the packs rely on it.
+    divisible by p^dmax mod p^min(log.prec, law.prec).  A law and a log of
+    different primes raise ``FamilyMismatch``; a law with a term of even
+    total degree, or a log with an even b_m != 0, raises ``NotOdd``: a
+    curve's law and log are odd, and the packs rely on it.
 
     l(F) = F sum_k c_(2k+1) G^k runs by Horner in G = F^2 from the top
     k = (D - 1) // 2 down: the product at step k is multiplied by G another
@@ -309,8 +316,9 @@ def compose_log_with_law(log: LogSeries, law: FormalGroupLaw, D: int):
     """
     if D < 1:
         raise SeriesTooShort(f"log composition needs degree D >= 1, got {D}")
+    log.check_prime(law.p)
     p = log.p
-    mod = p ** log.prec
+    mod = p ** min(log.prec, law.prec)
     dmax = pu.floor_log(p, D)
     c = scaled_log_coefficients(log, D, dmax, mod)
     if any((i + j) % 2 == 0 for i, j in law.coeffs) or any(log.b[2::2]):
@@ -336,6 +344,7 @@ def compose_log_with_law(log: LogSeries, law: FormalGroupLaw, D: int):
 def log_jet(log: LogSeries, ring: JetRing) -> JetElement:
     """The logarithm as a jet element with global denominator p^dmax."""
     tower = ring.tower
+    log.check_prime(tower.p)
     p = tower.p
     D = ring.cfg.D
     dmax = pu.floor_log(p, D)

@@ -20,10 +20,10 @@ and its phi-twists.  Two exact layers implement this:
 
 ``PsiPoly``
     polynomials over Q in commuting slot variables (the twists Psi_i^phi_mu,
-    or the parameter slots beta^phi_mu) together with c and p as genuine
-    indeterminates.  The catalog of quadratic/cubic relations between the
-    classes reduces to the zero PsiPoly, with c-homogeneity checked first so
-    no conclusion ever depends on the value of the unit c.
+    or the parameter slots beta^phi_mu) and the indeterminates c and p, each
+    coefficient kept as given: an int from every program input.  The catalog
+    of quadratic/cubic relations between the classes reduces to the zero
+    PsiPoly, c-homogeneity checked first: no conclusion depends on the unit c.
 
 ``st_expansion`` builds each class from its primary, a sum of phi-twisted
 Psi slots, and the secondary rule f_mu,nu = p^|nu| f_mu - p^|mu| f_nu, which
@@ -186,28 +186,28 @@ def serre_operator(ring: STRing, mu, F: STSeries) -> STSeries:
 # ---------------------------------------------------------------------------
 
 class PsiPoly:
-    """Sparse polynomial; monomial = (c_exp, p_exp, ((slot, exp), ...))."""
+    """Sparse polynomial; monomial = (c_exp, p_exp, ((slot, exp), ...)),
+    coefficient an int or a Fraction, kept as given."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {m: Fraction(c) for m, c in (terms or {}).items()
-                      if c != 0}
+        self.terms = {m: c for m, c in (terms or {}).items() if c}
 
     @classmethod
     def const(cls, value=1, p_exp=0) -> "PsiPoly":
-        return cls({(0, p_exp, ()): Fraction(value)})
+        return cls({(0, p_exp, ()): value})
 
     @classmethod
     def slot(cls, name, c_exp=0, p_exp=0, value=1) -> "PsiPoly":
-        return cls({(c_exp, p_exp, ((name, 1),)): Fraction(value)})
+        return cls({(c_exp, p_exp, ((name, 1),)): value})
 
     def __add__(self, other):
         if not isinstance(other, PsiPoly):
             return NotImplemented
         t = dict(self.terms)
         for m, c in other.terms.items():
-            t[m] = t.get(m, Fraction(0)) + c
+            t[m] = t.get(m, 0) + c
         return PsiPoly(t)
 
     def __neg__(self):
@@ -225,7 +225,7 @@ class PsiPoly:
         for (c1, p1, v1), a1 in self.terms.items():
             for (c2, p2, v2), a2 in other.terms.items():
                 m = (c1 + c2, p1 + p2, _mono_mul(v1, v2))
-                out[m] = out.get(m, Fraction(0)) + a1 * a2
+                out[m] = out.get(m, 0) + a1 * a2
         return PsiPoly(out)
 
     def is_zero(self) -> bool:
@@ -251,7 +251,7 @@ class PsiPoly:
         out = {}
         for (ce, pe, vars_), a in self.terms.items():
             m = (ce, pe, tuple(sorted((slot(*v), e) for v, e in vars_)))
-            out[m] = out.get(m, Fraction(0)) + a
+            out[m] = out.get(m, 0) + a
         return PsiPoly(out)
 
     def __repr__(self):

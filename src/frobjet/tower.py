@@ -23,10 +23,10 @@ i + j = k, and pi^(e+j) folds to p pi^j on that whole integer; the rows come
 back e limbs each, every limb reduced mod p^prec as it is read.  The
 zeta-rows k >= f then reduce through ``zred2``, each multiple reduced as it
 is added.  ``Tower.product_rows`` is this product, its rows residues;
-``TowerElement.__mul__`` and the character logarithm both call it.  Each
-element keeps its packed rows in one slot, so an operand used again at the
-same modulus p^k is packed once.  At f = e = 1 a product is one integer
-product.
+``TowerElement.__mul__`` and :func:`log1p`, the one logarithm of a tower
+element, both call it.  Each element keeps its packed rows in one slot, so
+an operand used again at the same modulus p^k is packed once.  At f = e = 1
+a product is one integer product.
 
 Frobenius family
 ----------------
@@ -56,11 +56,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from . import polyutils as pu
 from .errors import (BetaTooLarge, CertificateFailure, FamilyMismatch,
-                     NotAUnit, NotEisensteinCompatible, PrecisionExhausted,
-                     PrecisionTooLow, UnreducedCoefficients)
+                     LogDivergence, NotAUnit, NotEisensteinCompatible,
+                     PrecisionExhausted, PrecisionTooLow,
+                     UnreducedCoefficients)
 
 INF = math.inf
 
@@ -224,7 +226,7 @@ class Tower:
         raise CertificateFailure(
             f"x -> x^(p^f) did not settle in {a.prec + 1} steps")
 
-    # -- products and logarithm coefficients --------------------------------
+    # -- products ----------------------------------------------------------
 
     def product_rows(self, x: pu.FoldRows, y: pu.FoldRows) -> list:
         """The f zeta-rows of the product of two elements packed mod the same
@@ -242,18 +244,6 @@ class Tower:
                     for j in range(e):
                         oi[j] = (oi[j] + r * rowk[j]) % pk
         return out
-
-    def log_coefficients(self, N: int, dmax: int, prec: int) -> list:
-        """c_n = p^dmax (-1)^(n+1) / n mod p^prec at index n = 1..N (index 0
-        is 0), read off the table built with the tower.  Needs N < e K and
-        dmax >= v_p(n) for every n <= N."""
-        table = self._log_table
-        if N >= len(table):
-            raise CertificateFailure(
-                f"log coefficients reach n = {len(table) - 1}, not {N}")
-        pk = self.p ** prec
-        scale = [self.p ** (dmax - v) for v in range(dmax + 1)]
-        return [0] + [u * scale[v] % pk for u, v in table[1:N + 1]]
 
     def __repr__(self):
         c = self.config
@@ -640,3 +630,54 @@ class QElement:
 
     def __repr__(self):
         return f"QElement({self.num!r} / p^{self.den})"
+
+
+def log1p(z: TowerElement) -> QElement:
+    """log(1 + z) = sum (-1)^(n+1) z^n / n as num / p^dmax, v(z) > 0.
+
+    R is a DVR with the orthonormal basis zeta^i pi^j, so z^n = 0 mod p^prec
+    exactly when n v_pi(z) >= e prec: the sum stops at N = ceil(e prec /
+    v_pi(z)) - 1 < e K.  Paterson-Stockmeyer: the powers z, ..., z^m are
+    packed once each (``polyutils.FoldRows``), for the products and for the
+    block sums Q_b = sum_{k=1..m} c_(bm+k) z^k, each one
+    ``polyutils.fold_combine``, and Horner in z^m runs over the blocks.
+    m = isqrt(N), capped at the (1 + p) f e terms a limb of a pack holds;
+    any m gives the same sum.  Every power and Horner step is one
+    ``Tower.product_rows``, about 2 sqrt(N) in all; a Horner step adds its
+    block to the product, row by row, and reduces once, when it is packed
+    for the next step.  c_n = p^dmax (-1)^(n+1) / n is the tower's table
+    entry (-1)^(n+1) (n / p^v)^(-1), v = v_p(n), times p^(dmax - v), and
+    p^dmax covers every n <= e (prec + 2) + 1 > N.
+    """
+    u = pi_valuation(z)
+    if u == 0:
+        raise LogDivergence("log(1 + z) needs v(z) > 0")
+    tower, prec = z.tower, z.prec
+    p, e = tower.p, tower.e
+    dmax = pu.floor_log(p, e * (prec + 2) + 1)
+    if u == INF:
+        return QElement(tower.zero(prec), dmax)
+    N = -(-e * prec // u) - 1
+    table = tower._log_table
+    if N >= len(table):
+        raise CertificateFailure(
+            f"log coefficients reach n = {len(table) - 1}, not {N}")
+    m = min(math.isqrt(N), (1 + p) * tower.f * e)
+    pk = p ** prec
+    scale = [p ** (dmax - v) for v in range(dmax + 1)]
+    c = [0] + [w * scale[v] % pk for w, v in table[1:N + 1]]
+    # packs[k - 1] holds the rows of z^k, reduced mod p^prec
+    packs = [pu.FoldRows(z.coeffs, pk, p)]
+    for _ in range(m - 1):
+        packs.append(pu.FoldRows(tower.product_rows(packs[-1], packs[0]),
+                                 pk, p))
+
+    def block(b):
+        return pu.fold_combine(packs, c[b * m + 1:b * m + m + 1])
+
+    blocks = -(-N // m)
+    acc = block(blocks - 1)
+    for b in range(blocks - 2, -1, -1):
+        rows = tower.product_rows(pu.FoldRows(acc, pk, p), packs[-1])
+        acc = [list(map(add, r, s)) for r, s in zip(rows, block(b))]
+    return QElement(tower.element(acc, prec), dmax)

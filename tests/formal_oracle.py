@@ -261,10 +261,11 @@ def compose_log_with_law(log: LogSeries, law: FormalGroupLaw, D: int):
     """l(F(T1,T2)) - l(T1) - l(T2) as a bivariate dict scaled by p^dmax.
 
     Returns (dict, dmax); the homomorphism law holds iff every entry is
-    divisible by p^dmax at the working precision.
+    divisible by p^dmax at the working precision p^min(log.prec, law.prec),
+    the lower of the two certificates.
     """
     p = log.p
-    mod = p ** log.prec
+    mod = p ** min(log.prec, law.prec)
     dmax = pu.floor_log(p, D)
     scale = p ** dmax
     F = {k: v for k, v in law.coeffs.items() if sum(k) <= D}

@@ -9,10 +9,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from frobjet import characters
 from frobjet import polyutils as pu
+from frobjet import tower
 from frobjet.characters import (PairingContext, RestrictedSeries, asd_check,
                                 count_roots_zp, gm_character_eval,
                                 kernel_dimension, pairing, reciprocity_check,
-                                strassman_count, unit_log)
+                                strassman_count)
 from frobjet.crystal import crystalline_classes, kedlaya_frobenius
 from frobjet.errors import (BetaTooLarge, CertificateFailure,
                             DistinctWordsRequired, FamilyMismatch, NotAUnit,
@@ -20,8 +21,8 @@ from frobjet.errors import (BetaTooLarge, CertificateFailure,
 from frobjet.formal import (WeierstrassCurve, formal_log,
                             scaled_log_coefficients)
 from frobjet.tower import (INF, FrobeniusIndex, QElement, Tower, TowerConfig,
-                           TowerElement, build_tower, check_beta, pi_valuation,
-                           valuation)
+                           TowerElement, build_tower, check_beta, log1p,
+                           pi_valuation, valuation)
 
 from formal_oracle import gm_log
 from symbols_oracle import six_product_pairing
@@ -71,7 +72,7 @@ class TestGmCharacter:
         for _ in range(10):
             x = t5.from_int(1 + 5 * rng.randrange(5 ** 11))
             psi = gm_character_eval(t5, FrobeniusIndex(0), x)
-            lx = unit_log(t5, x)
+            lx = log1p(x - 1)
             expect = QElement(lx.num * (1 - 5), lx.den + 1)
             v = (psi - expect).normalized().valuation()
             assert v == INF or v >= 10
@@ -129,7 +130,7 @@ def oracle_tower(cfg):
 
 def on_oracle(fn, *args):
     """fn(*args) with the sequential log and the schoolbook multiply."""
-    with mock.patch.object(characters, "_log1p", sequential_log1p), \
+    with mock.patch.object(characters, "log1p", sequential_log1p), \
             mock.patch.object(TowerElement, "__mul__", schoolbook_mul):
         return fn(*args)
 
@@ -177,8 +178,8 @@ class TestLog1pOracle:
         # z = pi^k y, zero mod p^prec once k >= e prec
         k = data.draw(st.integers(1, t.e * prec + 1))
         y = t.element(draw_coeffs(data, t, prec), prec)
-        x = 1 + t.pi(prec) ** k * y
-        assert_same(unit_log(t, x), on_oracle(unit_log, t, x))
+        z = t.pi(prec) ** k * y
+        assert_same(log1p(z), on_oracle(sequential_log1p, z))
 
     @pytest.mark.parametrize("N", [0, 1, 2, 3])
     def test_short_sums(self, cfg, N):
@@ -187,8 +188,7 @@ class TestLog1pOracle:
         E = t.e * t.K
         z = t.pi() ** -(-E // (N + 1)) * t.random_unit(random.Random(N))
         assert first_zero_power(z) == N + 1
-        x = 1 + z
-        assert_same(unit_log(t, x), on_oracle(unit_log, t, x))
+        assert_same(log1p(z), on_oracle(sequential_log1p, z))
         for j in range(t.e):
             # phi(zeta^j) = (zeta^j)^p, so the log runs on z = 0
             u = t.zeta() ** j
@@ -207,8 +207,8 @@ def test_log_block_capped_by_the_limb(monkeypatch):
     blocks, combine = [], pu.fold_combine
     monkeypatch.setattr(pu, "fold_combine", lambda packs, cs: (
         blocks.append((len(packs), len(cs))) or combine(packs, cs)))
-    x = 1 + t.pi() * t.random_unit(rng)
-    assert_same(unit_log(t, x), on_oracle(unit_log, t, x))
+    z = t.pi() * t.random_unit(rng)
+    assert_same(log1p(z), on_oracle(sequential_log1p, z))
     assert blocks and set(blocks) == {(16, 16), (16, 399 % 16)}
     del blocks[:]
     for gamma in range(2):
@@ -249,7 +249,7 @@ def test_log_multiplies_grow_like_sqrt(monkeypatch):
     before the logarithm are not counted."""
     t = oracle_tower((7, 2, 3, 2, 30))
     calls, logs = [], []
-    rows, log1p = Tower.product_rows, characters._log1p
+    rows, log1p = Tower.product_rows, tower.log1p
 
     def counted_rows(self, x, y):
         calls.append(1)
@@ -261,7 +261,7 @@ def test_log_multiplies_grow_like_sqrt(monkeypatch):
         logs.append((z, len(calls) - start))
         return out
     monkeypatch.setattr(Tower, "product_rows", counted_rows)
-    monkeypatch.setattr(characters, "_log1p", traced_log1p)
+    monkeypatch.setattr(characters, "log1p", traced_log1p)
     x = t.random_unit(random.Random(8))
     gm_character_eval(t, FrobeniusIndex(1), x)
     ((z, products),) = logs
@@ -276,18 +276,31 @@ def test_log_multiplies_grow_like_sqrt(monkeypatch):
 
 @pytest.mark.parametrize("cfg", ORACLE_TOWERS, ids=str)
 def test_log_table_matches_scaled_gm_log(cfg):
-    """The coefficients read off the table the tower built equal the scaled
-    coefficients of the G_m logarithm, the per-call route they replaced, at
-    every precision and every n <= e prec - 1, the last term a logarithm
-    at that precision can keep; past e K - 1 the table refuses."""
+    """The table the tower built, each entry (u, v) scaled to u p^(dmax - v),
+    equals the scaled coefficients of the G_m logarithm, the per-call route
+    it replaced, at every precision and every n <= e prec - 1, the last term
+    a logarithm at that precision can keep; the table ends at e K - 1."""
     t = oracle_tower(cfg)
+    assert len(t._log_table) == t.e * t.K
     for prec in range(1, t.K + 1):
-        N = t.e * prec - 1
+        N, pk = t.e * prec - 1, t.p ** prec
         dmax = pu.floor_log(t.p, t.e * (prec + 2) + 1)
-        assert t.log_coefficients(N, dmax, prec) == scaled_log_coefficients(
-            gm_log(t.p, N, prec), N, dmax, t.p ** prec)
+        assert [0] + [u * t.p ** (dmax - v) % pk
+                      for u, v in t._log_table[1:N + 1]] == \
+            scaled_log_coefficients(gm_log(t.p, N, prec), N, dmax, pk)
+
+
+def test_log_refuses_a_short_table(monkeypatch):
+    """A logarithm whose stop index passes the end of the tower's table
+    raises CertificateFailure instead of summing fewer terms: with
+    v_pi(z) = 1 at precision K the sum runs to N = e K - 1, the table's
+    last index."""
+    t = oracle_tower((7, 2, 1, 1, 16))
+    z = t.pi() * t.random_unit(random.Random(9))
+    log1p(z)
+    monkeypatch.setattr(t, "_log_table", t._log_table[:-1])
     with pytest.raises(CertificateFailure):
-        t.log_coefficients(t.e * t.K, dmax, t.K)
+        log1p(z)
 
 
 @pytest.fixture(scope="module")
@@ -334,6 +347,14 @@ class TestAsd:
         for mu, nu in (((1, 2), (1,)), ((1, 1), (2,))):
             with pytest.raises(FamilyMismatch):
                 asd_check(log, fvals, mu, nu, 10, t5, (0,))
+
+    def test_log_of_another_prime_rejected(self, t7, pipeline):
+        """The p = 5 log on a p = 7 tower: its b_N are residues mod 5^14,
+        not 7-adic numbers, so no report is made."""
+        log, _ = pipeline
+        ones = {k: t7.one() for k in ("ft_mu", "ft_nu", "f_mu_nu")}
+        with pytest.raises(FamilyMismatch):
+            asd_check(log, ones, (1, 1), (1,), 5, t7, (0,))
 
     @pytest.mark.parametrize("word", [(1,), (1, 1)])
     def test_equal_words_rejected(self, t5, pipeline, word):

@@ -8,12 +8,12 @@ import frobjet.polyutils as pu
 from frobjet import formal
 from frobjet.crystal import crystalline_classes, kedlaya_frobenius
 from frobjet.errors import (BadReduction, CertificateFailure,
-                            DistinctWordsRequired, NotOdd, PrecisionExhausted,
-                            SeriesTooShort)
+                            DistinctWordsRequired, FamilyMismatch, NotOdd,
+                            PrecisionExhausted, SeriesTooShort)
 from frobjet.formal import (FormalGroupLaw, WeierstrassCurve,
                             compose_log_with_law, curve_w_series,
                             formal_group_law, formal_log, l_mu_series,
-                            psi_series)
+                            log_jet, psi_series)
 from frobjet.jets import JetRing, JetRingConfig, eval_jet
 from frobjet.tower import TowerConfig, build_tower, n_of_pi_from
 
@@ -233,6 +233,26 @@ class TestGroupLaw:
         law = formal_group_law(C7, 4, 10)
         with pytest.raises(SeriesTooShort):
             compose_log_with_law(formal_log(C7, 4, 10), law, D)
+
+    def test_different_primes_refused(self):
+        """A p = 5 log and a p = 7 law: the composition would reduce the
+        p = 7 law mod 5^10 and report nonzero entries for two correct
+        inputs."""
+        with pytest.raises(FamilyMismatch):
+            compose_log_with_law(formal_log(CM5, 12, 10),
+                                 formal_group_law(C7, 12, 10), 12)
+
+    @pytest.mark.parametrize("curve", ORACLE_CURVES, ids=lambda c: c.label)
+    def test_composes_at_the_lower_precision(self, curve):
+        """A correct law and log are certified only to the lower of their
+        precisions, so their composition is {} exactly, whichever of the
+        two is the lower one: a law at precision 3 against a log at 10,
+        and a log at 3 against a law at 10."""
+        for D in (12, 25):
+            for law_prec, log_prec in ((3, 10), (10, 3)):
+                law = formal_group_law(curve, D, law_prec)
+                log = formal_log(curve, D, log_prec)
+                assert compose_log_with_law(log, law, D)[0] == {}
 
     def test_log_shorter_than_degree_rejected(self):
         law = formal_group_law(C7, 6, 10)
@@ -521,6 +541,23 @@ class TestLMuSeries:
             lhs, rhs = Lt.terms[mono] * t.p ** L.den, c * t.p ** N
             assert min(lhs.prec, rhs.prec) >= 1
             assert lhs.equals(rhs)
+
+
+@pytest.mark.parametrize("D", [6, 7])
+def test_log_of_another_prime_refused(D):
+    """A p = 5 log on a p = 7 jet ring is refused by ``log_jet``, and so by
+    ``l_mu_series`` and ``psi_series``, which build on it: unchecked, its
+    coefficient b_5 / 5 would be scaled by 5^-1 at D = 6, a float, and b_7
+    divided by 7 mod 7^10 at D = 7."""
+    t = build_tower(TowerConfig(7, 2, 0, 1, 10))
+    ring = JetRing(JetRingConfig(t, 1, 2, D, (0,)))
+    log = formal_log(CM5, D, 10)
+    with pytest.raises(FamilyMismatch):
+        log_jet(log, ring)
+    with pytest.raises(FamilyMismatch):
+        l_mu_series(log, (1,), ring)
+    with pytest.raises(FamilyMismatch):
+        psi_series(t.one(), t.one(), t.zero(), (1, 1), (1,), log, ring)
 
 
 class TestPsiSeries:

@@ -24,6 +24,11 @@ read-back, ``_unpack``, reduces each limb mod the modulus it is given, so
 every packed product and sum comes back as residues and no caller reduces
 it again.  Tests may still spy on those names.
 
+The packed tower product stays in ``tower.py``: outside it and
+``polyutils.py`` no module reads ``FoldRows``, ``fold_combine``,
+``Tower.product_rows`` or the tower's log table ``_log_table``; they
+multiply through ``TowerElement`` and take logarithms with ``tower.log1p``.
+
 ``cli.py`` never takes an integer flag as a truth value (``args.precision or
 12``, ``if args.precision:``): 0 is a value the user gave, and it must reach
 the range checks instead of turning into the default.  It reads
@@ -340,6 +345,66 @@ def test_kronecker_rule_allows_public_names_and_other_privates():
         "self._packed = _pack(a, D)\n"
         "name = pu.__name__\n"
         "y = other._unpack(x)")) == []
+
+
+TOWER_PRODUCT = {"FoldRows", "fold_combine", "product_rows", "_log_table"}
+TOWER_PRODUCT_OWNERS = {"polyutils.py", "tower.py"}
+
+
+def tower_product_reads(tree: ast.AST) -> list:
+    """Lines that read the packed tower product or the log table: one of
+    ``TOWER_PRODUCT`` as an attribute of any object, as a bare name, or
+    through ``from ... import``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in TOWER_PRODUCT:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in TOWER_PRODUCT:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.ImportFrom):
+            found.extend((node.lineno, a.name) for a in node.names
+                         if a.name in TOWER_PRODUCT)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", [path for path in SOURCES
+                                  if path.name not in TOWER_PRODUCT_OWNERS],
+                         ids=lambda path: path.name)
+def test_tower_product_stays_in_tower(path):
+    """The packed rows, the row product and the log table are known to
+    ``polyutils.py``, which packs, and ``tower.py``, which multiplies and
+    takes the logarithm; every other module calls ``TowerElement``
+    arithmetic and ``tower.log1p``."""
+    assert tower_product_reads(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_tower_product_rule_finds_the_tower():
+    """The rule sees every name of the set that tower.py reads, so it is
+    not blind."""
+    path = next(path for path in SOURCES if path.name == "tower.py")
+    assert {name for _, name in tower_product_reads(
+        ast.parse(path.read_text(), str(path)))} == TOWER_PRODUCT
+
+
+@pytest.mark.parametrize("snippet", [
+    "from . import polyutils as pu\nx = pu.FoldRows(rows, pk, p)",
+    "from .polyutils import fold_combine",
+    "rows = t.product_rows(x, y)",
+    "c = tower._log_table[1:N + 1]",
+    "from frobjet.polyutils import FoldRows as F",
+    "mul = Tower.product_rows"])
+def test_tower_product_rule_catches(snippet):
+    assert tower_product_reads(ast.parse(snippet))
+
+
+def test_tower_product_rule_allows_the_public_log_and_product():
+    assert tower_product_reads(ast.parse(
+        "from .tower import log1p\n"
+        "out = log1p(x ** q1 - 1)\n"
+        "y = x * z\n"
+        "w = pu.packed_mul(pu.Packed(a, m, n), b, n)\n"
+        "table = self.log_table\n"
+        "product = rows")) == []
 
 
 BYTE_CONVERSIONS = {"to_bytes", "from_bytes"}

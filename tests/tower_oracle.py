@@ -2,7 +2,7 @@
 zeta tables.
 
 ``schoolbook_mul`` is ``TowerElement.__mul__`` and ``sequential_log1p`` is
-``characters._log1p`` as they ran before the packed multiply and the
+``tower.log1p`` as they ran before the packed multiply and the
 Paterson-Stockmeyer evaluation.  The multiply loops over every pair of
 entries, scaling by p where pi^(j1 + j2) wraps past pi^e, and reduces the
 zeta-rows k >= f through ``zred2``.  The logarithm multiplies by z once per
